@@ -10,8 +10,6 @@ from .detector_sim import (
     DetectorParams,
     EventStream,
     MeasurementConfig,
-    PulseEvent,
-    choose_basis,
     effective_projection_probs,
     raw_bits_from_events,
     run_simulation,
@@ -55,8 +53,8 @@ from .protocol_math import (
 )
 from .source_sim import (
     PolarizationState,
-    PulseSampler,
     SourceParams,
+    panel_lambda,
     polarization_from_waveplates,
 )
 from .stat_suite import TestReport, run_battery
@@ -67,8 +65,6 @@ __all__ = [
     "DetectorParams",
     "EventStream",
     "MeasurementConfig",
-    "PulseEvent",
-    "choose_basis",
     "effective_projection_probs",
     "raw_bits_from_events",
     "run_simulation",
@@ -104,8 +100,8 @@ __all__ = [
     "solve_theta",
     "xi_theta",
     "PolarizationState",
-    "PulseSampler",
     "SourceParams",
+    "panel_lambda",
     "polarization_from_waveplates",
     "TestReport",
     "run_battery",

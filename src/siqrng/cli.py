@@ -8,7 +8,6 @@ testsuite, pipeline. Exit codes: 0 success, 1 usage/config error,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -273,7 +272,7 @@ def _cmd_extract(args) -> int:
     except KeyError as exc:
         raise FormatError(f"estimate file missing key {exc}") from exc
     bits = detector_sim.raw_bits_from_events(stream)
-    block = RawBitBlock(bits=bits, origin="ingested")
+    block = RawBitBlock(bits=bits)
     seed = io_formats.read_seed_file(args.seed_file)
     result = extract(block, rates, seed)
     io_formats.write_bits(args.out, result.bits, epsilon_total)
@@ -371,7 +370,7 @@ def _cmd_pipeline(args) -> int:
         raise EstimationAbort(f"certified length {est.rates.R_final:.6g} <= 0")
 
     raw = detector_sim.raw_bits_from_events(stream)
-    block = RawBitBlock(bits=raw, origin="simulated")
+    block = RawBitBlock(bits=raw)
     seed_path = cfg["path.seed"]
     need = len(raw) + est.rates.whole_bits - 1
     if seed_path:

@@ -16,25 +16,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rngstream
-from .errors import EstimationAbort
+from .errors import EstimationAbort, RunTooLargeError
 from .protocol_math import TallySummary
-from .source_sim import PolarizationState, PulseSampler, SourceParams
+from .source_sim import (
+    PolarizationState,
+    SourceParams,
+    panel_lambda,
+    polarization_from_waveplates,
+)
 
 BASIS_Z = 0
 BASIS_X = 1
 
+#: Outcome codes are the click bits: detector 0 is bit 0, detector 1 bit 1.
 OUTCOME_NONE = 0
 OUTCOME_D0 = 1
 OUTCOME_D1 = 2
 OUTCOME_DOUBLE = 3
-
-_BASIS_NAMES = {BASIS_Z: "Z", BASIS_X: "X"}
-_OUTCOME_NAMES = {
-    OUTCOME_NONE: "None",
-    OUTCOME_D0: "D0",
-    OUTCOME_D1: "D1",
-    OUTCOME_DOUBLE: "Double",
-}
 
 
 @dataclass(frozen=True)
@@ -77,21 +75,6 @@ class DetectorParams:
         return -math.expm1(-self.dark_rate * self.gate_width)
 
 
-@dataclass(frozen=True)
-class PulseEvent:
-    """One pulse of the measured stream."""
-
-    index: int
-    basis: int
-    outcome: int
-
-    def __str__(self):
-        return (
-            f"PulseEvent({self.index}, {_BASIS_NAMES[self.basis]}, "
-            f"{_OUTCOME_NAMES[self.outcome]})"
-        )
-
-
 class EventStream:
     """Column-store of consecutive pulse events.
 
@@ -123,15 +106,6 @@ class EventStream:
     def index(self) -> np.ndarray:
         return np.arange(self.start, self.start + len(self), dtype=np.uint64)
 
-    def events(self):
-        """Iterate PulseEvent records (small streams only)."""
-        for i in range(len(self)):
-            yield PulseEvent(
-                index=self.start + i,
-                basis=int(self.basis[i]),
-                outcome=int(self.outcome[i]),
-            )
-
     @classmethod
     def concat(cls, parts: list["EventStream"]) -> "EventStream":
         for a, b in zip(parts, parts[1:]):
@@ -142,11 +116,6 @@ class EventStream:
             np.concatenate([p.outcome for p in parts]),
             start=parts[0].start if parts else 0,
         )
-
-
-def choose_basis(basis_seed: int, index: int, prob_X: float) -> int:
-    """Basis for one pulse, deterministic in (seed, index)."""
-    return int(choose_basis_block(basis_seed, index, 1, prob_X)[0])
 
 
 def choose_basis_block(
@@ -204,80 +173,9 @@ def measurement_unitary(phi_c: float, phi_a: float) -> np.ndarray:
     return CONTROLLER_UNITARY @ phase_unitary(phi_c, phi_a)
 
 
-class DeadTimeState:
-    """Per-detector bounded dead-time memory across consecutive pulses.
-
-    A raw avalanche attempt (photon or dark) makes the detector
-    unresponsive for the pulses that start within ``dead_time`` after it,
-    whether or not the attempt itself produced an output. The look-back
-    horizon is therefore exactly ``window`` pulses, which makes chunked
-    recomputation exact. At the default 50 ns dead time and 250 ns pulse
-    period the window is zero and the state is inert.
-    """
-
-    def __init__(self, dead_time: float, pulse_period: float):
-        if pulse_period <= 0:
-            raise ValueError("pulse period must be positive")
-        self.window = max(0, math.ceil(dead_time / pulse_period) - 1)
-        self._last_raw = [-(self.window + 1), -(self.window + 1)]
-        self._pulse = 0
-
-    def begin_pulse(self) -> tuple[bool, bool]:
-        """Liveness of (detector0, detector1) for the next pulse."""
-        p = self._pulse
-        return (
-            p - self._last_raw[0] > self.window,
-            p - self._last_raw[1] > self.window,
-        )
-
-    def end_pulse(self, raw0: bool, raw1: bool) -> None:
-        if raw0:
-            self._last_raw[0] = self._pulse
-        if raw1:
-            self._last_raw[1] = self._pulse
-        self._pulse += 1
-
-
-def detect(
-    photon_count: int,
-    p0: float,
-    p1: float,
-    det: DetectorParams,
-    rng: np.random.Generator,
-    dead_state: DeadTimeState,
-) -> int:
-    """Threshold detection of one pulse; advances the dead-time state.
-
-    Photons split binomially between the arms; detector i fires when at
-    least one photon survives its efficiency thinning (evaluated through
-    the closed-form no-survivor probability) or a dark count occurs in
-    the gate, provided the detector is live.
-    """
-    if abs(p0 + p1 - 1.0) > 1e-9:
-        raise ValueError("p0 + p1 must equal 1")
-    n0 = rng.binomial(photon_count, p0) if photon_count > 0 else 0
-    n1 = photon_count - n0
-    d = det.dark_click_prob
-    q0 = 1.0 - (1.0 - det.eta0) ** n0 * (1.0 - d)
-    q1 = 1.0 - (1.0 - det.eta1) ** n1 * (1.0 - d)
-    raw0 = bool(rng.random() < q0)
-    raw1 = bool(rng.random() < q1)
-    alive0, alive1 = dead_state.begin_pulse()
-    dead_state.end_pulse(raw0, raw1)
-    click0 = raw0 and alive0
-    click1 = raw1 and alive1
-    if click0 and click1:
-        return OUTCOME_DOUBLE
-    if click0:
-        return OUTCOME_D0
-    if click1:
-        return OUTCOME_D1
-    return OUTCOME_NONE
-
-
 def _raw_clicks_panel(
     panel: int,
-    sampler: PulseSampler,
+    source: SourceParams,
     det: DetectorParams,
     config: MeasurementConfig,
     seed: int,
@@ -286,27 +184,28 @@ def _raw_clicks_panel(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw (pre-dead-time) click indicators and bases for one panel.
 
-    Fixed draw order per panel: arm split, detector-0 uniform,
-    detector-1 uniform. Photon numbers come from the separate source
-    stream; bases from the separate basis stream.
+    Given a pulse's mean lambda_eff, arm i receives Poisson(lambda_eff *
+    p_i) photons independently of the other arm, and efficiency thins
+    that to Poisson(lambda_eff * p_i * eta_i). So each raw click is one
+    Bernoulli draw with q_i = 1 - exp(-lambda_eff * p_i * eta_i) (1 - d),
+    exact in distribution without drawing a photon number. Fixed draw
+    order per panel: detector-0 uniforms, then detector-1 uniforms.
+    lambda_eff comes from the source stream, bases from the basis stream.
     """
     n = rngstream.PANEL_PULSES
-    basis = choose_basis_block(
-        config.basis_seed, panel * n, n, config.prob_X
-    )
-    photons = sampler._panel_counts(panel)
+    basis = choose_basis_block(config.basis_seed, panel * n, n, config.prob_X)
+    lam = panel_lambda(source, seed, panel)
     rng = rngstream.panel_generator(seed, rngstream.DOMAIN_DETECTION, panel)
-
-    p0 = np.where(basis == BASIS_X, probs_x[0], probs_z[0])
-    n0 = rng.binomial(photons.astype(np.int64), p0)
-    n1 = photons.astype(np.int64) - n0
-
-    d = det.dark_click_prob
-    q0 = 1.0 - (1.0 - det.eta0) ** n0 * (1.0 - d)
-    q1 = 1.0 - (1.0 - det.eta1) ** n1 * (1.0 - d)
-    raw0 = rng.random(n) < q0
-    raw1 = rng.random(n) < q1
-    return basis, raw0, raw1
+    is_x = basis.view(bool)
+    log_dark = math.log1p(-det.dark_click_prob)
+    raws = []
+    for arm, eta in enumerate((det.eta0, det.eta1)):
+        q = np.where(is_x, probs_x[arm] * eta, probs_z[arm] * eta)
+        q *= lam
+        np.subtract(log_dark, q, out=q)  # log of the no-click probability
+        np.negative(np.expm1(q, out=q), out=q)
+        raws.append(rng.random(n) < q)
+    return basis, raws[0], raws[1]
 
 
 def _suppress_dead(raw: np.ndarray, window: int, warmup: np.ndarray) -> np.ndarray:
@@ -348,52 +247,49 @@ def simulate_range(
     """Events for pulses [start, start+count), byte-identical to the same
     slice of a serial full run.
 
-    Dead-time state is warmed up by recomputing the raw attempts of the
-    ``window`` pulses before ``start``.
+    Both event arrays are allocated up front and filled panel by panel;
+    a count too large to allocate raises RunTooLargeError before any
+    simulation work. Dead-time state is warmed up by recomputing the raw
+    attempts of the ``window`` pulses before ``start``.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    if count == 0:
-        return EventStream(
-            np.empty(0, np.uint8), np.empty(0, np.uint8), start=start
-        )
-    sampler = PulseSampler(source, seed)
-    probs_z = effective_projection_probs(sampler.state, BASIS_Z, config)
-    probs_x = effective_projection_probs(sampler.state, BASIS_X, config)
+    try:
+        basis = np.empty(count, dtype=np.uint8)
+        outcome = np.empty(count, dtype=np.uint8)
+    except MemoryError:
+        raise RunTooLargeError(
+            f"{count} pulses do not fit in memory; simulate fewer pulses"
+        ) from None
+    state = polarization_from_waveplates(source.hwp_angle, source.qwp_angle)
+    probs_z = effective_projection_probs(state, BASIS_Z, config)
+    probs_x = effective_projection_probs(state, BASIS_X, config)
     period = 1.0 / source.pulse_rate_G
     window = max(0, math.ceil(det.dead_time / period) - 1)
 
+    # raw attempts of the `window` pulses before the current panel slice;
+    # virtual pulses before index 0 never fire
+    warm0 = warm1 = np.zeros(window, bool)
     warm_lo = max(0, start - window)
-    gen_start = warm_lo
-    gen_count = (start + count) - warm_lo
-
-    basis_parts, raw0_parts, raw1_parts = [], [], []
-    for panel, lo, hi, t_lo, t_hi in rngstream.panel_range(gen_start, gen_count):
-        b, r0, r1 = _raw_clicks_panel(
-            panel, sampler, det, config, seed, probs_z, probs_x
+    for panel, lo, hi, t_lo, t_hi in rngstream.panel_range(
+        warm_lo, start + count - warm_lo
+    ):
+        b, raw0, raw1 = _raw_clicks_panel(
+            panel, source, det, config, seed, probs_z, probs_x
         )
-        basis_parts.append(b[t_lo:t_hi])
-        raw0_parts.append(r0[t_lo:t_hi])
-        raw1_parts.append(r1[t_lo:t_hi])
-    basis = np.concatenate(basis_parts)
-    raw0 = np.concatenate(raw0_parts)
-    raw1 = np.concatenate(raw1_parts)
-
-    skip = start - warm_lo  # warmup pulses present at the front
-    if window > 0:
-        pad = window - skip  # virtual pulses before index 0
-        warm0 = np.concatenate([np.zeros(max(0, pad), bool), raw0[:skip]])
-        warm1 = np.concatenate([np.zeros(max(0, pad), bool), raw1[:skip]])
-        click0 = _suppress_dead(raw0[skip:], window, warm0)
-        click1 = _suppress_dead(raw1[skip:], window, warm1)
-    else:
-        click0, click1 = raw0, raw1
-    basis = basis[skip:]
-
-    outcome = np.zeros(count, dtype=np.uint8)
-    outcome[click0 & ~click1] = OUTCOME_D0
-    outcome[~click0 & click1] = OUTCOME_D1
-    outcome[click0 & click1] = OUTCOME_DOUBLE
+        raw0, raw1 = raw0[t_lo:t_hi], raw1[t_lo:t_hi]
+        click0 = _suppress_dead(raw0, window, warm0)
+        click1 = _suppress_dead(raw1, window, warm1)
+        if window:
+            warm0 = np.concatenate([warm0, raw0])[-window:]
+            warm1 = np.concatenate([warm1, raw1])[-window:]
+        skip = max(0, start - lo)  # warm-up pulses at the front
+        if skip >= hi - lo:
+            continue
+        out = slice(lo + skip - start, hi - start)
+        basis[out] = b[t_lo + skip : t_hi]
+        np.left_shift(click1[skip:].view(np.uint8), 1, out=outcome[out])
+        outcome[out] |= click0[skip:].view(np.uint8)
     return EventStream(basis, outcome, start=start)
 
 

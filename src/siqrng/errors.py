@@ -22,6 +22,10 @@ class SuiteFailure(SiqrngError):
     """The statistical test battery failed the configured pass policy."""
 
 
+class RunTooLargeError(SiqrngError):
+    """A run's pulse arrays cannot be allocated."""
+
+
 class FormatError(SiqrngError):
     """Malformed or truncated input/output file."""
 

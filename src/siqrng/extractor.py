@@ -63,12 +63,9 @@ class RawBitBlock:
     """Raw generation-basis bits awaiting extraction."""
 
     bits: np.ndarray
-    origin: str = "simulated"
 
     def __post_init__(self):
         object.__setattr__(self, "bits", _as_bits(self.bits))
-        if self.origin not in ("simulated", "ingested"):
-            raise ValueError(f"unknown origin {self.origin!r}")
 
     def __len__(self):
         return len(self.bits)
@@ -102,16 +99,18 @@ def toeplitz_fast(spec: ToeplitzSpec, bits) -> np.ndarray:
     The Toeplitz product is the slice [n-1, n-1+m) of the integer
     convolution seed * input; it is computed through a real FFT of
     power-of-two length >= 2n+m-2 and every used coefficient is verified
-    to sit within ROUNDING_TOLERANCE of an integer. If the a-priori
-    capacity check fails, the product falls back to block-wise naive
-    multiplication.
+    to sit within ROUNDING_TOLERANCE of an integer. An input too large
+    for the a-priori capacity check (about 7e12 bits) is refused with
+    ConvolutionPrecisionError.
     """
     x = _as_bits(bits, spec.input_len_n, "input")
     n, m = spec.input_len_n, spec.output_len_m
     conv_len = len(spec.seed_bits) + n - 1
     length = scipy.fft.next_fast_len(conv_len, real=True)
     if not _fft_capacity_ok(spec.seed_bits, x, length):
-        return _toeplitz_blockwise(spec, x)
+        raise ConvolutionPrecisionError(
+            f"FFT length {length} exceeds the verified-exact capacity"
+        )
     fa = scipy.fft.rfft(spec.seed_bits.astype(np.float64), length, workers=-1)
     fb = scipy.fft.rfft(x.astype(np.float64), length, workers=-1)
     conv = scipy.fft.irfft(fa * fb, length, workers=-1)[n - 1 : n - 1 + m]
@@ -122,20 +121,6 @@ def toeplitz_fast(spec: ToeplitzSpec, bits) -> np.ndarray:
             f"convolution coefficient off an integer by {dev:.3g}"
         )
     return (rounded.astype(np.int64) & 1).astype(np.uint8)
-
-
-def _toeplitz_blockwise(spec: ToeplitzSpec, x: np.ndarray) -> np.ndarray:
-    """Exact fallback: naive product over row blocks."""
-    n, m = spec.input_len_n, spec.output_len_m
-    out = np.empty(m, dtype=np.uint8)
-    block = 4096
-    xi = x.astype(np.int64)
-    windows = np.lib.stride_tricks.sliding_window_view(spec.seed_bits, n)
-    for lo in range(0, m, block):
-        hi = min(m, lo + block)
-        rows = windows[lo:hi, ::-1].astype(np.int64)
-        out[lo:hi] = (rows @ xi) & 1
-    return out
 
 
 @dataclass(frozen=True)

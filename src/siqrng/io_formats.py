@@ -121,8 +121,9 @@ def events_to_binary(stream: EventStream) -> bytes:
     header = BINARY_MAGIC + bytes([BINARY_VERSION]) + struct.pack(
         "<Q", len(stream)
     )
-    body = (stream.basis | (stream.outcome << 1)).astype(np.uint8)
-    return header + body.tobytes()
+    body = np.left_shift(stream.outcome, 1)
+    body |= stream.basis
+    return header + memoryview(body)
 
 
 def events_from_binary(data: bytes) -> EventStream:
@@ -136,9 +137,9 @@ def events_from_binary(data: bytes) -> EventStream:
             f"event-file length {len(data)} does not match count {count}"
         )
     raw = np.frombuffer(data, dtype=np.uint8, offset=13)
-    if np.any(raw > 7):
+    if raw.max(initial=0) > 7:
         raise FormatError("event byte has reserved bits set")
-    return EventStream(raw & 1, (raw >> 1) & 3, start=0)
+    return EventStream(raw & 1, raw >> 1, start=0)
 
 
 def write_events(path: str, stream: EventStream, binary: bool = True) -> None:
@@ -150,10 +151,8 @@ def write_events(path: str, stream: EventStream, binary: bool = True) -> None:
 
 def read_events(path: str) -> EventStream:
     with open(path, "rb") as f:
-        head = f.read(4)
-        rest = f.read()
-    data = head + rest
-    if head == BINARY_MAGIC:
+        data = f.read()
+    if data[:4] == BINARY_MAGIC:
         return events_from_binary(data)
     try:
         return events_from_text(data.decode("utf-8"))

@@ -3,8 +3,7 @@
 The model composes the single-click probability of a Poisson source
 split over two threshold detectors with the per-pulse certified
 randomness: rate = G * p_single * (coefficient - H(e + theta)) minus the
-hashing cost amortized over the run. The raw (un-amortized) form that
-simply subtracts t_e is kept as an alternate mode.
+hashing cost amortized over the run.
 """
 from __future__ import annotations
 
@@ -114,19 +113,6 @@ def rate_model(
         params,
         run_duration,
     )
-
-
-def rate_model_raw(lam: float, params: RateModelParams) -> float:
-    """Alternate mode: the un-amortized form that subtracts t_e outright
-    (mixing bits with bits/second); kept for exact curve replication."""
-    lam_prime = lam * params.eta
-    arg = params.e_bx_model(lam_prime) + params.theta
-    if arg > 0.5:
-        raise ValueError(
-            f"entropy argument {arg} exceeds 1/2: nothing to certify"
-        )
-    per_bit = params.coefficient - binary_entropy(arg)
-    return params.rep_rate_G * p_single_click(lam, params.eta) * per_bit - params.t_e
 
 
 def _assert_unimodal(values: list[float]) -> None:

@@ -1,23 +1,21 @@
-"""Photon-source model: per-pulse photon statistics and the waveplate
+"""Photon-source model: per-pulse mean photon number and the waveplate
 state-preparation chain.
 
-The source is deliberately simple — Poisson photon numbers with an
-optional per-pulse Gaussian intensity fluctuation (sunlight), and a
+The source is deliberately simple — a Poisson mean photon number with
+an optional per-pulse Gaussian intensity fluctuation (sunlight), and a
 polarization state fixed by a half-wave plate and a quarter-wave plate
-acting on horizontally polarized input. Nothing downstream trusts any
-of it.
+acting on horizontally polarized input. The photon number itself is
+never drawn: the detector model thins the Poisson mean directly.
+Nothing downstream trusts any of it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rngstream
-
-#: Hard cap on photons per pulse; bounds memory, far above any real lambda.
-MAX_PHOTONS = (1 << 16) - 1
 
 #: Default relative intensity fluctuation for sunlight runs.
 SUNLIGHT_FLUCTUATION = 0.05
@@ -111,68 +109,19 @@ def polarization_from_waveplates(
     return PolarizationState(amplitude_H=complex(vec[0]), amplitude_V=complex(vec[1]))
 
 
-@dataclass
-class PulseSampler:
-    """Deterministic per-pulse photon-number stream for one run.
+def panel_lambda(params: SourceParams, seed: int, panel: int) -> float | np.ndarray:
+    """Mean photon number of each pulse in one panel.
 
-    The stream is a pure function of (seed, params): pulse i is served
-    from its panel's generator, so any index range can be regenerated
-    independently of execution order.
+    A stable source returns its scalar lambda. A fluctuating one draws
+    lambda * (1 + rel * N(0, 1)) per pulse from the panel's source
+    stream, clipped at 0, so any panel is recomputable on its own.
     """
-
-    params: SourceParams
-    seed: int
-    _state: PolarizationState = field(init=False, repr=False)
-    _cache_panel: int = field(default=-1, init=False, repr=False)
-    _cache_counts: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        self._state = polarization_from_waveplates(
-            self.params.hwp_angle, self.params.qwp_angle
-        )
-
-    @property
-    def state(self) -> PolarizationState:
-        return self._state
-
-    def _panel_counts(self, panel: int) -> np.ndarray:
-        if panel == self._cache_panel:
-            return self._cache_counts
-        rng = rngstream.panel_generator(self.seed, rngstream.DOMAIN_SOURCE, panel)
-        lam = self.params.mean_photons_lambda
-        n = rngstream.PANEL_PULSES
-        if lam == 0.0:
-            counts = np.zeros(n, dtype=np.uint32)
-        else:
-            rel = self.params.intensity_fluctuation_rel_std
-            if rel > 0.0:
-                lam_eff = lam * (1.0 + rel * rng.standard_normal(n))
-                np.clip(lam_eff, 0.0, None, out=lam_eff)
-            else:
-                lam_eff = np.full(n, lam)
-            counts = rng.poisson(lam_eff).astype(np.uint32)
-            np.minimum(counts, MAX_PHOTONS, out=counts)
-        self._cache_panel = panel
-        self._cache_counts = counts
-        return counts
-
-    def photon_counts(self, start: int, count: int) -> np.ndarray:
-        """Photon numbers for pulses [start, start+count)."""
-        out = np.empty(count, dtype=np.uint32)
-        for _, lo, hi, t_lo, t_hi in rngstream.panel_range(start, count):
-            out[lo - start : hi - start] = self._panel_counts(
-                lo // rngstream.PANEL_PULSES
-            )[t_lo:t_hi]
-        return out
-
-    def sample(self, pulse_index: int) -> tuple[int, PolarizationState]:
-        """One pulse: (photon count, prepared state). Identical
-        (seed, pulse_index) always yields identical output."""
-        return int(self.photon_counts(pulse_index, 1)[0]), self._state
-
-
-def sample_pulse(
-    sampler: PulseSampler, pulse_index: int
-) -> tuple[int, PolarizationState]:
-    """Module-level convenience for PulseSampler.sample."""
-    return sampler.sample(pulse_index)
+    lam = params.mean_photons_lambda
+    rel = params.intensity_fluctuation_rel_std
+    if lam == 0.0 or rel == 0.0:
+        return lam
+    rng = rngstream.panel_generator(seed, rngstream.DOMAIN_SOURCE, panel)
+    lam_eff = rng.standard_normal(rngstream.PANEL_PULSES)
+    lam_eff *= lam * rel
+    lam_eff += lam
+    return np.maximum(lam_eff, 0.0, out=lam_eff)

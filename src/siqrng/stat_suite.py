@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy.special import erfc, gammaincc
-from scipy.stats import norm
+from scipy.special import erfc, gammaincc, ndtr
 
 from .errors import InsufficientBitsError
 
@@ -162,15 +161,15 @@ def cumulative_sums(bits, mode: int = 0) -> float:
     k1 = np.arange(int(math.floor((-n / z + 1.0) / 4.0)), k_hi + 1)
     total = float(
         np.sum(
-            norm.cdf((4 * k1 + 1) * z / sqrt_n)
-            - norm.cdf((4 * k1 - 1) * z / sqrt_n)
+            ndtr((4 * k1 + 1) * z / sqrt_n)
+            - ndtr((4 * k1 - 1) * z / sqrt_n)
         )
     )
     k2 = np.arange(int(math.floor((-n / z - 3.0) / 4.0)), k_hi + 1)
     total2 = float(
         np.sum(
-            norm.cdf((4 * k2 + 3) * z / sqrt_n)
-            - norm.cdf((4 * k2 + 1) * z / sqrt_n)
+            ndtr((4 * k2 + 3) * z / sqrt_n)
+            - ndtr((4 * k2 + 1) * z / sqrt_n)
         )
     )
     p = 1.0 - total + total2

@@ -1,10 +1,13 @@
 """File formats round-trip bit-exactly; the CLI drives the full chain
 with the documented exit codes."""
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import siqrng
 from siqrng import detector_sim as ds
 from siqrng import io_formats as io
 from siqrng.cli import main
@@ -232,6 +235,32 @@ def test_cli_usage_errors_are_exit_one(tmp_path):
     assert run_cli("simulate", "--set", "bogus=1", "--out", str(tmp_path / "x")) == 1
     assert run_cli("estimate") == 1
     assert run_cli("nonsense") == 1
+
+
+def test_cli_oversized_run_is_exit_one(tmp_path, capsys):
+    # 1e15 pulses exceed any address space: refused before any work
+    huge = f"run.n_pulses={10**15}"
+    out = tmp_path / "events.sqeb"
+    assert run_cli("simulate", "--set", huge, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+    outdir = tmp_path / "run"
+    assert run_cli("pipeline", "--set", huge, "--outdir", str(outdir)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert os.listdir(outdir) == []
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = os.path.dirname(os.path.dirname(siqrng.__file__))
+    code = "import sys, siqrng.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_io_errors_are_exit_four(tmp_path):

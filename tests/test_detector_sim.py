@@ -20,10 +20,12 @@ PLUS = polarization_from_waveplates(22.5, 0.0)
 
 def test_basis_extremes():
     assert all(
-        ds.choose_basis(5, i, 0.0) == ds.BASIS_Z for i in (0, 1, 99, 70000)
+        ds.choose_basis_block(5, i, 1, 0.0)[0] == ds.BASIS_Z
+        for i in (0, 1, 99, 70000)
     )
     assert all(
-        ds.choose_basis(5, i, 1.0) == ds.BASIS_X for i in (0, 1, 99, 70000)
+        ds.choose_basis_block(5, i, 1, 1.0)[0] == ds.BASIS_X
+        for i in (0, 1, 99, 70000)
     )
 
 
@@ -37,7 +39,7 @@ def test_basis_fraction_matches_probability():
 def test_basis_single_matches_block():
     block = ds.choose_basis_block(77, 0, 200_000, 0.3)
     for idx in (0, 1, 65535, 65536, 199_999):
-        assert ds.choose_basis(77, idx, 0.3) == block[idx]
+        assert ds.choose_basis_block(77, idx, 1, 0.3)[0] == block[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -92,27 +94,27 @@ def test_projection_rejects_unnormalized_state():
 
 
 # ---------------------------------------------------------------------------
-# scalar detection
+# detection
 
 
 def test_detect_nothing_without_efficiency_or_darks():
     det = ds.DetectorParams(eta0=0.0, eta1=0.0, dark_rate=0.0)
-    rng = np.random.default_rng(0)
-    dead = ds.DeadTimeState(det.dead_time, 250e-9)
-    for _ in range(2000):
-        assert ds.detect(50, 0.5, 0.5, det, rng, dead) == ds.OUTCOME_NONE
+    cfg = ds.MeasurementConfig(prob_X=0.5)
+    for src in (SourceParams(mean_photons_lambda=50.0), SourceParams.sunlight()):
+        stream = ds.run_simulation(src, det, cfg, 200_000, seed=0)
+        assert not stream.outcome.any()
 
 
 def test_detect_dark_click_probability():
-    det = ds.DetectorParams(eta0=0.1, eta1=0.1, dark_rate=5e4, gate_width=100e-9)
-    d = det.dark_click_prob
-    rng = np.random.default_rng(1)
-    dead = ds.DeadTimeState(0.0, 250e-9)
-    n = 400_000
-    clicks = sum(
-        ds.detect(0, 0.5, 0.5, det, rng, dead) != ds.OUTCOME_NONE
-        for _ in range(n)
+    det = ds.DetectorParams(
+        eta0=0.1, eta1=0.1, dark_rate=5e4, gate_width=100e-9, dead_time=0.0
     )
+    d = det.dark_click_prob
+    n = 400_000
+    stream = ds.run_simulation(
+        SourceParams(mean_photons_lambda=0.0), det, ds.MeasurementConfig(), n, seed=1
+    )
+    clicks = np.count_nonzero(stream.outcome != ds.OUTCOME_NONE)
     expected = 1.0 - (1.0 - d) ** 2  # = 1 - exp(-2 * rate * gate)
     sigma = math.sqrt(expected * (1 - expected) / n)
     assert abs(clicks / n - expected) <= 3.0 * sigma
@@ -121,14 +123,14 @@ def test_detect_dark_click_probability():
 def test_detect_single_click_matches_closed_form():
     lam, eta = 6.0, 0.1
     det = ds.DetectorParams(eta0=eta, eta1=eta, dark_rate=0.0, dead_time=0.0)
-    rng = np.random.default_rng(2)
-    dead = ds.DeadTimeState(0.0, 250e-9)
+    cfg = ds.MeasurementConfig(prob_X=0.0)
     n = 300_000
-    singles = 0
-    photons = rng.poisson(lam, n)
-    for k in photons:
-        out = ds.detect(int(k), 0.5, 0.5, det, rng, dead)
-        singles += out in (ds.OUTCOME_D0, ds.OUTCOME_D1)
+    stream = ds.run_simulation(
+        SourceParams(mean_photons_lambda=lam), det, cfg, n, seed=2
+    )
+    singles = np.count_nonzero(
+        (stream.outcome == ds.OUTCOME_D0) | (stream.outcome == ds.OUTCOME_D1)
+    )
     lp = lam * eta
     expected = 2.0 * math.exp(-lp / 2) * (1.0 - math.exp(-lp / 2))
     sigma = math.sqrt(expected * (1 - expected) / n)
@@ -137,12 +139,14 @@ def test_detect_single_click_matches_closed_form():
 
 def test_dead_time_state_paralyzable_semantics():
     # window 2: an attempt suppresses the next two pulses, attempts made
-    # while dead still extend nothing but count as attempts
-    det = ds.DetectorParams(eta0=1.0, eta1=1.0, dark_rate=0.0, dead_time=600e-9)
-    rng = np.random.default_rng(3)
-    dead = ds.DeadTimeState(det.dead_time, 250e-9)
-    assert dead.window == 2
-    outs = [ds.detect(10, 1.0, 0.0, det, rng, dead) for _ in range(6)]
+    # while dead still count as attempts and keep the detector dead.
+    # |+> in the check basis hits detector 0 only, which fires every pulse.
+    det = ds.DetectorParams(
+        eta0=1.0, eta1=1.0, dark_rate=0.0, dead_time=600e-9
+    )
+    src = SourceParams(mean_photons_lambda=100.0, pulse_rate_G=4.0e6)
+    cfg = ds.MeasurementConfig(prob_X=1.0)
+    outs = ds.run_simulation(src, det, cfg, 6, seed=3).outcome.tolist()
     assert outs == [
         ds.OUTCOME_D0,
         ds.OUTCOME_NONE,
@@ -151,6 +155,10 @@ def test_dead_time_state_paralyzable_semantics():
         ds.OUTCOME_NONE,
         ds.OUTCOME_NONE,
     ]
+    # without dead time every pulse clicks
+    free = ds.DetectorParams(eta0=1.0, eta1=1.0, dark_rate=0.0, dead_time=0.0)
+    outs = ds.run_simulation(src, free, cfg, 6, seed=3).outcome.tolist()
+    assert outs == [ds.OUTCOME_D0] * 6
 
 
 # ---------------------------------------------------------------------------
@@ -240,28 +248,36 @@ def test_double_click_rate_grows_with_lambda():
     assert all(a < b for a, b in zip(fractions, fractions[1:]))
 
 
-def test_serial_equals_chunked_default_params():
-    src, det, cfg = default_setup()
-    full = ds.run_simulation(src, det, cfg, 500_000, seed=13)
+def assert_serial_equals_chunked(src, det, cfg, seed, sizes):
+    full = ds.run_simulation(src, det, cfg, sum(sizes), seed=seed)
     parts = []
     pos = 0
-    for size in (37_777, 123_456, 250_000, 88_767):
-        parts.append(ds.simulate_range(src, det, cfg, 13, pos, size))
+    for size in sizes:
+        parts.append(ds.simulate_range(src, det, cfg, seed, pos, size))
         pos += size
     assert ds.EventStream.concat(parts) == full
+
+
+# each covers a laser and a sunlight source, so the per-pulse lambda_eff
+# stream is checked across panel and chunk boundaries too
+
+
+def test_serial_equals_chunked_default_params():
+    _, det, cfg = default_setup()
+    for src in (SourceParams(), SourceParams.sunlight()):
+        assert_serial_equals_chunked(
+            src, det, cfg, 13, (37_777, 123_456, 250_000, 88_767)
+        )
 
 
 def test_serial_equals_chunked_with_active_dead_time():
-    src = SourceParams(mean_photons_lambda=30.0)
     det = ds.DetectorParams(dead_time=600e-9)
     cfg = ds.MeasurementConfig(prob_X=0.1)
-    full = ds.run_simulation(src, det, cfg, 300_000, seed=17)
-    parts = []
-    pos = 0
-    for size in (70_001, 99_999, 130_000):
-        parts.append(ds.simulate_range(src, det, cfg, 17, pos, size))
-        pos += size
-    assert ds.EventStream.concat(parts) == full
+    for src in (
+        SourceParams(mean_photons_lambda=30.0),
+        SourceParams.sunlight(30.0, intensity_fluctuation_rel_std=0.3),
+    ):
+        assert_serial_equals_chunked(src, det, cfg, 17, (70_001, 99_999, 130_000))
 
 
 def test_dead_time_suppresses_clicks():
@@ -318,22 +334,22 @@ def test_tally_all_none_aborts():
 
 
 def reference_tally(stream):
-    """Independent single-pass counter over the event iterator."""
+    """Independent single-pass counter over the (basis, outcome) pairs."""
     N_X = N_Z = n_x = n_z = wrong = dbl_x = dbl_z = 0
-    for ev in stream.events():
-        if ev.basis == ds.BASIS_X:
+    for basis, outcome in zip(stream.basis, stream.outcome):
+        if basis == ds.BASIS_X:
             N_X += 1
-            if ev.outcome != ds.OUTCOME_NONE:
+            if outcome != ds.OUTCOME_NONE:
                 n_x += 1
-            if ev.outcome == ds.OUTCOME_D1:
+            if outcome == ds.OUTCOME_D1:
                 wrong += 1
-            if ev.outcome == ds.OUTCOME_DOUBLE:
+            if outcome == ds.OUTCOME_DOUBLE:
                 dbl_x += 1
         else:
             N_Z += 1
-            if ev.outcome in (ds.OUTCOME_D0, ds.OUTCOME_D1):
+            if outcome in (ds.OUTCOME_D0, ds.OUTCOME_D1):
                 n_z += 1
-            if ev.outcome == ds.OUTCOME_DOUBLE:
+            if outcome == ds.OUTCOME_DOUBLE:
                 dbl_z += 1
     return (N_X, N_Z, n_x, n_z, wrong, dbl_x, dbl_z, (wrong + 0.5 * dbl_x) / n_x)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from siqrng import extractor as ex
-from siqrng.errors import EstimationAbort, FormatError
+from siqrng.errors import ConvolutionPrecisionError, EstimationAbort, FormatError
 from siqrng.protocol_math import RateBreakdown
 
 
@@ -113,6 +113,15 @@ def test_large_instance_spot_window():
     for i in rng.integers(0, m, 64):
         want = int(windows[int(i)][::-1].astype(np.int64) @ xi) & 1
         assert y[int(i)] == want
+
+
+def test_capacity_failure_raises_precision_error(monkeypatch):
+    # beyond the a-priori capacity (about 7e12 input bits) the hash is
+    # refused rather than computed by a slower path
+    monkeypatch.setattr(ex, "_fft_capacity_ok", lambda *args: False)
+    spec, x = random_instance(np.random.default_rng(5), n_max=64)
+    with pytest.raises(ConvolutionPrecisionError):
+        ex.toeplitz_fast(spec, x)
 
 
 def test_zero_input_zero_output():

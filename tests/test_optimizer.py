@@ -50,8 +50,6 @@ def test_rate_model_domain_error():
     )
     with pytest.raises(ValueError):
         op.rate_model(14.0, params, 1800.0)
-    with pytest.raises(ValueError):
-        op.rate_model_raw(14.0, params)
 
 
 def test_optimum_at_default_efficiency():

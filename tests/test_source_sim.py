@@ -1,5 +1,5 @@
 """Source model: waveplate chain against an independent matrix oracle,
-photon statistics against Poisson moment and goodness-of-fit checks."""
+click statistics of laser and sunlight pulses against closed forms."""
 import cmath
 import math
 
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from siqrng import detector_sim as ds
 from siqrng import source_sim as ss
 
 
@@ -74,76 +75,135 @@ def test_state_requires_unit_norm():
         ss.PolarizationState(amplitude_H=1.0, amplitude_V=1.0)
 
 
+# ---------------------------------------------------------------------------
+# click statistics: the source is only observed through its clicks. With
+# every pulse in the generation basis, each arm sees a = p * eta = 0.05 of
+# the mean photon number.
+
+A = 0.5 * 0.1
+
+
+def z_clicks(src, n, seed, det=None):
+    """Per-pulse click indicators (c0, c1) of a generation-basis run."""
+    det = det or ds.DetectorParams()
+    cfg = ds.MeasurementConfig(prob_X=0.0)
+    out = ds.run_simulation(src, det, cfg, n, seed).outcome
+    return (out & 1).astype(bool), (out >> 1).astype(bool)
+
+
+def laser_click(lam, d):
+    """Single-arm click probability of a Poisson pulse: 1 - (1-d) e^(-a lam)."""
+    return 1.0 - (1.0 - d) * math.exp(-A * lam)
+
+
+def sunlight_click(lam, rel, d):
+    """Same with lam Gaussian-jittered by rel: the Gaussian moment
+    generating function gives 1 - (1-d) exp(-a lam + a^2 (rel lam)^2 / 2).
+    The clip at lam = 0 moves this by 2e-5 at rel = 0.3."""
+    return 1.0 - (1.0 - d) * math.exp(-A * lam + (A * rel * lam) ** 2 / 2.0)
+
+
+def assert_rate(clicks, p, sigmas=3.0):
+    n = len(clicks)
+    assert abs(np.count_nonzero(clicks) / n - p) <= sigmas * math.sqrt(
+        p * (1 - p) / n
+    )
+
+
 def test_zero_lambda_never_emits():
-    sampler = ss.PulseSampler(ss.SourceParams(mean_photons_lambda=0.0), seed=1)
-    assert not sampler.photon_counts(0, 100_000).any()
+    det = ds.DetectorParams(dark_rate=0.0)
+    for src in (
+        ss.SourceParams(mean_photons_lambda=0.0),
+        ss.SourceParams.sunlight(mean_photons_lambda=0.0),
+    ):
+        assert np.all(ss.panel_lambda(src, 1, 0) == 0.0)
+        c0, c1 = z_clicks(src, 100_000, seed=1, det=det)
+        assert not c0.any() and not c1.any()
 
 
 def test_poisson_moments_and_fit():
+    # laser: independent Poisson arms, so each arm matches the closed
+    # form and the four outcomes fit the product distribution
     lam = 14.4
-    sampler = ss.PulseSampler(ss.SourceParams(mean_photons_lambda=lam), seed=3)
-    counts = sampler.photon_counts(0, 1_000_000).astype(np.int64)
-    mean = counts.mean()
-    assert abs(mean - lam) <= 3.0 * math.sqrt(lam / len(counts))
-    ratio = counts.var() / mean
-    assert 0.98 <= ratio <= 1.02
+    d = ds.DetectorParams().dark_click_prob
+    c0, c1 = z_clicks(ss.SourceParams(mean_photons_lambda=lam), 1_000_000, seed=3)
+    q = laser_click(lam, d)
+    assert_rate(c0, q)
+    assert_rate(c1, q)
 
-    # chi-square goodness of fit against the Poisson pmf
-    hi = 40
-    observed = np.bincount(np.minimum(counts, hi), minlength=hi + 1)
-    pmf = stats.poisson.pmf(np.arange(hi + 1), lam)
-    pmf[hi] = 1.0 - pmf[:hi].sum()
-    keep = pmf * len(counts) >= 5
-    chi2, p = stats.chisquare(
-        observed[keep], pmf[keep] / pmf[keep].sum() * observed[keep].sum()
-    )
+    observed = np.bincount(c0 + 2 * c1.astype(np.int64), minlength=4)
+    pmf = np.array([(1 - q) ** 2, q * (1 - q), (1 - q) * q, q * q])
+    _, p = stats.chisquare(observed, pmf * len(c0))
     assert p > 1e-4
 
 
 def test_sunlight_is_super_poissonian():
-    lam, rel = 11.6, 0.05
-    sampler = ss.PulseSampler(
-        ss.SourceParams.sunlight(mean_photons_lambda=lam), seed=5
-    )
-    counts = sampler.photon_counts(0, 1_000_000).astype(np.int64)
-    ratio = counts.var() / counts.mean()
-    # law of total variance: Var = lam + (lam*rel)^2
-    expected = 1.0 + lam * rel ** 2
-    assert ratio > 1.01
-    assert ratio == pytest.approx(expected, abs=0.01)
+    # jitter raises the no-click probability (Jensen): fewer clicks than a
+    # laser of the same mean, by the Gaussian moment generating function
+    lam = 11.6
+    d = ds.DetectorParams().dark_click_prob
+    for rel in (ss.SUNLIGHT_FLUCTUATION, 0.3):
+        src = ss.SourceParams.sunlight(
+            mean_photons_lambda=lam, intensity_fluctuation_rel_std=rel
+        )
+        c0, c1 = z_clicks(src, 1_000_000, seed=5)
+        q = sunlight_click(lam, rel, d)
+        assert_rate(c0, q)
+        assert_rate(c1, q)
+    sigma = math.sqrt(q * (1 - q) / len(c0))
+    assert laser_click(lam, d) - np.count_nonzero(c0) / len(c0) > 5.0 * sigma
+
+
+def test_sunlight_jitter_correlates_arms():
+    # conditional on lam_eff the arms are independent; the shared jitter
+    # makes P(double) - P(c0) P(c1) = (1-d)^2 Var(e^(-a lam_eff)),
+    # 9.9e-3 (1-d)^2 at rel = 0.3
+    lam, rel, n = 11.6, 0.3, 1_000_000
+    d = ds.DetectorParams().dark_click_prob
+    mu, var = A * lam, (A * rel * lam) ** 2
+    expected = (1 - d) ** 2 * math.exp(-2 * mu + var) * math.expm1(var)
+    for src, want in (
+        (ss.SourceParams.sunlight(lam, intensity_fluctuation_rel_std=rel), expected),
+        (ss.SourceParams(mean_photons_lambda=lam), 0.0),
+    ):
+        c0, c1 = z_clicks(src, n, seed=7)
+        p0, p1 = c0.mean(), c1.mean()
+        cov = np.count_nonzero(c0 & c1) / n - p0 * p1
+        sigma = math.sqrt(p0 * (1 - p0) * p1 * (1 - p1) / n)
+        assert abs(cov - want) <= 3.0 * sigma
 
 
 def test_stream_is_pure_function_of_seed_and_params():
-    p = ss.SourceParams(mean_photons_lambda=14.4)
-    a = ss.PulseSampler(p, seed=9).photon_counts(0, 300_000)
-    b = ss.PulseSampler(p, seed=9).photon_counts(0, 300_000)
-    assert np.array_equal(a, b)
-    c = ss.PulseSampler(p, seed=10).photon_counts(0, 300_000)
-    assert not np.array_equal(a, c)
+    p = ss.SourceParams.sunlight()
+    a = ss.panel_lambda(p, 9, 3)
+    assert np.array_equal(a, ss.panel_lambda(p, 9, 3))
+    assert not np.array_equal(a, ss.panel_lambda(p, 10, 3))
+    assert not np.array_equal(a, ss.panel_lambda(p, 9, 4))
+    # same normals, rescaled by the parameters
+    q = ss.SourceParams.sunlight(
+        mean_photons_lambda=2 * p.mean_photons_lambda
+    )
+    assert np.allclose(ss.panel_lambda(q, 9, 3), 2 * a, rtol=1e-12)
+    assert ss.panel_lambda(ss.SourceParams(mean_photons_lambda=14.4), 9, 3) == 14.4
 
 
 def test_indexed_access_matches_bulk():
-    p = ss.SourceParams.sunlight()
-    sampler = ss.PulseSampler(p, seed=9)
-    bulk = sampler.photon_counts(0, 200_000)
-    # chunked reads across panel boundaries reproduce the stream
-    parts = [
-        ss.PulseSampler(p, seed=9).photon_counts(0, 70_000),
-        ss.PulseSampler(p, seed=9).photon_counts(70_000, 130_000),
-    ]
-    assert np.array_equal(bulk, np.concatenate(parts))
+    src = ss.SourceParams.sunlight()
+    det, cfg = ds.DetectorParams(), ds.MeasurementConfig()
+    bulk = ds.run_simulation(src, det, cfg, 200_000, seed=9)
     for idx in (0, 1, 65_535, 65_536, 123_456):
-        count, state = ss.sample_pulse(sampler, idx)
-        assert count == bulk[idx]
-        assert state is sampler.state
+        one = ds.simulate_range(src, det, cfg, 9, idx, 1)
+        assert one.start == idx
+        assert one.basis[0] == bulk.basis[idx]
+        assert one.outcome[0] == bulk.outcome[idx]
 
 
-def test_photon_cap_bounds_memory():
-    sampler = ss.PulseSampler(
-        ss.SourceParams(mean_photons_lambda=80_000.0), seed=2
-    )
-    counts = sampler.photon_counts(0, 1000)
-    assert counts.max() == ss.MAX_PHOTONS
+def test_huge_lambda_saturates_both_arms():
+    # no photon number is drawn, so no cap is needed: any mean saturates
+    # both arms without memory growth
+    for lam in (80_000.0, 1e12):
+        c0, c1 = z_clicks(ss.SourceParams(mean_photons_lambda=lam), 1000, seed=2)
+        assert c0.all() and c1.all()
 
 
 def test_source_params_validation():
