@@ -337,7 +337,9 @@ def raw_bits_from_events(events: EventStream) -> np.ndarray:
 
     Doubles and nulls never enter the string.
     """
-    is_z = events.basis == BASIS_Z
-    out = events.outcome
-    keep = is_z & ((out == OUTCOME_D0) | (out == OUTCOME_D1))
-    return (out[keep] == OUTCOME_D1).astype(np.uint8)
+    # One pass over the codes: D0 -> 0 and D1 -> 1, while a null (which
+    # wraps to 255), a double (2) and every X-basis pulse (set to 255)
+    # land above 1 and are dropped.
+    code = events.outcome - np.uint8(OUTCOME_D0)
+    np.putmask(code, events.basis != BASIS_Z, 255)
+    return np.compress(code <= OUTCOME_D1 - OUTCOME_D0, code)

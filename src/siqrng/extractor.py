@@ -97,23 +97,29 @@ def toeplitz_fast(spec: ToeplitzSpec, bits) -> np.ndarray:
     """FFT-convolution product, bit-identical to toeplitz_naive.
 
     The Toeplitz product is the slice [n-1, n-1+m) of the integer
-    convolution seed * input; it is computed through a real FFT of
-    power-of-two length >= 2n+m-2 and every used coefficient is verified
-    to sit within ROUNDING_TOLERANCE of an integer. An input too large
-    for the a-priori capacity check (about 7e12 bits) is refused with
-    ConvolutionPrecisionError.
+    convolution seed * input, whose linear length is 2n+m-2. A cyclic
+    convolution of length L adds coefficient k+L and k-L onto k; for k in
+    the slice, k+L > 2n+m-3 and k-L < 0 exactly when L >= n+m-1, so the
+    slice is computed through a real FFT of the smallest fast length
+    >= n+m-1, with nothing wrapped onto it. Every used coefficient is
+    verified to sit within ROUNDING_TOLERANCE of an integer. An input
+    too large for the a-priori capacity check (about 7e12 bits) is
+    refused with ConvolutionPrecisionError.
     """
     x = _as_bits(bits, spec.input_len_n, "input")
     n, m = spec.input_len_n, spec.output_len_m
-    conv_len = len(spec.seed_bits) + n - 1
-    length = scipy.fft.next_fast_len(conv_len, real=True)
+    length = scipy.fft.next_fast_len(n + m - 1, real=True)
     if not _fft_capacity_ok(spec.seed_bits, x, length):
         raise ConvolutionPrecisionError(
             f"FFT length {length} exceeds the verified-exact capacity"
         )
-    fa = scipy.fft.rfft(spec.seed_bits.astype(np.float64), length, workers=-1)
-    fb = scipy.fft.rfft(x.astype(np.float64), length, workers=-1)
-    conv = scipy.fft.irfft(fa * fb, length, workers=-1)[n - 1 : n - 1 + m]
+    spectrum = scipy.fft.rfft(
+        spec.seed_bits.astype(np.float64), length, workers=-1
+    )
+    spectrum *= scipy.fft.rfft(x.astype(np.float64), length, workers=-1)
+    conv = scipy.fft.irfft(spectrum, length, overwrite_x=True, workers=-1)
+    del spectrum
+    conv = conv[n - 1 : n - 1 + m]
     rounded = np.rint(conv)
     dev = float(np.max(np.abs(conv - rounded))) if m else 0.0
     if dev >= ROUNDING_TOLERANCE:

@@ -178,11 +178,15 @@ def cumulative_sums(bits, mode: int = 0) -> float:
 
 def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
     """Cyclic overlapping m-gram counts, length 2^m."""
+    n = len(b)
     if m == 0:
-        return np.array([len(b)], dtype=np.int64)
-    idx = np.zeros(len(b), dtype=np.int64)
-    for k in range(m):
-        idx = (idx << 1) | np.roll(b, -k).astype(np.int64)
+        return np.array([n], dtype=np.int64)
+    # the m-gram starting at i reads ext[i : i+m], wrapping past the end
+    ext = np.concatenate([b, b[: m - 1]])
+    idx = ext[:n].astype(np.min_scalar_type((1 << m) - 1))
+    for k in range(1, m):
+        idx <<= 1
+        idx |= ext[k : k + n]
     return np.bincount(idx, minlength=1 << m)
 
 
@@ -218,13 +222,62 @@ def approximate_entropy(bits, m: int = 2) -> float:
     return float(gammaincc(2 ** (m - 1), chi2 / 2.0))
 
 
+def _dft_magnitudes(b: np.ndarray) -> np.ndarray:
+    """|X_k| for k < n//2, X the n-point DFT of the +/-1 sequence 2b-1.
+
+    An even length is computed by one complex FFT at h = n/2, the packed
+    real-FFT identity: with z = x[0::2] + i x[1::2] and Z its DFT, the
+    even and odd half-sequences have DFTs E_k = (Z_k + conj Z_{h-k})/2
+    and O_k = (Z_k - conj Z_{h-k})/(2i), and X_k = E_k + e^(-2 pi i k/n) O_k.
+    With S_k = Z_k + conj Z_{h-k}, D_k = Z_k - conj Z_{h-k} and
+    t_k = sin(2 pi k/n) + i cos(2 pi k/n) this is 2 X_k = S_k - t_k D_k,
+    and since S, D and t turn into conj S, -conj D and conj t at h-k,
+    2 |X_{h-k}| = |S_k + t_k D_k|: the twiddles are needed for
+    k <= h/2 only. A length whose prime factor is too large for a fast
+    decomposition then costs a Bluestein transform at half the length.
+    Odd n has no such split and takes the real FFT directly.
+    """
+    n = len(b)
+    if n % 2:
+        return np.abs(scipy.fft.rfft(2.0 * b - 1.0))[: n // 2]
+    h, q = n // 2, n // 4
+    z = np.empty(h, dtype=np.complex128)
+    z.real = b[0::2]
+    z.imag = b[1::2]
+    z *= 2.0
+    z -= 1.0 + 1.0j
+    z = scipy.fft.fft(z, overwrite_x=True)
+    mags = np.empty(h)
+    mags[0] = 2.0 * abs(z[0].real + z[0].imag)  # X_0 = E_0 + O_0
+    low = z[1 : q + 1]
+    s = np.conjugate(z[h - 1 : h - q - 1 : -1])  # conj Z_{h-k}, k = 1..q
+    d = low - s
+    s += low
+    del z, low
+    t = np.empty_like(d)
+    angle = np.arange(1, q + 1) * (2.0 * math.pi / n)
+    np.sin(angle, out=t.real)
+    np.cos(angle, out=t.imag)
+    del angle
+    d *= t
+    del t
+    np.abs(s - d, out=mags[1 : q + 1])
+    s += d
+    np.abs(s, out=mags[h - 1 : h - q - 1 : -1])
+    mags *= 0.5
+    return mags
+
+
 def spectral(bits) -> float:
-    """Discrete-Fourier peak count below the 95% threshold."""
+    """Discrete-Fourier peak count below the 95% threshold.
+
+    The magnitudes come from _dft_magnitudes, which computes an even
+    length's real DFT by a complex FFT of half the length.
+    """
     b = _bits(bits)
     _require(b, 1000, "spectral")
     n = len(b)
-    x = 2.0 * b.astype(np.float64) - 1.0
-    mags = np.abs(scipy.fft.rfft(x))[: n // 2]
+    mags = _dft_magnitudes(b)
     threshold = math.sqrt(math.log(1.0 / 0.05) * n)
     n0 = 0.95 * n / 2.0
     n1 = int(np.count_nonzero(mags < threshold))

@@ -387,6 +387,23 @@ def test_raw_bits_mapping():
     assert bits.tolist() == [0, 1, 1]
 
 
+def test_raw_bits_match_mask_reference():
+    # random codes with singles and doubles in both bases, nulls, and
+    # streams of one basis only
+    rng = np.random.default_rng(32)
+    shapes = ((1, 0.5), (1000, 0.5), (5000, 0.004), (300, 0.0), (300, 1.0))
+    for n, prob_x in shapes:
+        basis = (rng.random(n) < prob_x).astype(np.uint8)
+        outcome = rng.integers(0, 4, n).astype(np.uint8)
+        is_z = basis == ds.BASIS_Z
+        single = (outcome == ds.OUTCOME_D0) | (outcome == ds.OUTCOME_D1)
+        keep = is_z & single
+        want = (outcome[keep] == ds.OUTCOME_D1).astype(np.uint8)
+        got = ds.raw_bits_from_events(ds.EventStream(basis, outcome))
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
+
+
 def test_detector_params_validation():
     with pytest.raises(ValueError):
         ds.DetectorParams(eta0=1.5)

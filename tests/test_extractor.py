@@ -1,8 +1,7 @@
 """Hashing paths against an explicit matrix oracle and each other."""
-import time
-
 import numpy as np
 import pytest
+import scipy.fft
 
 from siqrng import extractor as ex
 from siqrng.errors import ConvolutionPrecisionError, EstimationAbort, FormatError
@@ -98,6 +97,25 @@ def test_fast_equals_naive_random_instances():
         assert np.array_equal(
             ex.toeplitz_naive(spec, x), ex.toeplitz_fast(spec, x)
         )
+
+
+def test_fast_equals_naive_at_tight_cyclic_length():
+    # n + m - 1 is itself a fast length, so the cyclic convolution is as
+    # short as the output slice allows. The lengths 6, 9, 10, 16, 25 and
+    # 81 follow another fast length, so one coefficient short of n+m-1
+    # wraps the first or last product term onto the slice.
+    rng = np.random.default_rng(12)
+    for length in (6, 9, 10, 16, 25, 81, 120, 243, 1000, 3125, 4096):
+        assert scipy.fft.next_fast_len(length, real=True) == length
+        for _ in range(20):
+            m = int(rng.integers(1, (length + 1) // 2 + 1))
+            n = length + 1 - m
+            seed = rng.integers(0, 2, length, dtype=np.uint8)
+            spec = ex.ToeplitzSpec(n, m, seed)
+            x = rng.integers(0, 2, n, dtype=np.uint8)
+            assert np.array_equal(
+                ex.toeplitz_naive(spec, x), ex.toeplitz_fast(spec, x)
+            )
 
 
 def test_large_instance_spot_window():
@@ -215,17 +233,3 @@ def test_seed_bits_msb_first():
     assert bits.tolist() == [1] + [0] * 14 + [1]
     with pytest.raises(FormatError):
         ex.seed_bits_from_bytes(b"\x80", 16)
-
-
-def test_throughput_benchmark_recorded():
-    # recorded, not asserted: hashing throughput on this machine
-    rng = np.random.default_rng(10)
-    n = 4_000_000
-    m = n // 2
-    spec = ex.ToeplitzSpec(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
-    x = rng.integers(0, 2, n, dtype=np.uint8)
-    t0 = time.perf_counter()
-    ex.toeplitz_fast(spec, x)
-    dt = time.perf_counter() - t0
-    print(f"\n[benchmark] toeplitz_fast: {n / dt / 1e6:.2f} Mbit/s input "
-          f"({n} bits in {dt:.2f} s)")

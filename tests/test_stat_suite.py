@@ -1,7 +1,11 @@
 """Battery behaviour on analytically extreme inputs and null-distribution
 calibration on a known-good generator."""
+import math
+
 import numpy as np
 import pytest
+import scipy.fft
+from scipy.special import erfc
 
 from siqrng import stat_suite as st
 from siqrng.errors import InsufficientBitsError
@@ -105,3 +109,62 @@ def test_csv_format():
     assert lines[0] == "test,p_value,pass"
     assert len(lines) == 9
     assert lines[1].startswith("monobit,")
+
+
+def reference_spectral(b):
+    """The real-FFT form of the spectral test: magnitudes, N1 and p."""
+    n = len(b)
+    mags = np.abs(scipy.fft.rfft(2.0 * b - 1.0))[: n // 2]
+    threshold = math.sqrt(math.log(1.0 / 0.05) * n)
+    n1 = int(np.count_nonzero(mags < threshold))
+    d = (n1 - 0.95 * n / 2.0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
+    return mags, n1, float(erfc(abs(d) / math.sqrt(2.0)))
+
+
+def test_spectral_matches_real_fft_form():
+    # even lengths take the packed half-length FFT: 2 * prime, 5-smooth,
+    # mixed factors; odd lengths take the real FFT
+    rng = np.random.default_rng(3)
+    lengths = (
+        2 * 100_003, 100_000, 2 * 3 * 7 * 11 * 13 * 17, 1000, 1002,
+        100_001, 99_999, 1001,
+    )
+    for n in lengths:
+        inputs = (
+            rng.integers(0, 2, n, dtype=np.uint8),
+            (rng.random(n) < 0.53).astype(np.uint8),
+            np.ones(n, dtype=np.uint8),
+            (np.arange(n) % 7 < 3).astype(np.uint8),
+        )
+        for b in inputs:
+            mags, n1, p = reference_spectral(b)
+            got = st._dft_magnitudes(b)
+            assert got.shape == mags.shape
+            # relative to each magnitude, or to the threshold's scale
+            # sqrt(n) for bins near zero
+            np.testing.assert_allclose(
+                got, mags, rtol=1e-9, atol=1e-9 * math.sqrt(n)
+            )
+            threshold = math.sqrt(math.log(1.0 / 0.05) * n)
+            assert int(np.count_nonzero(got < threshold)) == n1
+            assert st.spectral(b) == p
+
+
+def reference_pattern_counts(b, m):
+    """Cyclic m-gram counts from rotated copies of the sequence."""
+    if m == 0:
+        return np.array([len(b)], dtype=np.int64)
+    idx = np.zeros(len(b), dtype=np.int64)
+    for k in range(m):
+        idx = (idx << 1) | np.roll(b, -k).astype(np.int64)
+    return np.bincount(idx, minlength=1 << m)
+
+
+def test_pattern_counts_match_rotation_reference():
+    rng = np.random.default_rng(4)
+    for n in (4, 5, 17, 1000, 65_537):
+        b = rng.integers(0, 2, n, dtype=np.uint8)
+        for m in range(5):
+            got = st._pattern_counts(b, m)
+            assert np.array_equal(got, reference_pattern_counts(b, m))
+            assert got.sum() == n
