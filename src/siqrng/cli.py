@@ -15,15 +15,13 @@ import numpy as np
 
 from . import detector_sim, io_formats, optimizer, protocol_math, stat_suite
 from .errors import (
-    CalibrationError,
     ConfigError,
     EstimationAbort,
     FormatError,
-    InsufficientBitsError,
     SiqrngError,
     SuiteFailure,
 )
-from .extractor import RawBitBlock, extract
+from .extractor import extract
 from .io_formats import RunConfig
 
 EXIT_OK = 0
@@ -31,6 +29,9 @@ EXIT_USAGE = 1
 EXIT_ABORT = 2
 EXIT_SUITE = 3
 EXIT_IO = 4
+
+#: Lambda step of the rate curve that optimize --out and pipeline write.
+CURVE_GRID_STEP = 0.5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,7 +96,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("optimize", help="rate curve and best mean photon number")
     add_config(sp)
     sp.add_argument("--out", help="CSV path for the rate curve")
-    sp.add_argument("--grid-step", type=float, default=0.5)
+    sp.add_argument("--grid-step", type=float, default=CURVE_GRID_STEP)
 
     sp = sub.add_parser("testsuite", help="statistical battery on a bit file")
     sp.add_argument("--bits", required=True)
@@ -130,15 +131,18 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    stream = detector_sim.run_simulation(
+def _simulate(cfg: RunConfig) -> detector_sim.EventStream:
+    return detector_sim.run_simulation(
         cfg.source_params(),
         cfg.detector_params(),
         cfg.measurement_config(),
         cfg["run.n_pulses"],
         cfg["run.seed"],
     )
+
+
+def _cmd_simulate(args) -> int:
+    stream = _simulate(_load_config(args))
     io_formats.write_events(args.out, stream, binary=not args.text)
     return EXIT_OK
 
@@ -158,6 +162,8 @@ def _tally_from_args(args, cfg: RunConfig) -> protocol_math.TallySummary:
         raise ConfigError("estimate needs --tally or both --n-z and --e-bx")
     n_z = args.n_z
     if args.n_x is not None:
+        if args.n_x < 1:
+            raise ConfigError(f"--n-x must be at least 1, got {args.n_x}")
         n_x = args.n_x
     else:
         # assume the detected ratio matches the configured basis choice
@@ -206,33 +212,33 @@ def _estimate_text(
     return text
 
 
-def _run_estimate(args, cfg: RunConfig):
-    tally = _tally_from_args(args, cfg)
-    theta = cfg["security.theta"]
-    t_e = cfg["security.t_e"]
-    if args.solve_theta is not None:
-        e_reg = protocol_math.regularize_error_rate(tally.e_bx, tally.n_x)
-        theta = protocol_math.solve_theta(
-            tally.n_detected, tally.q_x, e_reg, args.solve_theta
-        )
+def _estimate(tally, cfg: RunConfig, theta: float, duration: float, out: str | None):
+    """Estimate, write it, then abort if nothing is certified."""
     imperfection = protocol_math.MeasurementImperfection.from_coefficient(
         cfg["calibration.coefficient"],
         cfg["detector.eta0"],
         cfg["detector.eta1"],
     )
-    est = protocol_math.estimate_protocol(tally, theta, t_e, imperfection)
-    duration = args.duration if args.duration else cfg.duration
-    return est, duration
+    est = protocol_math.estimate_protocol(
+        tally, theta, cfg["security.t_e"], imperfection
+    )
+    _emit(_estimate_text(est, duration), out)
+    if not est.rates.certifiable:
+        raise EstimationAbort(f"certified length {est.rates.R_final:.6g} <= 0")
+    return est
 
 
 def _cmd_estimate(args) -> int:
     cfg = _load_config(args)
-    est, duration = _run_estimate(args, cfg)
-    _emit(_estimate_text(est, duration), args.out)
-    if not est.rates.certifiable:
-        raise EstimationAbort(
-            f"certified length {est.rates.R_final:.6g} <= 0"
+    tally = _tally_from_args(args, cfg)
+    theta = cfg["security.theta"]
+    if args.solve_theta is not None:
+        e_reg = protocol_math.regularize_error_rate(tally.e_bx, tally.n_x)
+        theta = protocol_math.solve_theta(
+            tally.n_detected, tally.q_x, e_reg, args.solve_theta
         )
+    duration = args.duration if args.duration else cfg.duration
+    _estimate(tally, cfg, theta, duration, args.out)
     return EXIT_OK
 
 
@@ -271,12 +277,19 @@ def _cmd_extract(args) -> int:
         epsilon_total = float(kv["epsilon_total"])
     except KeyError as exc:
         raise FormatError(f"estimate file missing key {exc}") from exc
-    bits = detector_sim.raw_bits_from_events(stream)
-    block = RawBitBlock(bits=bits)
+    except ValueError as exc:
+        raise FormatError(f"estimate file has a bad value: {exc}") from exc
     seed = io_formats.read_seed_file(args.seed_file)
-    result = extract(block, rates, seed)
-    io_formats.write_bits(args.out, result.bits, epsilon_total)
+    _extract(stream, rates, seed, epsilon_total, args.out)
     return EXIT_OK
+
+
+def _extract(stream, rates, seed: bytes, epsilon_total: float, out: str):
+    """Hash the stream's raw bits and write the certified bits file."""
+    raw = detector_sim.raw_bits_from_events(stream)
+    result = extract(raw, rates, seed)
+    io_formats.write_bits(out, result.bits, epsilon_total)
+    return result.bits
 
 
 def _rate_params(cfg: RunConfig) -> optimizer.RateModelParams:
@@ -297,16 +310,23 @@ def _rate_params(cfg: RunConfig) -> optimizer.RateModelParams:
     )
 
 
-def _cmd_optimize(args) -> int:
-    cfg = _load_config(args)
+def _optimize(cfg: RunConfig, grid_step: float, out: str | None):
+    """Best mean photon number and its rate; the curve goes to ``out``."""
+    if not grid_step > 0:
+        raise ConfigError(f"--grid-step must be positive, got {grid_step}")
     params = _rate_params(cfg)
     lo, hi = cfg["optimize.lambda_lo"], cfg["optimize.lambda_hi"]
     lam_star, rate_star = optimizer.optimize_lambda(params, (lo, hi))
-    if args.out:
-        step = args.grid_step
-        grid = [lo + i * step for i in range(int((hi - lo) / step) + 1)]
+    if out:
+        grid = [lo + i * grid_step for i in range(int((hi - lo) / grid_step) + 1)]
         rows = optimizer.flatness_report(params, grid)
-        io_formats.atomic_write_text(args.out, optimizer.flatness_csv(rows))
+        io_formats.atomic_write_text(out, optimizer.flatness_csv(rows))
+    return lam_star, rate_star
+
+
+def _cmd_optimize(args) -> int:
+    cfg = _load_config(args)
+    lam_star, rate_star = _optimize(cfg, args.grid_step, args.out)
     sys.stdout.write(
         io_formats.dump_keyvals(
             {"lambda_star": f"{lam_star:.6g}", "rate_star_bps": f"{rate_star:.6g}"}
@@ -340,62 +360,34 @@ def _cmd_pipeline(args) -> int:
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
 
-    stream = detector_sim.run_simulation(
-        cfg.source_params(),
-        cfg.detector_params(),
-        cfg.measurement_config(),
-        cfg["run.n_pulses"],
-        cfg["run.seed"],
-    )
+    stream = _simulate(cfg)
     io_formats.write_events(os.path.join(outdir, cfg["path.events"]), stream)
 
     summary = detector_sim.tally(stream)
-    io_formats.atomic_write_text(
-        os.path.join(outdir, "tally.txt"), io_formats.tally_to_text(summary)
-    )
+    _emit(io_formats.tally_to_text(summary), os.path.join(outdir, "tally.txt"))
 
-    imperfection = protocol_math.MeasurementImperfection.from_coefficient(
-        cfg["calibration.coefficient"],
-        cfg["detector.eta0"],
-        cfg["detector.eta1"],
-    )
-    est = protocol_math.estimate_protocol(
-        summary, cfg["security.theta"], cfg["security.t_e"], imperfection
-    )
-    io_formats.atomic_write_text(
-        os.path.join(outdir, "estimate.txt"),
-        _estimate_text(est, cfg.duration),
-    )
-    if not est.rates.certifiable:
-        raise EstimationAbort(f"certified length {est.rates.R_final:.6g} <= 0")
+    est_path = os.path.join(outdir, "estimate.txt")
+    est = _estimate(summary, cfg, cfg["security.theta"], cfg.duration, est_path)
 
-    raw = detector_sim.raw_bits_from_events(stream)
-    block = RawBitBlock(bits=raw)
     seed_path = cfg["path.seed"]
-    need = len(raw) + est.rates.whole_bits - 1
     if seed_path:
         seed = io_formats.read_seed_file(seed_path)
     else:
+        # n_z counts exactly the raw bits that the hash takes in
+        need = summary.n_z + est.rates.whole_bits - 1
         seed = io_formats.derived_seed_bytes(cfg["run.extractor_seed"], need)
-    result = extract(block, est.rates, seed)
     bits_path = os.path.join(outdir, cfg["path.output"])
-    io_formats.write_bits(bits_path, result.bits, est.security.epsilon_total)
+    bits = _extract(stream, est.rates, seed, est.security.epsilon_total, bits_path)
 
     _battery(
-        result.bits,
+        bits,
         cfg["suite.alpha"],
         cfg["suite.max_failures"],
         os.path.join(outdir, "battery.csv"),
     )
 
-    params = _rate_params(cfg)
-    lo, hi = cfg["optimize.lambda_lo"], cfg["optimize.lambda_hi"]
-    lam_star, rate_star = optimizer.optimize_lambda(params, (lo, hi))
-    grid = [lo + i * 0.5 for i in range(int((hi - lo) / 0.5) + 1)]
-    io_formats.atomic_write_text(
-        os.path.join(outdir, "rate_curve.csv"),
-        optimizer.flatness_csv(optimizer.flatness_report(params, grid)),
-    )
+    curve_path = os.path.join(outdir, "rate_curve.csv")
+    lam_star, rate_star = _optimize(cfg, CURVE_GRID_STEP, curve_path)
     sys.stdout.write(
         io_formats.dump_keyvals(
             {
@@ -441,9 +433,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ConfigError, CalibrationError, InsufficientBitsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (SiqrngError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

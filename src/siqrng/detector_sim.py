@@ -106,17 +106,6 @@ class EventStream:
     def index(self) -> np.ndarray:
         return np.arange(self.start, self.start + len(self), dtype=np.uint64)
 
-    @classmethod
-    def concat(cls, parts: list["EventStream"]) -> "EventStream":
-        for a, b in zip(parts, parts[1:]):
-            if b.start != a.start + len(a):
-                raise ValueError("streams are not contiguous")
-        return cls(
-            np.concatenate([p.basis for p in parts]),
-            np.concatenate([p.outcome for p in parts]),
-            start=parts[0].start if parts else 0,
-        )
-
 
 def choose_basis_block(
     basis_seed: int, start: int, count: int, prob_X: float

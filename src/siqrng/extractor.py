@@ -58,19 +58,6 @@ class ToeplitzSpec:
         )
 
 
-@dataclass(frozen=True)
-class RawBitBlock:
-    """Raw generation-basis bits awaiting extraction."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", _as_bits(self.bits))
-
-    def __len__(self):
-        return len(self.bits)
-
-
 def toeplitz_naive(spec: ToeplitzSpec, bits) -> np.ndarray:
     """Direct dense product: materialize the rows as seed slices."""
     x = _as_bits(bits, spec.input_len_n, "input")
@@ -151,14 +138,11 @@ def seed_bits_from_bytes(data: bytes, count: int) -> np.ndarray:
     )
 
 
-def extract(
-    block: RawBitBlock, rate: RateBreakdown, seed_source
-) -> ExtractionResult:
-    """Hash the raw block down to floor(R_final) certified bits.
+def extract(bits, rate: RateBreakdown, seed: bytes) -> ExtractionResult:
+    """Hash the raw bits down to floor(R_final) certified bits.
 
-    ``seed_source`` is the operator-provided seed material: raw bytes or
-    an 0/1 array. It must cover n + m - 1 bits. Aborts when no positive
-    whole bit count is certified.
+    ``seed`` is the operator-provided seed material; it must cover
+    n + m - 1 bits. Aborts when no positive whole bit count is certified.
     """
     m = rate.whole_bits
     if m <= 0:
@@ -166,17 +150,9 @@ def extract(
             f"certified length {rate.R_final:.6g} floors to 0 bits; "
             "refusing to extract"
         )
-    n = len(block)
+    n = len(bits)
     if m > n:
         raise ValueError(f"certified {m} bits exceed the {n} raw bits")
-    if isinstance(seed_source, (bytes, bytearray)):
-        seed_bits = seed_bits_from_bytes(bytes(seed_source), n + m - 1)
-    else:
-        seed_bits = _as_bits(seed_source, name="seed")
-        if len(seed_bits) < n + m - 1:
-            raise FormatError(
-                f"seed provides {len(seed_bits)} bits, {n + m - 1} required"
-            )
-        seed_bits = seed_bits[: n + m - 1]
+    seed_bits = seed_bits_from_bytes(seed, n + m - 1)
     spec = ToeplitzSpec(input_len_n=n, output_len_m=m, seed_bits=seed_bits)
-    return ExtractionResult(bits=toeplitz_fast(spec, block.bits), spec=spec)
+    return ExtractionResult(bits=toeplitz_fast(spec, bits), spec=spec)

@@ -189,6 +189,8 @@ def read_bits(path: str) -> tuple[np.ndarray, float | None]:
                 epsilon = float(lines[1])
         except (IndexError, ValueError) as exc:
             raise FormatError(f"bad sidecar {sidecar}") from exc
+        if count < 0:
+            raise FormatError(f"negative sidecar bit count {count}")
         if count > len(data) * 8:
             raise FormatError("sidecar bit count exceeds file size")
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count)

@@ -68,14 +68,6 @@ class EpsilonThetaBound:
     log2_raw: float
     clamped: float
 
-    @property
-    def raw(self) -> float:
-        """Linear-domain bound; may overflow to inf or underflow to 0."""
-        try:
-            return 2.0 ** self.log2_raw
-        except OverflowError:
-            return math.inf
-
 
 def regularize_error_rate(e_bx: float, n_x: int) -> float:
     """Half-count regularization for the singular prefactor of the bound.

@@ -30,7 +30,6 @@ class TestReport:
     test_name: str
     p_value: float
     passed: bool
-    n_bits_used: int
 
     def csv_row(self) -> str:
         return f"{self.test_name},{self.p_value:.6g},{int(self.passed)}"
@@ -145,14 +144,12 @@ def longest_run(bits) -> float:
     return float(gammaincc(k / 2.0, chi2 / 2.0))
 
 
-def cumulative_sums(bits, mode: int = 0) -> float:
-    """Maximum excursion of the +/-1 partial sums (forward by default)."""
+def cumulative_sums(bits) -> float:
+    """Maximum excursion of the forward +/-1 partial sums."""
     b = _bits(bits)
     _require(b, 100, "cumulative_sums")
     n = len(b)
     x = 2.0 * b.astype(np.float64) - 1.0
-    if mode == 1:
-        x = x[::-1]
     z = float(np.max(np.abs(np.cumsum(x))))
     if z == 0.0:
         return 0.0
@@ -317,7 +314,6 @@ def run_battery(bits, alpha: float = ALPHA_DEFAULT) -> list[TestReport]:
                 test_name=name,
                 p_value=p,
                 passed=p >= alpha,
-                n_bits_used=len(b),
             )
         )
     return reports

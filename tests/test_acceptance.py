@@ -197,7 +197,7 @@ def _pipeline_once(seed):
     raw = ds.raw_bits_from_events(stream)
     need = len(raw) + est.rates.whole_bits
     seed_bytes = io.derived_seed_bytes(seed + 1_000_000, need)
-    result = ex.extract(ex.RawBitBlock(raw), est.rates, seed_bytes)
+    result = ex.extract(raw, est.rates, seed_bytes)
     failures = sum(not r.passed for r in st.run_battery(result.bits, alpha=0.01))
     return summary.e_bx, est.rates.R_final, failures
 

@@ -3,6 +3,7 @@ with the documented exit codes."""
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,9 +110,10 @@ def test_bits_file_round_trip(tmp_path):
 def test_bits_sidecar_validation(tmp_path):
     path = str(tmp_path / "out.bits")
     io.write_bits(path, np.ones(8, dtype=np.uint8), 0.5)
-    io.atomic_write_text(path + ".len", "9999\n0.5\n")
-    with pytest.raises(FormatError):
-        io.read_bits(path)
+    for count in ("9999", "-8"):
+        io.atomic_write_text(path + ".len", f"{count}\n0.5\n")
+        with pytest.raises(FormatError):
+            io.read_bits(path)
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +197,12 @@ def test_cli_chain_and_exit_codes(tmp_path):
         "estimate", "--tally", tally_f, "--duration", "0.6", "--out", est_f
     ) == 0
 
-    kv = io.parse_keyvals(open(est_f).read())
+    kv = io.parse_keyvals(Path(est_f).read_text())
     cert_bits = int(kv["bits"])
     assert cert_bits > 1_000_000
 
     # operator seed file sized for n + m - 1 bits
-    raw_bits = int(io.parse_keyvals(open(tally_f).read())["n_z"])
+    raw_bits = int(io.parse_keyvals(Path(tally_f).read_text())["n_z"])
     need_bytes = (raw_bits + cert_bits) // 8 + 1
     with open(seed_f, "wb") as f:
         f.write(np.random.default_rng(99).bytes(need_bytes))
@@ -214,7 +216,7 @@ def test_cli_chain_and_exit_codes(tmp_path):
     assert eps == pytest.approx(float(kv["epsilon_total"]), rel=1e-6)
 
     assert run_cli("testsuite", "--bits", bits_f, "--out", report_f) == 0
-    assert open(report_f).read().startswith("test,p_value,pass\n")
+    assert Path(report_f).read_text().startswith("test,p_value,pass\n")
 
 
 def test_cli_estimate_reference_point(capsys):
@@ -235,6 +237,13 @@ def test_cli_usage_errors_are_exit_one(tmp_path):
     assert run_cli("simulate", "--set", "bogus=1", "--out", str(tmp_path / "x")) == 1
     assert run_cli("estimate") == 1
     assert run_cli("nonsense") == 1
+    assert run_cli(
+        "estimate", "--n-z", "1000000", "--n-x", "0", "--e-bx", "0.01"
+    ) == 1
+    curve = tmp_path / "curve.csv"
+    for step in ("0", "-0.5", "nan"):
+        assert run_cli("optimize", "--grid-step", step, "--out", str(curve)) == 1
+    assert not curve.exists()
 
 
 def test_cli_oversized_run_is_exit_one(tmp_path, capsys):
@@ -252,15 +261,29 @@ def test_cli_oversized_run_is_exit_one(tmp_path, capsys):
     assert os.listdir(outdir) == []
 
 
-def test_cli_import_leaves_out_scipy_stats():
+def run_python(code):
+    """Stdout of ``code`` in a fresh interpreter that imports this siqrng."""
     src = os.path.dirname(os.path.dirname(siqrng.__file__))
-    code = "import sys, siqrng.cli; print('scipy.stats' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    code = "import sys, siqrng.cli; print('scipy.stats' in sys.modules)"
+    assert run_python(code) == "False"
+
+
+def test_package_import_loads_no_submodule():
+    # the library API is the modules; the package itself imports none
+    code = (
+        "import sys, siqrng; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'siqrng')))"
+    )
+    assert run_python(code) == "['siqrng']"
 
 
 def test_cli_io_errors_are_exit_four(tmp_path):
@@ -268,6 +291,23 @@ def test_cli_io_errors_are_exit_four(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"SQEB\x01garbage")
     assert run_cli("tally", "--events", str(bad)) == 4
+
+    # an estimate with a non-numeric or an inconsistent value is a bad file
+    events = str(tmp_path / "events.sqeb")
+    io.write_events(events, random_stream())
+    seed_f = tmp_path / "seed.bin"
+    seed_f.write_bytes(RNG.bytes(200))
+    good = {
+        "r0": "12.0", "r1": "11.0", "r_final": "10.5", "rescale_factor": "1.0",
+        "entropy_cost": "0.5", "coefficient": "0.952", "epsilon_total": "1e-9",
+    }
+    est_f = tmp_path / "estimate.txt"
+    for change, code in (({}, 0), ({"r0": "abc"}, 4), ({"r1": "13.0"}, 4)):
+        est_f.write_text(io.dump_keyvals({**good, **change}))
+        assert run_cli(
+            "extract", "--events", events, "--estimate", str(est_f),
+            "--seed-file", str(seed_f), "--out", str(tmp_path / "out.bits"),
+        ) == code
 
 
 def test_cli_suite_failure_is_exit_three(tmp_path, capsys):
@@ -296,7 +336,7 @@ def test_cli_optimize(tmp_path, capsys):
     assert run_cli("optimize", "--out", csv) == 0
     kv = io.parse_keyvals(capsys.readouterr().out)
     assert 13.6 <= float(kv["lambda_star"]) <= 14.2
-    lines = open(csv).read().strip().split("\n")
+    lines = Path(csv).read_text().strip().split("\n")
     assert lines[0] == "lambda,rate_bps"
     assert len(lines) > 10
 
@@ -313,6 +353,47 @@ def test_pipeline_deterministic(tmp_path, capsys):
     assert names == sorted(os.listdir(out2))
     assert "certified.bits" in names and "battery.csv" in names
     for name in names:
-        a = open(os.path.join(out1, name), "rb").read()
-        b = open(os.path.join(out2, name), "rb").read()
+        a = Path(out1, name).read_bytes()
+        b = Path(out2, name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+
+
+def test_pipeline_matches_subcommand_chain(tmp_path, capsys):
+    seed_f = tmp_path / "seed.bin"
+    seed_f.write_bytes(np.random.default_rng(5).bytes(600_000))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "run.n_pulses = 2400000\nrun.seed = 3\nrun.duration = 0.6\n"
+        f"path.seed = {seed_f}\n"
+    )
+    piped = tmp_path / "pipeline"
+    assert run_cli("pipeline", "--config", str(cfg), "--outdir", str(piped)) == 0
+
+    chain = tmp_path / "chain"
+    chain.mkdir()
+
+    def at(name):
+        return str(chain / name)
+
+    conf = ("--config", str(cfg))
+    assert run_cli("simulate", *conf, "--out", at("events.sqeb")) == 0
+    assert run_cli(
+        "tally", "--events", at("events.sqeb"), "--out", at("tally.txt")
+    ) == 0
+    assert run_cli(
+        "estimate", *conf, "--tally", at("tally.txt"), "--out", at("estimate.txt")
+    ) == 0
+    assert run_cli(
+        "extract", "--events", at("events.sqeb"), "--estimate", at("estimate.txt"),
+        "--seed-file", str(seed_f), "--out", at("certified.bits"),
+    ) == 0
+    assert run_cli(
+        "testsuite", "--bits", at("certified.bits"), "--out", at("battery.csv")
+    ) == 0
+    assert run_cli("optimize", *conf, "--out", at("rate_curve.csv")) == 0
+
+    names = sorted(os.listdir(piped))
+    assert names == sorted(os.listdir(chain))
+    assert "certified.bits" in names and "rate_curve.csv" in names
+    for name in names:
+        assert (piped / name).read_bytes() == (chain / name).read_bytes(), name

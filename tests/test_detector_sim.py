@@ -250,12 +250,14 @@ def test_double_click_rate_grows_with_lambda():
 
 def assert_serial_equals_chunked(src, det, cfg, seed, sizes):
     full = ds.run_simulation(src, det, cfg, sum(sizes), seed=seed)
-    parts = []
     pos = 0
     for size in sizes:
-        parts.append(ds.simulate_range(src, det, cfg, seed, pos, size))
-        pos += size
-    assert ds.EventStream.concat(parts) == full
+        part = ds.simulate_range(src, det, cfg, seed, pos, size)
+        end = pos + size
+        assert part == ds.EventStream(
+            full.basis[pos:end], full.outcome[pos:end], start=pos
+        )
+        pos = end
 
 
 # each covers a laser and a sunlight source, so the per-pulse lambda_eff

@@ -176,7 +176,7 @@ def flat_rate(value: float) -> RateBreakdown:
 
 
 def test_extract_aborts_below_one_bit():
-    block = ex.RawBitBlock(np.ones(100, dtype=np.uint8))
+    block = np.ones(100, dtype=np.uint8)
     with pytest.raises(EstimationAbort):
         ex.extract(block, flat_rate(0.5), b"\xff" * 100)
     with pytest.raises(EstimationAbort):
@@ -185,7 +185,7 @@ def test_extract_aborts_below_one_bit():
 
 def test_extract_floors_fractional_bits():
     rng = np.random.default_rng(8)
-    block = ex.RawBitBlock(rng.integers(0, 2, 100, dtype=np.uint8))
+    block = rng.integers(0, 2, 100, dtype=np.uint8)
     result = ex.extract(block, flat_rate(17.9), rng.bytes(20))
     assert len(result.bits) == 17
     assert result.spec.output_len_m == 17
@@ -195,7 +195,7 @@ def test_extract_floors_fractional_bits():
 
 
 def test_extract_rejects_short_seed():
-    block = ex.RawBitBlock(np.ones(100, dtype=np.uint8))
+    block = np.ones(100, dtype=np.uint8)
     with pytest.raises(FormatError):
         ex.extract(block, flat_rate(50.0), b"\x00" * 10)
 
@@ -203,7 +203,7 @@ def test_extract_rejects_short_seed():
 def test_extract_biased_input_yields_zero_vector():
     # all-zero input hashes to zero for any seed: the hash cannot add
     # entropy, only the certified length guards output quality
-    block = ex.RawBitBlock(np.zeros(64, dtype=np.uint8))
+    block = np.zeros(64, dtype=np.uint8)
     rng = np.random.default_rng(9)
     result = ex.extract(block, flat_rate(32.0), rng.bytes(12))
     assert not result.bits.any()
@@ -219,7 +219,7 @@ def test_extract_length_scales_with_reference_run():
     imp = MeasurementImperfection.from_coefficient(0.952, 0.1, 0.1)
     rate = rate_breakdown(n_block, 0.0033, 0.001, 100, imp)
     rng = np.random.default_rng(11)
-    block = ex.RawBitBlock(rng.integers(0, 2, n_block, dtype=np.uint8))
+    block = rng.integers(0, 2, n_block, dtype=np.uint8)
     seed = rng.bytes((n_block + rate.whole_bits) // 8 + 1)
     result = ex.extract(block, rate, seed)
     reference_bits = 3262342467  # full-scale run over 3577108266 raw bits
