@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import detector_sim, io_formats, optimizer, protocol_math, stat_suite
+from . import detector_sim, io_formats, optimizer, protocol_math
 from .errors import (
     ConfigError,
     EstimationAbort,
@@ -21,7 +21,6 @@ from .errors import (
     SiqrngError,
     SuiteFailure,
 )
-from .extractor import extract
 from .io_formats import RunConfig
 
 EXIT_OK = 0
@@ -100,8 +99,11 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("testsuite", help="statistical battery on a bit file")
     sp.add_argument("--bits", required=True)
-    sp.add_argument("--alpha", type=float, default=stat_suite.ALPHA_DEFAULT)
-    sp.add_argument("--max-failures", type=int, default=1)
+    defaults = RunConfig.defaults()
+    sp.add_argument("--alpha", type=float, default=defaults["suite.alpha"])
+    sp.add_argument(
+        "--max-failures", type=int, default=defaults["suite.max_failures"]
+    )
     sp.add_argument("--out", help="CSV path for the report")
 
     sp = sub.add_parser("pipeline", help="simulate through testsuite")
@@ -213,7 +215,8 @@ def _estimate_text(
 
 
 def _estimate(tally, cfg: RunConfig, theta: float, duration: float, out: str | None):
-    """Estimate, write it, then abort if nothing is certified."""
+    """Estimate, write it (warnings also to stderr), then abort if nothing
+    is certified."""
     imperfection = protocol_math.MeasurementImperfection.from_coefficient(
         cfg["calibration.coefficient"],
         cfg["detector.eta0"],
@@ -223,6 +226,8 @@ def _estimate(tally, cfg: RunConfig, theta: float, duration: float, out: str | N
         tally, theta, cfg["security.t_e"], imperfection
     )
     _emit(_estimate_text(est, duration), out)
+    for w in est.warnings:
+        print(f"warning: {w}", file=sys.stderr)
     if not est.rates.certifiable:
         raise EstimationAbort(f"certified length {est.rates.R_final:.6g} <= 0")
     return est
@@ -237,7 +242,10 @@ def _cmd_estimate(args) -> int:
         theta = protocol_math.solve_theta(
             tally.n_detected, tally.q_x, e_reg, args.solve_theta
         )
-    duration = args.duration if args.duration else cfg.duration
+    if args.duration is None:
+        duration = cfg.duration
+    else:
+        duration = io_formats.check_duration(args.duration, "--duration")
     _estimate(tally, cfg, theta, duration, args.out)
     return EXIT_OK
 
@@ -286,6 +294,8 @@ def _cmd_extract(args) -> int:
 
 def _extract(stream, rates, seed: bytes, epsilon_total: float, out: str):
     """Hash the stream's raw bits and write the certified bits file."""
+    from .extractor import extract  # loads scipy; only the hashing stages need it
+
     raw = detector_sim.raw_bits_from_events(stream)
     result = extract(raw, rates, seed)
     io_formats.write_bits(out, result.bits, epsilon_total)
@@ -336,6 +346,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _battery(bits: np.ndarray, alpha: float, max_failures: int, out: str | None):
+    from . import stat_suite  # loads scipy; only the battery needs it
+
     reports = stat_suite.run_battery(bits, alpha=alpha)
     csv = stat_suite.battery_csv(reports)
     if out:
@@ -357,6 +369,7 @@ def _cmd_testsuite(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     cfg = _load_config(args)
+    duration = cfg.duration  # checked before any work
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
 
@@ -367,7 +380,7 @@ def _cmd_pipeline(args) -> int:
     _emit(io_formats.tally_to_text(summary), os.path.join(outdir, "tally.txt"))
 
     est_path = os.path.join(outdir, "estimate.txt")
-    est = _estimate(summary, cfg, cfg["security.theta"], cfg.duration, est_path)
+    est = _estimate(summary, cfg, cfg["security.theta"], duration, est_path)
 
     seed_path = cfg["path.seed"]
     if seed_path:

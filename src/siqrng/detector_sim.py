@@ -6,11 +6,15 @@ The simulation is organized in fixed pulse panels (see rngstream), so a
 run can be produced serially or in arbitrary index chunks with
 byte-identical results. Dead-time suppression is keyed to raw avalanche
 attempts within a bounded look-back window, which keeps chunk
-recomputation exact.
+recomputation exact. Panels are drawn on a small thread pool and
+consumed in order, so the events do not depend on the worker count.
 """
 from __future__ import annotations
 
+import collections
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +37,16 @@ OUTCOME_NONE = 0
 OUTCOME_D0 = 1
 OUTCOME_D1 = 2
 OUTCOME_DOUBLE = 3
+
+#: Threads drawing panels in simulate_range. Each panel's generators are
+#: keyed by (seed, domain, panel), and numpy's fills and ufuncs release
+#: the GIL, so the draws overlap and their values do not depend on this.
+WORKERS = min(
+    4,
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")  # CPUs this process may use
+    else os.cpu_count() or 1,
+)
 
 
 @dataclass(frozen=True)
@@ -214,6 +228,20 @@ def _suppress_dead(raw: np.ndarray, window: int, warmup: np.ndarray) -> np.ndarr
     return raw & (attempts_before == 0)
 
 
+def _in_order(pool, draw, spans):
+    """Yield (span, draw(span's panel)) in span order, keeping at most
+    2 * WORKERS draws submitted ahead of the consumer."""
+    pending = collections.deque()
+    for span in spans:
+        pending.append((span, pool.submit(draw, span[0])))
+        if len(pending) == 2 * WORKERS:
+            done, future = pending.popleft()
+            yield done, future.result()
+    while pending:
+        done, future = pending.popleft()
+        yield done, future.result()
+
+
 def run_simulation(
     source: SourceParams,
     det: DetectorParams,
@@ -239,7 +267,9 @@ def simulate_range(
     Both event arrays are allocated up front and filled panel by panel;
     a count too large to allocate raises RunTooLargeError before any
     simulation work. Dead-time state is warmed up by recomputing the raw
-    attempts of the ``window`` pulses before ``start``.
+    attempts of the ``window`` pulses before ``start``. The panels' raw
+    clicks are drawn on WORKERS threads; dead time and the writes run
+    here, in panel order.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -256,29 +286,34 @@ def simulate_range(
     period = 1.0 / source.pulse_rate_G
     window = max(0, math.ceil(det.dead_time / period) - 1)
 
+    def draw(panel):
+        return _raw_clicks_panel(panel, source, det, config, seed, probs_z, probs_x)
+
     # raw attempts of the `window` pulses before the current panel slice;
     # virtual pulses before index 0 never fire
     warm0 = warm1 = np.zeros(window, bool)
     warm_lo = max(0, start - window)
-    for panel, lo, hi, t_lo, t_hi in rngstream.panel_range(
-        warm_lo, start + count - warm_lo
-    ):
-        b, raw0, raw1 = _raw_clicks_panel(
-            panel, source, det, config, seed, probs_z, probs_x
-        )
-        raw0, raw1 = raw0[t_lo:t_hi], raw1[t_lo:t_hi]
-        click0 = _suppress_dead(raw0, window, warm0)
-        click1 = _suppress_dead(raw1, window, warm1)
-        if window:
-            warm0 = np.concatenate([warm0, raw0])[-window:]
-            warm1 = np.concatenate([warm1, raw1])[-window:]
-        skip = max(0, start - lo)  # warm-up pulses at the front
-        if skip >= hi - lo:
-            continue
-        out = slice(lo + skip - start, hi - start)
-        basis[out] = b[t_lo + skip : t_hi]
-        np.left_shift(click1[skip:].view(np.uint8), 1, out=outcome[out])
-        outcome[out] |= click0[skip:].view(np.uint8)
+    spans = rngstream.panel_range(warm_lo, start + count - warm_lo)
+    pool = ThreadPoolExecutor(max_workers=WORKERS)
+    try:
+        for (_, lo, hi, t_lo, t_hi), (b, raw0, raw1) in _in_order(
+            pool, draw, spans
+        ):
+            raw0, raw1 = raw0[t_lo:t_hi], raw1[t_lo:t_hi]
+            click0 = _suppress_dead(raw0, window, warm0)
+            click1 = _suppress_dead(raw1, window, warm1)
+            if window:
+                warm0 = np.concatenate([warm0, raw0])[-window:]
+                warm1 = np.concatenate([warm1, raw1])[-window:]
+            skip = max(0, start - lo)  # warm-up pulses at the front
+            if skip >= hi - lo:
+                continue
+            out = slice(lo + skip - start, hi - start)
+            basis[out] = b[t_lo + skip : t_hi]
+            np.left_shift(click1[skip:].view(np.uint8), 1, out=outcome[out])
+            outcome[out] |= click0[skip:].view(np.uint8)
+    finally:
+        pool.shutdown(cancel_futures=True)
     return EventStream(basis, outcome, start=start)
 
 

@@ -378,10 +378,13 @@ class RunConfig:
 
     @property
     def duration(self) -> float:
+        """Run seconds for the rate: run.duration, else n_pulses / pulse_rate."""
         v = self.values["run.duration"]
-        if v is None:
-            return self.values["run.n_pulses"] / self.values["source.pulse_rate"]
-        return float(v)
+        if v is not None:
+            return check_duration(v, "run.duration")
+        rate = self.values["source.pulse_rate"]
+        derived = self.values["run.n_pulses"] / rate if rate > 0 else math.nan
+        return check_duration(derived, "run.n_pulses / source.pulse_rate")
 
     def source_params(self) -> SourceParams:
         return SourceParams(
@@ -415,6 +418,15 @@ class RunConfig:
             ),
             basis_seed=self.values["measure.basis_seed"],
         )
+
+
+def check_duration(seconds: float, name: str) -> float:
+    """``seconds`` if it is finite and positive; ConfigError otherwise."""
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise ConfigError(
+            f"{name} must be a positive number of seconds, got {seconds!r}"
+        )
+    return float(seconds)
 
 
 def derived_seed_bytes(extractor_seed: int, nbits: int) -> bytes:

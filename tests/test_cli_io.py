@@ -13,6 +13,7 @@ from siqrng import detector_sim as ds
 from siqrng import io_formats as io
 from siqrng.cli import main
 from siqrng.errors import ConfigError, FormatError
+from siqrng.protocol_math import TallySummary
 
 RNG = np.random.default_rng(77)
 
@@ -244,6 +245,19 @@ def test_cli_usage_errors_are_exit_one(tmp_path):
     for step in ("0", "-0.5", "nan"):
         assert run_cli("optimize", "--grid-step", step, "--out", str(curve)) == 1
     assert not curve.exists()
+    # a rate needs a positive, finite duration, from the flag or the config
+    counts = ("estimate", "--n-z", "3577108266", "--e-bx", "0.0033")
+    est = tmp_path / "estimate.txt"
+    for duration in ("-1800", "0", "nan", "inf"):
+        assert run_cli(*counts, "--duration", duration, "--out", str(est)) == 1
+    for duration in ("-5", "0", "nan"):
+        setting = f"run.duration={duration}"
+        assert run_cli(*counts, "--set", setting, "--out", str(est)) == 1
+        outdir = tmp_path / "run"
+        assert run_cli("pipeline", "--set", setting, "--outdir", str(outdir)) == 1
+        assert not outdir.exists()
+    assert run_cli(*counts, "--set", "run.n_pulses=0", "--out", str(est)) == 1
+    assert not est.exists()
 
 
 def test_cli_oversized_run_is_exit_one(tmp_path, capsys):
@@ -275,6 +289,48 @@ def run_python(code):
 def test_cli_import_leaves_out_scipy_stats():
     code = "import sys, siqrng.cli; print('scipy.stats' in sys.modules)"
     assert run_python(code) == "False"
+
+
+def test_cli_stages_without_hashing_leave_out_scipy(tmp_path):
+    # only extract, testsuite and pipeline import the scipy-backed modules
+    events, tally_f = str(tmp_path / "events.sqeb"), str(tmp_path / "tally.txt")
+    est_f, curve = str(tmp_path / "estimate.txt"), str(tmp_path / "curve.csv")
+    code = f"""
+import sys
+from siqrng.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+after_import = scipy_modules()
+codes = [
+    main(["simulate", "--set", "run.n_pulses=400000", "--out", {events!r}]),
+    main(["tally", "--events", {events!r}, "--out", {tally_f!r}]),
+    main(["estimate", "--tally", {tally_f!r}, "--out", {est_f!r}]),
+    main(["calibrate", "--z-counts", "100000", "50", "--x-counts", "51692", "48308"]),
+    main(["optimize", "--out", {curve!r}]),
+]
+print(after_import, codes, scipy_modules())
+"""
+    last = run_python(code).splitlines()[-1]
+    assert last == "[] [0, 0, 0, 0, 0] []"
+
+
+def test_cli_estimate_warnings_go_to_stderr(tmp_path, capsys):
+    # 2e-3 of the detections are check clicks, against 4e-3 of the pulses
+    tally = TallySummary(
+        N_total=250_000_000, N_X=1_000_000, N_Z=249_000_000, n_x=2_000,
+        n_z=1_000_000, x_wrong_singles=2, x_doubles=0, z_doubles_discarded=0,
+        e_bx=0.001,
+    )
+    tally_f, est_f = tmp_path / "tally.txt", tmp_path / "estimate.txt"
+    tally_f.write_text(io.tally_to_text(tally))
+    assert run_cli("estimate", "--tally", str(tally_f), "--out", str(est_f)) == 0
+    comments = [
+        ln[len("# "):] for ln in est_f.read_text().splitlines() if ln.startswith("#")
+    ]
+    assert len(comments) == 1 and comments[0].startswith("warning: detected check ratio")
+    assert capsys.readouterr().err.splitlines() == comments
 
 
 def test_package_import_loads_no_submodule():

@@ -2,6 +2,8 @@
 click statistics against closed forms, tally against a reference
 counter, and chunk-exact determinism."""
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -280,6 +282,64 @@ def test_serial_equals_chunked_with_active_dead_time():
         SourceParams.sunlight(30.0, intensity_fluctuation_rel_std=0.3),
     ):
         assert_serial_equals_chunked(src, det, cfg, 17, (70_001, 99_999, 130_000))
+
+
+def test_worker_count_does_not_change_events(monkeypatch):
+    # 10 panels from a start inside panel 1, so the 2 * 3 panels in flight
+    # wrap; dead time makes every panel's warm-up depend on the one before
+    det = ds.DetectorParams(dead_time=600e-9)
+    cfg = ds.MeasurementConfig(prob_X=0.1)
+    start, count = 70_001, 9 * 65_536
+    for src in (
+        SourceParams(mean_photons_lambda=30.0),
+        SourceParams.sunlight(30.0, intensity_fluctuation_rel_std=0.3),
+    ):
+        streams = []
+        for workers in (1, 3):
+            monkeypatch.setattr(ds, "WORKERS", workers)
+            streams.append(ds.simulate_range(src, det, cfg, 29, start, count))
+        assert streams[0] == streams[1]
+
+
+def test_panels_in_flight_stay_bounded(monkeypatch):
+    # a panel is consumed once both of its dead-time calls have run on the
+    # calling thread; a draw may only start once its panel is submitted.
+    # The consumer sleeps, so draws that were not held back would run ahead.
+    draw, suppress = ds._raw_clicks_panel, ds._suppress_dead
+    suppressed, in_flight = [0], []
+
+    def counting_suppress(*args):
+        time.sleep(0.005)
+        suppressed[0] += 1
+        return suppress(*args)
+
+    def recording_draw(panel, *args):
+        in_flight.append(panel - suppressed[0] // 2 + 1)
+        return draw(panel, *args)
+
+    monkeypatch.setattr(ds, "WORKERS", 2)
+    monkeypatch.setattr(ds, "_suppress_dead", counting_suppress)
+    monkeypatch.setattr(ds, "_raw_clicks_panel", recording_draw)
+    src, det, cfg = default_setup()
+    ds.run_simulation(src, det, cfg, 16 * 65_536, seed=37)
+    assert len(in_flight) == 16 and max(in_flight) <= 2 * 2
+
+
+def test_worker_error_propagates_and_pool_shuts_down(monkeypatch):
+    draw = ds._raw_clicks_panel
+
+    def failing(panel, *args):
+        if panel == 5:
+            raise RuntimeError("panel 5 failed")
+        return draw(panel, *args)
+
+    monkeypatch.setattr(ds, "WORKERS", 3)
+    monkeypatch.setattr(ds, "_raw_clicks_panel", failing)
+    threads = threading.active_count()
+    src, det, cfg = default_setup()
+    with pytest.raises(RuntimeError, match="panel 5 failed"):
+        ds.run_simulation(src, det, cfg, 20 * 65_536, seed=31)
+    assert threading.active_count() == threads
 
 
 def test_dead_time_suppresses_clicks():
