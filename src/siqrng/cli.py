@@ -217,7 +217,7 @@ def _estimate_text(
 def _estimate(tally, cfg: RunConfig, theta: float, duration: float, out: str | None):
     """Estimate, write it (warnings also to stderr), then abort if nothing
     is certified."""
-    imperfection = protocol_math.MeasurementImperfection.from_coefficient(
+    imperfection = protocol_math.MeasurementImperfection(
         cfg["calibration.coefficient"],
         cfg["detector.eta0"],
         cfg["detector.eta1"],
@@ -238,10 +238,8 @@ def _cmd_estimate(args) -> int:
     tally = _tally_from_args(args, cfg)
     theta = cfg["security.theta"]
     if args.solve_theta is not None:
-        e_reg = protocol_math.regularize_error_rate(tally.e_bx, tally.n_x)
-        theta = protocol_math.solve_theta(
-            tally.n_detected, tally.q_x, e_reg, args.solve_theta
-        )
+        n, q_x, e_reg = protocol_math.check_sample(tally)
+        theta = protocol_math.solve_theta(n, q_x, e_reg, args.solve_theta)
     if args.duration is None:
         duration = cfg.duration
     else:
@@ -260,9 +258,7 @@ def _cmd_calibrate(args) -> int:
                 "overlap_c": repr(result.overlap_c),
                 "coefficient": repr(result.coefficient),
                 "p_max": repr(result.p_max),
-                "z_gate_db": repr(
-                    protocol_math.z_gate_ratio_db(*args.z_counts)
-                ),
+                "z_gate_db": repr(result.z_gate_db),
             }
         )
     )

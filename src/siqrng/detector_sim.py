@@ -116,10 +116,6 @@ class EventStream:
             and np.array_equal(self.outcome, other.outcome)
         )
 
-    @property
-    def index(self) -> np.ndarray:
-        return np.arange(self.start, self.start + len(self), dtype=np.uint64)
-
 
 def choose_basis_block(
     basis_seed: int, start: int, count: int, prob_X: float

@@ -58,15 +58,6 @@ class ToeplitzSpec:
         )
 
 
-def toeplitz_naive(spec: ToeplitzSpec, bits) -> np.ndarray:
-    """Direct dense product: materialize the rows as seed slices."""
-    x = _as_bits(bits, spec.input_len_n, "input")
-    n, m = spec.input_len_n, spec.output_len_m
-    # rows[i] = seed[i : i+n] reversed
-    rows = np.lib.stride_tricks.sliding_window_view(spec.seed_bits, n)[:m, ::-1]
-    return ((rows.astype(np.int64) @ x.astype(np.int64)) & 1).astype(np.uint8)
-
-
 def _fft_capacity_ok(seed: np.ndarray, x: np.ndarray, length: int) -> bool:
     """Conservative a-priori check that FFT round-off cannot reach 1/2.
 
@@ -81,7 +72,7 @@ def _fft_capacity_ok(seed: np.ndarray, x: np.ndarray, length: int) -> bool:
 
 
 def toeplitz_fast(spec: ToeplitzSpec, bits) -> np.ndarray:
-    """FFT-convolution product, bit-identical to toeplitz_naive.
+    """FFT-convolution product, bit-identical to the dense matrix product.
 
     The Toeplitz product is the slice [n-1, n-1+m) of the integer
     convolution seed * input, whose linear length is 2n+m-2. A cyclic

@@ -68,15 +68,11 @@ def atomic_write_text(path: str, text: str) -> None:
 # Event files
 
 
-def events_to_text(stream: EventStream, metadata: dict | None = None) -> str:
-    lines = [TEXT_MAGIC]
-    for k, v in (metadata or {}).items():
-        lines.append(f"#{k}={v}")
-    lines.append("index,basis,outcome")
-    idx = stream.index
+def events_to_text(stream: EventStream) -> str:
+    lines = [TEXT_MAGIC, "index,basis,outcome"]
     for i in range(len(stream)):
         lines.append(
-            f"{idx[i]},{_BASIS_TO_CHAR[int(stream.basis[i])]},"
+            f"{stream.start + i},{_BASIS_TO_CHAR[int(stream.basis[i])]},"
             f"{_OUTCOME_TO_CHAR[int(stream.outcome[i])]}"
         )
     return "\n".join(lines) + "\n"

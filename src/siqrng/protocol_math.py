@@ -1,9 +1,9 @@
 """Closed-form quantities of the source-independent randomness protocol.
 
 Everything here is a pure function of its arguments: binary entropy, the
-finite-size sampling bound on the phase error rate, certified randomness
-lengths for ideal and imperfect measurements, the overall failure
-probability, and the overlap-bound calibration.
+finite-size sampling bound on the phase error rate, the certified
+randomness lengths, the overall failure probability, and the
+overlap-bound calibration.
 
 Probability bounds that can underflow a float at realistic sample sizes
 (2^(-n xi) with n ~ 1e9) are computed and carried in the log2 domain.
@@ -109,46 +109,30 @@ def epsilon_theta_bound(
     return EpsilonThetaBound(log2_raw=log2_raw, clamped=clamped)
 
 
-def solve_theta(
-    n: int,
-    q_x: float,
-    e_bx: float,
-    target_epsilon: float | None = None,
-    *,
-    log2_target: float | None = None,
-) -> float:
+def solve_theta(n: int, q_x: float, e_bx: float, target_epsilon: float) -> float:
     """Smallest theta on the 1e-6 grid whose clamped bound is <= target.
 
-    The target may be given linearly or as log2 (targets below the float
-    underflow threshold are only expressible that way). The bound is
-    non-increasing in theta, so grid bisection is exact. Raises
-    UnreachableTargetError when even the maximal theta fails.
+    The bound is non-increasing in theta, so grid bisection is exact.
+    Raises UnreachableTargetError when even the maximal theta fails.
     """
-    if (target_epsilon is None) == (log2_target is None):
-        raise ValueError("give exactly one of target_epsilon, log2_target")
-    if target_epsilon is not None:
-        if not 0.0 < target_epsilon <= 1.0:
-            raise ValueError(
-                f"target_epsilon must be in (0, 1], got {target_epsilon}"
-            )
-        log2_target = math.log2(target_epsilon)
-    elif log2_target > 0.0:
-        raise ValueError(f"log2_target must be <= 0, got {log2_target}")
+    if not 0.0 < target_epsilon <= 1.0:
+        raise ValueError(
+            f"target_epsilon must be in (0, 1], got {target_epsilon}"
+        )
+    target_log2 = math.log2(target_epsilon)
     # Largest grid index keeping e_bx + theta <= 1.
     hi = int(math.floor((1.0 - e_bx) / THETA_GRID_STEP))
 
     def ok(k: int) -> bool:
         b = epsilon_theta_bound(n, q_x, e_bx, k * THETA_GRID_STEP)
-        return b.log2_raw <= log2_target or (
-            b.log2_raw >= 0.0 and log2_target >= 0.0
-        )
+        return min(b.log2_raw, 0.0) <= target_log2
 
     if ok(0):
         return 0.0
     if not ok(hi):
         raise UnreachableTargetError(
             f"no theta <= {hi * THETA_GRID_STEP} reaches log2 bound "
-            f"{log2_target}"
+            f"{target_log2}"
         )
     lo = 0  # ok(lo) is False, ok(hi) is True
     while hi - lo > 1:
@@ -158,79 +142,6 @@ def solve_theta(
         else:
             lo = mid
     return hi * THETA_GRID_STEP
-
-
-def _entropy_cost_fraction(e_bx: float, theta: float) -> float:
-    """Per-bit correction cost H(e_bx + theta), saturated at 1 bit.
-
-    Beyond an argument of 1/2 no randomness is certifiable; the cost is
-    held at its maximum so the lengths below stay non-positive there
-    instead of spuriously recovering.
-    """
-    arg = e_bx + theta
-    if arg < 0.0 or arg > 1.0:
-        raise ValueError(f"e_bx + theta must be in [0, 1], got {arg}")
-    if arg >= 0.5:
-        return 1.0
-    return binary_entropy(arg)
-
-
-def randomness_length_ideal(
-    n_z: int, e_bx: float, theta: float, t_e: int
-) -> float:
-    """Certified length for perfect measurements:
-    n_z - n_z H(e_bx + theta) - t_e.
-
-    May be negative; a non-positive value means abort and extract nothing.
-    """
-    return n_z - n_z * _entropy_cost_fraction(e_bx, theta) - t_e
-
-
-def randomness_coefficient(overlap_c: float) -> float:
-    """Per-bit randomness -2 log2(c) of a basis pair with max overlap c."""
-    if not MIN_OVERLAP - 1e-12 <= overlap_c <= 1.0 + 1e-12:
-        raise ValueError(
-            f"overlap_c must be in [1/sqrt(2), 1], got {overlap_c}"
-        )
-    return min(1.0, max(0.0, -2.0 * math.log2(min(overlap_c, 1.0))))
-
-
-def randomness_length_imperfect(
-    n_z: int, e_bx: float, theta: float, t_e: int, overlap_c: float
-) -> float:
-    """Certified length when the two bases have max overlap c:
-    -2 n_z log2(c) - n_z H(e_bx + theta) - t_e.
-
-    Equals the ideal length at c = 1/sqrt(2); at c = 1 the coefficient
-    vanishes and nothing is certified.
-    """
-    coeff = randomness_coefficient(overlap_c)
-    return n_z * coeff - n_z * _entropy_cost_fraction(e_bx, theta) - t_e
-
-
-def efficiency_rescale(eta0: float, eta1: float) -> float:
-    """Mismatch rescale 2 min(eta0, eta1) / (eta0 + eta1), in (0, 1]."""
-    if not 0.0 < eta0 <= 1.0 or not 0.0 < eta1 <= 1.0:
-        raise ValueError(
-            f"efficiencies must be in (0, 1], got {eta0}, {eta1}"
-        )
-    return 2.0 * min(eta0, eta1) / (eta0 + eta1)
-
-
-def randomness_length_final(
-    n_z: int,
-    e_bx: float,
-    theta: float,
-    t_e: int,
-    overlap_c: float,
-    eta0: float,
-    eta1: float,
-) -> float:
-    """Final certified length: the imperfect-basis length rescaled by the
-    detector-efficiency mismatch factor."""
-    return efficiency_rescale(eta0, eta1) * randomness_length_imperfect(
-        n_z, e_bx, theta, t_e, overlap_c
-    )
 
 
 def failure_probability(epsilon_theta: float, t_e: int) -> float:
@@ -266,14 +177,12 @@ class SecurityParams:
 
     theta is the allowed deviation of the phase error rate above the
     observed check-sample rate; t_e the hashing-failure exponent;
-    epsilon_theta the estimation failure bound; epsilon_total the
-    composed trace-distance failure of the whole run.
+    epsilon_theta the estimation failure bound.
     """
 
     theta: float
     t_e: int
     epsilon_theta: float
-    epsilon_total: float
 
     def __post_init__(self):
         if not 0.0 <= self.theta < 1.0:
@@ -282,25 +191,11 @@ class SecurityParams:
             raise ValueError(f"t_e must be >= 0, got {self.t_e}")
         if not 0.0 <= self.epsilon_theta <= 1.0:
             raise ValueError("epsilon_theta must be in [0, 1]")
-        expected = failure_probability(self.epsilon_theta, self.t_e)
-        if not math.isclose(
-            self.epsilon_total, expected, rel_tol=1e-9, abs_tol=1e-300
-        ):
-            raise ValueError(
-                f"epsilon_total {self.epsilon_total} inconsistent with "
-                f"composition {expected}"
-            )
 
-    @classmethod
-    def from_estimation(
-        cls, theta: float, t_e: int, epsilon_theta: float
-    ) -> "SecurityParams":
-        return cls(
-            theta=theta,
-            t_e=t_e,
-            epsilon_theta=epsilon_theta,
-            epsilon_total=failure_probability(epsilon_theta, t_e),
-        )
+    @property
+    def epsilon_total(self) -> float:
+        """Composed trace-distance failure of the whole run."""
+        return failure_probability(self.epsilon_theta, self.t_e)
 
 
 @dataclass(frozen=True)
@@ -336,49 +231,35 @@ class TallySummary:
         if not 0.0 <= self.e_bx <= 1.0:
             raise ValueError(f"e_bx must be in [0, 1], got {self.e_bx}")
 
-    @property
-    def n_detected(self) -> int:
-        return self.n_x + self.n_z
 
-    @property
-    def q_x(self) -> float:
-        """Detected-event check ratio n_x / n."""
-        n = self.n_detected
-        if n == 0:
-            raise EstimationAbort("no detected events")
-        return self.n_x / n
+def check_sample(tally: TallySummary) -> tuple[int, float, float]:
+    """Sampling-bound inputs of a tally: the detected count n = n_x + n_z,
+    the check ratio q_x = n_x / n and the regularized check error rate.
+
+    Raises EstimationAbort when the check sample is empty.
+    """
+    if tally.n_x == 0:
+        raise EstimationAbort("empty check sample: cannot estimate")
+    n = tally.n_x + tally.n_z
+    return n, tally.n_x / n, regularize_error_rate(tally.e_bx, tally.n_x)
 
 
 @dataclass(frozen=True)
 class MeasurementImperfection:
-    """Calibrated measurement-device imperfections."""
+    """Calibrated measurement-device imperfections: the per-bit randomness
+    coefficient -2 log2(c) of the basis pair and the detector efficiencies."""
 
-    overlap_c: float
+    coefficient: float
     eta0: float
     eta1: float
 
     def __post_init__(self):
-        if not MIN_OVERLAP - 1e-12 <= self.overlap_c <= 1.0 + 1e-12:
+        if not 0.0 <= self.coefficient <= 1.0:
             raise ValueError(
-                f"overlap_c must be in [1/sqrt(2), 1], got {self.overlap_c}"
+                f"coefficient must be in [0, 1], got {self.coefficient}"
             )
         if not 0.0 < self.eta0 <= 1.0 or not 0.0 < self.eta1 <= 1.0:
             raise ValueError("efficiencies must be in (0, 1]")
-
-    @property
-    def coefficient(self) -> float:
-        return randomness_coefficient(self.overlap_c)
-
-    @classmethod
-    def from_coefficient(
-        cls, coefficient: float, eta0: float, eta1: float
-    ) -> "MeasurementImperfection":
-        """Build from the calibrated per-bit coefficient -2 log2(c)."""
-        if not 0.0 <= coefficient <= 1.0:
-            raise ValueError(
-                f"coefficient must be in [0, 1], got {coefficient}"
-            )
-        return cls(overlap_c=2.0 ** (-coefficient / 2.0), eta0=eta0, eta1=eta1)
 
 
 @dataclass(frozen=True)
@@ -421,20 +302,32 @@ def rate_breakdown(
     t_e: int,
     imperfection: MeasurementImperfection,
 ) -> RateBreakdown:
-    """Evaluate all three certified lengths for one set of tallies."""
-    cost = n_z * _entropy_cost_fraction(e_bx, theta)
-    r0 = randomness_length_ideal(n_z, e_bx, theta, t_e)
-    r1 = randomness_length_imperfect(
-        n_z, e_bx, theta, t_e, imperfection.overlap_c
-    )
-    rescale = efficiency_rescale(imperfection.eta0, imperfection.eta1)
+    """Certified lengths of one set of tallies.
+
+    R0 = n_z - n_z H(e_bx + theta) - t_e for perfect measurements;
+    R1 = n_z (-2 log2 c) - n_z H(e_bx + theta) - t_e with the calibrated
+    coefficient -2 log2 c; R_final = R1 * 2 min(eta0, eta1) / (eta0 + eta1),
+    the detector-efficiency mismatch rescale. Lengths may be negative; a
+    non-positive R_final means abort and extract nothing.
+    """
+    arg = e_bx + theta
+    if arg < 0.0 or arg > 1.0:
+        raise ValueError(f"e_bx + theta must be in [0, 1], got {arg}")
+    # Beyond an argument of 1/2 no randomness is certifiable; the cost is
+    # held at its maximum so the lengths stay non-positive there instead
+    # of spuriously recovering.
+    cost = n_z * (1.0 if arg >= 0.5 else binary_entropy(arg))
+    coeff = imperfection.coefficient
+    r1 = n_z * coeff - cost - t_e
+    eta0, eta1 = imperfection.eta0, imperfection.eta1
+    rescale = 2.0 * min(eta0, eta1) / (eta0 + eta1)
     return RateBreakdown(
-        R0=r0,
+        R0=n_z - cost - t_e,
         R1=r1,
         R_final=rescale * r1,
         rescale_factor=rescale,
         entropy_cost=cost,
-        coefficient=imperfection.coefficient,
+        coefficient=coeff,
     )
 
 
@@ -458,25 +351,22 @@ def estimate_protocol(
     rate, certified lengths at the observed rate, composed failure
     probability.
 
-    Flags the run when the detected check ratio drifts more than 10%
-    from the realized basis-choice fraction (loss is then suspiciously
-    basis-dependent).
+    Flags the run when the check basis's detected fraction n_x / N_X
+    drifts more than 10% from the generation basis's, counted with its
+    discarded doubles (loss is then suspiciously basis-dependent).
     """
-    if tally.n_x == 0:
-        raise EstimationAbort("empty check sample: cannot estimate")
-    n = tally.n_detected
-    q_x = tally.q_x
-    e_reg = regularize_error_rate(tally.e_bx, tally.n_x)
+    n, q_x, e_reg = check_sample(tally)
     bound = epsilon_theta_bound(n, q_x, e_reg, theta)
-    security = SecurityParams.from_estimation(theta, t_e, bound.clamped)
+    security = SecurityParams(theta, t_e, bound.clamped)
     rates = rate_breakdown(tally.n_z, tally.e_bx, theta, t_e, imperfection)
     warnings = []
-    if tally.N_total > 0 and tally.N_X > 0:
-        chosen = tally.N_X / tally.N_total
-        if abs(q_x - chosen) > 0.1 * chosen:
+    if tally.N_Z > 0:
+        check = tally.n_x / tally.N_X
+        generation = (tally.n_z + tally.z_doubles_discarded) / tally.N_Z
+        if abs(check - generation) > 0.1 * generation:
             warnings.append(
-                f"detected check ratio {q_x:.6g} deviates >10% from the "
-                f"basis-choice fraction {chosen:.6g}"
+                f"detected check ratio {check:.6g} deviates >10% from the "
+                f"generation-basis detected ratio {generation:.6g}"
             )
     return ProtocolEstimate(
         rates=rates, security=security, q_x=q_x, warnings=tuple(warnings)
@@ -485,11 +375,13 @@ def estimate_protocol(
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Overlap bound deduced from a calibration count pair."""
+    """Overlap bound deduced from a calibration count pair, with the
+    generation-basis extinction ratio when one was gated on."""
 
     overlap_c: float
     coefficient: float
     p_max: float
+    z_gate_db: float | None = None
 
 
 def z_gate_ratio_db(counts_d0: int, counts_d1: int) -> float:
@@ -521,6 +413,7 @@ def overlap_bound_from_calibration(
     the input was not a valid eigenstate and calibration is rejected.
     This is a plug-in point estimate; no confidence interval is attached.
     """
+    ratio = None
     if z_counts is not None:
         ratio = z_gate_ratio_db(*z_counts)
         if ratio < Z_GATE_MIN_DB:
@@ -533,5 +426,8 @@ def overlap_bound_from_calibration(
     p = max(counts_d0, counts_d1) / total
     c = min(1.0, max(MIN_OVERLAP, math.sqrt(p)))
     return CalibrationResult(
-        overlap_c=c, coefficient=randomness_coefficient(c), p_max=p
+        overlap_c=c,
+        coefficient=min(1.0, max(0.0, -2.0 * math.log2(c))),
+        p_max=p,
+        z_gate_db=ratio,
     )

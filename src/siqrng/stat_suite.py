@@ -19,8 +19,6 @@ from scipy.special import erfc, gammaincc, ndtr
 
 from .errors import InsufficientBitsError
 
-ALPHA_DEFAULT = 0.01
-
 #: Aggregate precondition for run_battery.
 BATTERY_MIN_BITS = 1_000_000
 
@@ -295,7 +293,7 @@ BATTERY = (
 )
 
 
-def run_battery(bits, alpha: float = ALPHA_DEFAULT) -> list[TestReport]:
+def run_battery(bits, alpha: float) -> list[TestReport]:
     """Run the eight-test battery; requires at least 10^6 bits.
 
     Individual tests remain callable on shorter inputs subject to their

@@ -57,8 +57,8 @@ def test_cross_form_round_trip():
 
 def test_text_metadata_lines_parse():
     stream = random_stream(5)
-    text = io.events_to_text(stream, metadata={"seed": 7, "kind": "laser"})
-    assert "#seed=7\n" in text
+    magic, rest = io.events_to_text(stream).split("\n", 1)
+    text = f"{magic}\n#seed=7\n#kind=laser\n{rest}"
     assert io.events_from_text(text) == stream
 
 
@@ -230,8 +230,19 @@ def test_cli_estimate_reference_point(capsys):
     assert float(kv["rate_bps"]) == pytest.approx(1.81e6, rel=5e-3)
 
 
-def test_cli_estimate_abort_is_exit_two(capsys):
+def test_cli_estimate_abort_is_exit_two(tmp_path, capsys):
     assert run_cli("estimate", "--n-z", "1000000", "--e-bx", "0.45") == 2
+    # an empty check sample aborts whether or not theta is solved for
+    tally = TallySummary(
+        N_total=1_000_000, N_X=4_000, N_Z=996_000, n_x=0, n_z=100_000,
+        x_wrong_singles=0, x_doubles=0, z_doubles_discarded=0, e_bx=0.0,
+    )
+    tally_f = tmp_path / "tally.txt"
+    tally_f.write_text(io.tally_to_text(tally))
+    capsys.readouterr()
+    for extra in ((), ("--solve-theta", "1e-6")):
+        assert run_cli("estimate", "--tally", str(tally_f), *extra) == 2
+        assert capsys.readouterr().err == "abort: empty check sample: cannot estimate\n"
 
 
 def test_cli_usage_errors_are_exit_one(tmp_path):
@@ -412,6 +423,9 @@ def test_pipeline_deterministic(tmp_path, capsys):
         a = Path(out1, name).read_bytes()
         b = Path(out2, name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+    # both bases are detected alike on a correct run, so nothing warns
+    assert "warning:" not in capsys.readouterr().err
+    assert "# warning:" not in Path(out1, "estimate.txt").read_text()
 
 
 def test_pipeline_matches_subcommand_chain(tmp_path, capsys):

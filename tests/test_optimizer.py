@@ -118,10 +118,10 @@ def test_rate_model_consistent_with_certified_length():
     for lam in (5.0, 13.9, 20.0):
         p1 = op.p_single_click(lam, params.eta)
         n_z = params.rep_rate_G * duration * p1
-        r_final = pm.randomness_length_final(
+        r_final = pm.rate_breakdown(
             n_z, 0.0033, params.theta, params.t_e,
-            overlap_c=pm.MIN_OVERLAP, eta0=0.3, eta1=0.3,
-        )
+            pm.MeasurementImperfection(1.0, 0.3, 0.3),
+        ).R_final
         got = op.rate_model(lam, params, duration)
         assert got == pytest.approx(r_final / duration, rel=1e-6)
 

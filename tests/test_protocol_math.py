@@ -192,10 +192,12 @@ def test_bound_dominates_exhaustive_enumeration(n, k, theta):
 
 def test_solve_theta_inverse_consistency():
     n, q, e = 3_591_273_360, 0.004, 0.0033
-    # at this scale the bound only exists in log2 form
-    target = pm.epsilon_theta_bound(n, q, e, 0.001).log2_raw
-    theta = pm.solve_theta(n, q, e, log2_target=target)
-    assert theta <= 0.001 + 1e-12
+    # at this scale the bound at theta = 0.001 underflows a float
+    # (log2 ~ -2600); at 0.0005 it is ~2^-650 and still representable
+    target = pm.epsilon_theta_bound(n, q, e, 0.0005).clamped
+    assert target > 0.0
+    theta = pm.solve_theta(n, q, e, target)
+    assert theta <= 0.0005 + 1e-12
 
     n_small = 900_000
     target_lin = pm.epsilon_theta_bound(n_small, q, e, 0.001).clamped
@@ -231,67 +233,71 @@ def test_solve_theta_round_trip_random():
 # randomness lengths
 
 
+def imperfection(coefficient=0.952, eta0=0.1, eta1=0.1):
+    return pm.MeasurementImperfection(coefficient, eta0, eta1)
+
+
+#: Per-bit randomness -2 log2(c) of a basis pair with max overlap 0.72.
+COEFF_072 = -2.0 * math.log2(0.72)
+
+
 def test_length_ideal_trivials():
-    assert pm.randomness_length_ideal(1000, 0.0, 0.0, 100) == 900.0
-    assert pm.randomness_length_ideal(100, 0.5, 0.0, 0) == 0.0
+    assert pm.rate_breakdown(1000, 0.0, 0.0, 100, imperfection()).R0 == 900.0
+    assert pm.rate_breakdown(100, 0.5, 0.0, 0, imperfection()).R0 == 0.0
 
 
 def test_length_ideal_reference():
-    r0 = pm.randomness_length_ideal(3_577_000_000, 0.0033, 0.001, 100)
+    r0 = pm.rate_breakdown(3_577_000_000, 0.0033, 0.001, 100, imperfection()).R0
     ref = 3_577_000_000 * (1.0 - float(mp_entropy("0.0043"))) - 100
     assert r0 == pytest.approx(ref, rel=1e-12)
     assert r0 == pytest.approx(3.434e9, rel=1e-3)
 
 
 def test_length_imperfect_matches_ideal_at_complementary_bases():
-    args = (10**6, 0.01, 0.001, 100)
-    assert pm.randomness_length_imperfect(
-        *args, overlap_c=pm.MIN_OVERLAP
-    ) == pytest.approx(pm.randomness_length_ideal(*args), rel=1e-12)
+    rb = pm.rate_breakdown(10**6, 0.01, 0.001, 100, imperfection(1.0))
+    assert rb.R1 == pytest.approx(rb.R0, rel=1e-12)
 
 
 def test_length_imperfect_reference_run():
-    r1 = pm.randomness_length_imperfect(
-        3_577_108_266, 0.0033, 0.001, 100, overlap_c=2.0 ** (-0.952 / 2.0)
-    )
+    r1 = pm.rate_breakdown(3_577_108_266, 0.0033, 0.001, 100, imperfection()).R1
     assert r1 == pytest.approx(3.26e9, rel=5e-3)
     assert r1 == pytest.approx(3262342467.975, rel=1e-9)
 
 
 def test_length_imperfect_identical_bases_certify_nothing():
-    r1 = pm.randomness_length_imperfect(10**6, 0.01, 0.001, 100, overlap_c=1.0)
+    r1 = pm.rate_breakdown(10**6, 0.01, 0.001, 100, imperfection(0.0)).R1
     assert r1 <= 0.0
 
 
 def test_length_imperfect_overlap_domain():
-    with pytest.raises(ValueError):
-        pm.randomness_length_imperfect(100, 0.0, 0.0, 0, overlap_c=0.5)
-    with pytest.raises(ValueError):
-        pm.randomness_length_imperfect(100, 0.0, 0.0, 0, overlap_c=1.2)
+    # the coefficient -2 log2(c) of an overlap outside [1/sqrt(2), 1]
+    for bad in (-0.1, 1.2, math.nan):
+        with pytest.raises(ValueError):
+            imperfection(bad)
 
 
 def test_length_final_rescale():
     args = (10**6, 0.002, 0.001, 100)
-    c = 0.72
-    r1 = pm.randomness_length_imperfect(*args, overlap_c=c)
-    equal = pm.randomness_length_final(*args, overlap_c=c, eta0=0.1, eta1=0.1)
-    assert equal == pytest.approx(r1, rel=1e-12)
-    mismatched = pm.randomness_length_final(
-        *args, overlap_c=c, eta0=0.1, eta1=0.2
-    )
-    assert mismatched == pytest.approx(r1 * (2.0 / 3.0), rel=1e-12)
-    tiny = pm.randomness_length_final(
-        *args, overlap_c=c, eta0=0.1, eta1=1e-12
-    )
-    assert abs(tiny) < r1 * 1e-10
+    equal = pm.rate_breakdown(*args, imperfection(COEFF_072, 0.1, 0.1))
+    assert equal.R_final == pytest.approx(equal.R1, rel=1e-12)
+    r1 = equal.R1
+    mismatched = pm.rate_breakdown(*args, imperfection(COEFF_072, 0.1, 0.2))
+    assert mismatched.R_final == pytest.approx(r1 * (2.0 / 3.0), rel=1e-12)
+    tiny = pm.rate_breakdown(*args, imperfection(COEFF_072, 0.1, 1e-12))
+    assert abs(tiny.R_final) < r1 * 1e-10
     with pytest.raises(ValueError):
-        pm.randomness_length_final(*args, overlap_c=c, eta0=0.0, eta1=0.1)
+        imperfection(COEFF_072, 0.0, 0.1)
 
 
 def test_lengths_saturate_beyond_half():
     # past an entropy argument of 1/2, nothing is certified
-    assert pm.randomness_length_ideal(10**6, 0.7, 0.0, 0) <= 0.0
-    assert pm.randomness_length_ideal(10**6, 0.99, 0.0, 10) <= 0.0
+    assert pm.rate_breakdown(10**6, 0.7, 0.0, 0, imperfection()).R0 <= 0.0
+    assert pm.rate_breakdown(10**6, 0.99, 0.0, 10, imperfection()).R0 <= 0.0
+
+
+def test_lengths_reject_entropy_argument_outside_unit_interval():
+    with pytest.raises(ValueError):
+        pm.rate_breakdown(100, 0.95, 0.1, 0, imperfection())
 
 
 @given(
@@ -299,29 +305,28 @@ def test_lengths_saturate_beyond_half():
     st_.floats(min_value=0.0, max_value=0.45),
     st_.floats(min_value=0.0, max_value=0.05),
     st_.integers(min_value=0, max_value=1000),
-    st_.floats(min_value=float(pm.MIN_OVERLAP), max_value=1.0),
+    st_.floats(min_value=0.0, max_value=1.0),
     st_.floats(min_value=0.01, max_value=1.0),
     st_.floats(min_value=0.01, max_value=1.0),
 )
 @settings(max_examples=200)
-def test_length_ordering(n_z, e, theta, t_e, c, eta0, eta1):
-    r0 = pm.randomness_length_ideal(n_z, e, theta, t_e)
-    r1 = pm.randomness_length_imperfect(n_z, e, theta, t_e, c)
-    rf = pm.randomness_length_final(n_z, e, theta, t_e, c, eta0, eta1)
-    assert r1 <= r0 + 1e-6
-    if r1 >= 0.0:
-        assert rf <= r1 + 1e-6
-    assert rf == pytest.approx(pm.efficiency_rescale(eta0, eta1) * r1, rel=1e-12)
+def test_length_ordering(n_z, e, theta, t_e, coeff, eta0, eta1):
+    rb = pm.rate_breakdown(n_z, e, theta, t_e, imperfection(coeff, eta0, eta1))
+    assert rb.R1 <= rb.R0 + 1e-6
+    if rb.R1 >= 0.0:
+        assert rb.R_final <= rb.R1 + 1e-6
+    rescale = 2.0 * min(eta0, eta1) / (eta0 + eta1)
+    assert rb.R_final == pytest.approx(rescale * rb.R1, rel=1e-12)
 
 
 def test_lengths_decrease_in_error_rate():
     es = np.linspace(0.0, 0.45, 40)
-    for fn in (
-        lambda e: pm.randomness_length_ideal(10**6, e, 0.01, 100),
-        lambda e: pm.randomness_length_imperfect(10**6, e, 0.01, 100, 0.72),
-        lambda e: pm.randomness_length_final(10**6, e, 0.01, 100, 0.72, 0.1, 0.2),
-    ):
-        vals = [fn(float(e)) for e in es]
+    imp = imperfection(COEFF_072, 0.1, 0.2)
+    for field in ("R0", "R1", "R_final"):
+        vals = [
+            getattr(pm.rate_breakdown(10**6, float(e), 0.01, 100, imp), field)
+            for e in es
+        ]
         assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
@@ -398,12 +403,15 @@ def test_z_gate_ratio():
 
 
 def test_security_params_consistency_enforced():
-    sp = pm.SecurityParams.from_estimation(0.001, 100, 1e-10)
+    # epsilon_total is derived, so it cannot disagree with its inputs
+    sp = pm.SecurityParams(theta=0.001, t_e=100, epsilon_theta=1e-10)
     assert sp.epsilon_total == pytest.approx(
         pm.failure_probability(1e-10, 100), rel=1e-12
     )
     with pytest.raises(ValueError):
-        pm.SecurityParams(theta=0.001, t_e=100, epsilon_theta=1e-10, epsilon_total=0.5)
+        pm.SecurityParams(theta=0.001, t_e=100, epsilon_theta=1.5)
+    with pytest.raises(ValueError):
+        pm.SecurityParams(theta=0.001, t_e=-1, epsilon_theta=1e-10)
 
 
 def test_tally_summary_invariants():
@@ -411,7 +419,7 @@ def test_tally_summary_invariants():
         N_total=100, N_X=10, N_Z=90, n_x=8, n_z=80,
         x_wrong_singles=1, x_doubles=2, z_doubles_discarded=3, e_bx=0.25,
     )
-    assert t.q_x == pytest.approx(8 / 88)
+    assert pm.check_sample(t) == (88, pytest.approx(8 / 88), 0.25)
     with pytest.raises(ValueError):
         pm.TallySummary(
             N_total=100, N_X=10, N_Z=90, n_x=8, n_z=80,
@@ -425,8 +433,8 @@ def test_tally_summary_invariants():
 
 
 def test_rate_breakdown_and_estimate():
-    imp = pm.MeasurementImperfection.from_coefficient(0.952, 0.1, 0.1)
-    assert imp.overlap_c == pytest.approx(0.71896826642, rel=1e-9)
+    imp = imperfection()
+    assert imp.coefficient == 0.952
     rb = pm.rate_breakdown(10**6, 0.003, 0.001, 100, imp)
     assert rb.certifiable
     assert rb.R_final <= rb.R1 <= rb.R0
@@ -445,8 +453,8 @@ def test_rate_breakdown_and_estimate():
 
 
 def test_estimate_flags_basis_dependent_loss():
-    imp = pm.MeasurementImperfection.from_coefficient(0.952, 0.1, 0.1)
-    # check-basis detections far above the basis-choice share
+    imp = imperfection()
+    # check-basis pulses detected far more often than generation-basis ones
     t = pm.TallySummary(
         N_total=2_000_000, N_X=8000, N_Z=1_992_000, n_x=7900, n_z=500_000,
         x_wrong_singles=20, x_doubles=0, z_doubles_discarded=0,
@@ -456,14 +464,30 @@ def test_estimate_flags_basis_dependent_loss():
     assert est.warnings
 
 
+def test_estimate_check_ratio_counts_discarded_doubles():
+    # a quarter of the pulses click in each basis; a third of the Z clicks
+    # are discarded doubles, which the check sample keeps, so n_x / n sits
+    # 50 % above N_X / N_total while the bases are detected alike
+    t = pm.TallySummary(
+        N_total=1_000_000, N_X=4000, N_Z=996_000, n_x=1000, n_z=166_000,
+        x_wrong_singles=0, x_doubles=330, z_doubles_discarded=83_000,
+        e_bx=165.0 / 1000,
+    )
+    est = pm.estimate_protocol(t, 0.001, 100, imperfection())
+    assert est.q_x == pytest.approx(1.5 * t.N_X / t.N_total, rel=0.01)
+    assert est.warnings == ()
+
+
 def test_estimate_empty_check_sample_aborts():
-    imp = pm.MeasurementImperfection.from_coefficient(0.952, 0.1, 0.1)
+    imp = imperfection()
     t = pm.TallySummary(
         N_total=100, N_X=10, N_Z=90, n_x=0, n_z=50,
         x_wrong_singles=0, x_doubles=0, z_doubles_discarded=0, e_bx=0.0,
     )
     with pytest.raises(EstimationAbort):
         pm.estimate_protocol(t, 0.001, 100, imp)
+    with pytest.raises(EstimationAbort):
+        pm.check_sample(t)
 
 
 def test_regularize_error_rate():

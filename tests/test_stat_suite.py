@@ -26,7 +26,7 @@ def test_all_zeros_fails_monobit():
 
 
 def test_battery_on_alternating():
-    reports = st.run_battery(ALTERNATING)
+    reports = st.run_battery(ALTERNATING, alpha=0.01)
     by_name = {r.test_name: r for r in reports}
     assert len(reports) == 8
     assert by_name["monobit"].passed
@@ -45,7 +45,7 @@ def test_each_test_passes_on_null_input():
         bits = np.random.default_rng(seed + 1000).integers(
             0, 2, 1_000_000, dtype=np.uint8
         )
-        for r in st.run_battery(bits):
+        for r in st.run_battery(bits, alpha=0.01):
             if not r.passed:
                 fails[r.test_name] += 1
     for name, k in fails.items():
@@ -74,8 +74,8 @@ def test_p_values_uniform_under_null():
 
 def test_deterministic_p_values():
     bits = np.random.default_rng(42).integers(0, 2, 1_000_000, dtype=np.uint8)
-    a = st.run_battery(bits)
-    b = st.run_battery(bits.copy())
+    a = st.run_battery(bits, alpha=0.01)
+    b = st.run_battery(bits.copy(), alpha=0.01)
     assert [(r.test_name, r.p_value) for r in a] == [
         (r.test_name, r.p_value) for r in b
     ]
@@ -90,7 +90,7 @@ def test_individual_minimums():
 
 def test_battery_minimum():
     with pytest.raises(InsufficientBitsError):
-        st.run_battery(np.ones(999_999, dtype=np.uint8))
+        st.run_battery(np.ones(999_999, dtype=np.uint8), alpha=0.01)
 
 
 def test_longest_run_regimes():
@@ -103,7 +103,7 @@ def test_longest_run_regimes():
 
 def test_csv_format():
     bits = np.random.default_rng(2).integers(0, 2, 1_000_000, dtype=np.uint8)
-    text = st.battery_csv(st.run_battery(bits))
+    text = st.battery_csv(st.run_battery(bits, alpha=0.01))
     lines = text.strip().split("\n")
     assert lines[0] == "test,p_value,pass"
     assert len(lines) == 9
