@@ -388,12 +388,22 @@ def _cmd_pipeline(args) -> int:
     bits_path = os.path.join(outdir, cfg["path.output"])
     bits = _extract(stream, est.rates, seed, est.security.epsilon_total, bits_path)
 
-    _battery(
-        bits,
-        cfg["suite.alpha"],
-        cfg["suite.max_failures"],
-        os.path.join(outdir, "battery.csv"),
-    )
+    from .stat_suite import BATTERY_MIN_BITS
+
+    if len(bits) < BATTERY_MIN_BITS:
+        # the bits stay certified; only the sanity battery cannot run
+        print(
+            f"warning: battery skipped: {len(bits)} certified bits, "
+            f"it needs >= {BATTERY_MIN_BITS}",
+            file=sys.stderr,
+        )
+    else:
+        _battery(
+            bits,
+            cfg["suite.alpha"],
+            cfg["suite.max_failures"],
+            os.path.join(outdir, "battery.csv"),
+        )
 
     curve_path = os.path.join(outdir, "rate_curve.csv")
     lam_star, rate_star = _optimize(cfg, CURVE_GRID_STEP, curve_path)

@@ -10,6 +10,8 @@ assumes — that every used coefficient rounds to an exact integer.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +24,16 @@ from .protocol_math import RateBreakdown
 #: nearest integer before the result is considered unverifiable.
 ROUNDING_TOLERANCE = 0.25
 
+#: Half length from which toeplitz_fast runs its transforms on two
+#: threads; below it a thread costs more than it saves.
+THREADED_MIN_HALF_LEN = 1 << 15
+
 
 def _as_bits(x, length: int | None = None, name: str = "bits") -> np.ndarray:
     arr = np.asarray(x, dtype=np.uint8)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if not np.all(arr <= 1):
+    if arr.size and arr.max() > 1:
         raise ValueError(f"{name} must contain only 0/1 values")
     if length is not None and len(arr) != length:
         raise ValueError(f"{name} must have length {length}, got {len(arr)}")
@@ -62,7 +68,13 @@ def _fft_capacity_ok(seed: np.ndarray, x: np.ndarray, length: int) -> bool:
     """Conservative a-priori check that FFT round-off cannot reach 1/2.
 
     Round-off of a length-L real-FFT convolution is bounded by
-    C * eps * log2(L) * ||a||_2 * ||b||_2; C = 8 is generous.
+    C * eps * log2(L) * ||a||_2 * ||b||_2; C = 8 is generous. toeplitz_fast
+    sums two such convolutions of the seed's and the input's even and odd
+    phases per output coefficient, and by Cauchy-Schwarz
+    ||s_e|| ||x_e|| + ||s_o|| ||x_o|| <= ||s|| ||x|| (likewise with the
+    phases crossed), so the bound for the whole seed and input at the
+    half length covers the sum; the one-sample delay's unit phase factors
+    add a relative error of a few eps per bin, which C absorbs.
     """
     norm = math.sqrt(float(np.count_nonzero(seed))) * math.sqrt(
         float(np.count_nonzero(x))
@@ -71,40 +83,121 @@ def _fft_capacity_ok(seed: np.ndarray, x: np.ndarray, length: int) -> bool:
     return err < ROUNDING_TOLERANCE
 
 
+def _rowwise(pool: ThreadPoolExecutor | None, fn, rows):
+    """The rows of fn(rows), for an fn that maps a sequence of rows to a
+    stack of results row by row. Without a pool, one call on the calling
+    thread takes all rows; with one, the rows go two at a time, the pool's
+    worker computing fn(rows[i:i+1]) while the calling thread computes
+    fn(rows[i+1:i+2])."""
+    if pool is None:
+        return fn(rows)
+    out = []
+    for i in range(0, len(rows), 2):
+        pending = pool.submit(fn, rows[i : i + 1])
+        second = fn(rows[i + 1 : i + 2])[0]
+        out += [pending.result()[0], second]
+    return out
+
+
+def _unit_delay(length: int) -> np.ndarray:
+    """exp(-2 pi i f / length) for the real-FFT bins f = 0..length//2:
+    multiplying a spectrum by it delays the cyclic sequence one sample.
+
+    Past a thousand bins each factor is the product of a coarse and a fine
+    one, f = a*B + b with B about the square root of the bin count, so
+    only 2B complex exponentials are evaluated (a few times faster); the
+    product is off by a few eps.
+    """
+    bins = length // 2 + 1
+    w = -2j * math.pi / length
+    if bins < 1024:
+        return np.exp(np.arange(bins) * w)
+    block = math.isqrt(bins) + 1
+    coarse = np.exp(np.arange(0, bins, block) * w)
+    return np.outer(coarse, np.exp(np.arange(block) * w)).ravel()[:bins]
+
+
 def toeplitz_fast(spec: ToeplitzSpec, bits) -> np.ndarray:
     """FFT-convolution product, bit-identical to the dense matrix product.
 
     The Toeplitz product is the slice [n-1, n-1+m) of the integer
-    convolution seed * input, whose linear length is 2n+m-2. A cyclic
-    convolution of length L adds coefficient k+L and k-L onto k; for k in
-    the slice, k+L > 2n+m-3 and k-L < 0 exactly when L >= n+m-1, so the
-    slice is computed through a real FFT of the smallest fast length
-    >= n+m-1, with nothing wrapped onto it. Every used coefficient is
-    verified to sit within ROUNDING_TOLERANCE of an integer. An input
-    too large for the a-priori capacity check (about 7e12 bits) is
-    refused with ConvolutionPrecisionError.
+    convolution c = seed * input, of linear length 2n+m-2. It is computed
+    in polyphase form from the even (e) and odd (o) phases of both:
+
+        c[2k]   = (s_e * x_e)[k] + (s_o * x_o)[k-1]
+        c[2k+1] = (s_e * x_o)[k] + (s_o * x_e)[k]
+
+    four real FFTs of the phases and two inverse ones, all at the half
+    length h, the smallest fast length >= (n+m)//2; the one-sample delay
+    is a phase factor per bin. Transforms run two at a time, one on a
+    worker thread beside one on the calling thread, once h reaches
+    THREADED_MIN_HALF_LEN; below it both run in one call on the calling
+    thread.
+
+    Nothing wraps onto the slice: the cyclic convolution at h adds the
+    coefficients k+h and k-h of each half c[p::2] onto k. In half p the
+    used k run from ceil((n-1-p)/2) to (n+m-2-p)//2, and its last
+    coefficient, (2n+m-3-p)//2, lies less than (n+m)//2 past the first
+    used one; so any h >= (n+m)//2, which is also the length of s_e,
+    wraps nothing onto the used k and truncates no phase, and one sample
+    less would. Every used coefficient is verified to sit within
+    ROUNDING_TOLERANCE of an integer. An input too large for the
+    a-priori capacity check (about 7e12 bits) is refused with
+    ConvolutionPrecisionError.
     """
     x = _as_bits(bits, spec.input_len_n, "input")
+    seed = spec.seed_bits
     n, m = spec.input_len_n, spec.output_len_m
-    length = scipy.fft.next_fast_len(n + m - 1, real=True)
-    if not _fft_capacity_ok(spec.seed_bits, x, length):
+    h = scipy.fft.next_fast_len((n + m) // 2, real=True)
+    if not _fft_capacity_ok(seed, x, h):
         raise ConvolutionPrecisionError(
-            f"FFT length {length} exceeds the verified-exact capacity"
+            f"FFT length {h} exceeds the verified-exact capacity"
         )
-    spectrum = scipy.fft.rfft(
-        spec.seed_bits.astype(np.float64), length, workers=-1
-    )
-    spectrum *= scipy.fft.rfft(x.astype(np.float64), length, workers=-1)
-    conv = scipy.fft.irfft(spectrum, length, overwrite_x=True, workers=-1)
-    del spectrum
-    conv = conv[n - 1 : n - 1 + m]
+
+    def forward(phases):
+        rows = np.zeros((len(phases), h))
+        for row, phase in zip(rows, phases):
+            row[: len(phase)] = phase
+        return scipy.fft.rfft(rows, h)
+
+    def inverse(spectra):
+        return scipy.fft.irfft(spectra, h)
+
+    threaded = h >= THREADED_MIN_HALF_LEN
+    # the pool's worker is joined when the block ends, also on an error
+    with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as pool:
+        se, so, xe, xo = _rowwise(
+            pool, forward, [seed[0::2], seed[1::2], x[0::2], x[1::2]]
+        )
+        spectra = np.empty((2, h // 2 + 1), dtype=np.complex128)
+        even, odd = spectra
+        np.multiply(se, xo, out=odd)
+        xo *= so
+        so *= xe
+        odd += so
+        del so
+        np.multiply(se, xe, out=even)
+        del se, xe
+        xo *= _unit_delay(h)
+        even += xo
+        del xo, even, odd
+        halves = _rowwise(pool, inverse, spectra)  # c[0::2], c[1::2], cyclic
+        del spectra
+    conv = np.empty(m)
+    for p in (0, 1):
+        j = n - 1 + p  # conv[p::2] holds c[j], c[j+2], ...
+        conv[p::2] = halves[j % 2][j // 2 : j // 2 + (m - p + 1) // 2]
+    del halves
     rounded = np.rint(conv)
-    dev = float(np.max(np.abs(conv - rounded))) if m else 0.0
+    conv -= rounded
+    dev = float(np.abs(conv, out=conv).max())
     if dev >= ROUNDING_TOLERANCE:
         raise ConvolutionPrecisionError(
             f"convolution coefficient off an integer by {dev:.3g}"
         )
-    return (rounded.astype(np.int64) & 1).astype(np.uint8)
+    parity = rounded.astype(np.int64)
+    parity &= 1
+    return parity.astype(np.uint8)
 
 
 @dataclass(frozen=True)

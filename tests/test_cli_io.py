@@ -428,6 +428,33 @@ def test_pipeline_deterministic(tmp_path, capsys):
     assert "# warning:" not in Path(out1, "estimate.txt").read_text()
 
 
+def test_pipeline_below_battery_minimum_skips_battery(tmp_path, capsys):
+    # a low eta1 certifies fewer bits than the battery needs: the run still
+    # writes its bits, curve and summary and exits 0, and says it skipped
+    outdir = tmp_path / "run"
+    assert run_cli(
+        "pipeline", "--set", "detector.eta1=0.2", "--set", "run.n_pulses=2400000",
+        "--set", "run.seed=3", "--set", "run.duration=0.6", "--outdir", str(outdir),
+    ) == 0
+    captured = capsys.readouterr()
+    skipped = [
+        ln for ln in captured.err.splitlines()
+        if ln.startswith("warning: battery skipped: ")
+    ]
+    assert len(skipped) == 1
+    names = sorted(os.listdir(outdir))
+    assert "battery.csv" not in names
+    assert "rate_curve.csv" in names
+    bits, _ = io.read_bits(str(outdir / "certified.bits"))
+    assert 0 < len(bits) < 1_000_000
+    assert int(io.parse_keyvals(captured.out)["certified_bits"]) == len(bits)
+    # the testsuite subcommand still refuses such a file as a usage error
+    report = tmp_path / "battery.csv"
+    bits_path = str(outdir / "certified.bits")
+    assert run_cli("testsuite", "--bits", bits_path, "--out", str(report)) == 1
+    assert not report.exists()
+
+
 def test_pipeline_matches_subcommand_chain(tmp_path, capsys):
     seed_f = tmp_path / "seed.bin"
     seed_f.write_bytes(np.random.default_rng(5).bytes(600_000))

@@ -1,4 +1,6 @@
 """Hashing paths against an explicit matrix oracle and each other."""
+import threading
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -102,10 +104,12 @@ def test_fast_equals_naive_random_instances():
 
 
 def test_fast_equals_naive_at_tight_cyclic_length():
-    # n + m - 1 is itself a fast length, so the cyclic convolution is as
-    # short as the output slice allows. The lengths 6, 9, 10, 16, 25 and
-    # 81 follow another fast length, so one coefficient short of n+m-1
-    # wraps the first or last product term onto the slice.
+    # n + m - 1 is itself a fast length, which made the full-length
+    # cyclic convolution of earlier versions as short as the output slice
+    # allows (6, 9, 10, 16, 25 and 81 follow another fast length). The
+    # polyphase hash works at half that length; these shapes stay as a
+    # regression set, and test_fast_equals_naive_at_tight_half_length
+    # covers its own tight case.
     rng = np.random.default_rng(12)
     for length in (6, 9, 10, 16, 25, 81, 120, 243, 1000, 3125, 4096):
         assert scipy.fft.next_fast_len(length, real=True) == length
@@ -118,6 +122,89 @@ def test_fast_equals_naive_at_tight_cyclic_length():
             assert np.array_equal(
                 toeplitz_naive(spec, x), ex.toeplitz_fast(spec, x)
             )
+
+
+def full_length_fft_hash(spec: ex.ToeplitzSpec, x: np.ndarray) -> np.ndarray:
+    """The earlier fast path, an independent reference for sizes the
+    dense oracle cannot hold: one cyclic convolution at the smallest fast
+    length >= n+m-1, so nothing wraps onto the slice [n-1, n-1+m)."""
+    n, m = spec.input_len_n, spec.output_len_m
+    length = scipy.fft.next_fast_len(n + m - 1, real=True)
+    spectrum = scipy.fft.rfft(spec.seed_bits.astype(np.float64), length)
+    spectrum *= scipy.fft.rfft(x.astype(np.float64), length)
+    conv = scipy.fft.irfft(spectrum, length)[n - 1 : n - 1 + m]
+    rounded = np.rint(conv)
+    assert np.max(np.abs(conv - rounded)) < ex.ROUNDING_TOLERANCE
+    return (rounded.astype(np.int64) & 1).astype(np.uint8)
+
+
+def half_length(n, m):
+    return scipy.fft.next_fast_len((n + m) // 2, real=True)
+
+
+@pytest.mark.parametrize("n", [65_537, 65_538])  # n - 1 even, then odd
+def test_fast_equals_reference_on_two_threads(n, monkeypatch):
+    rng = np.random.default_rng(13 + n)
+    x = rng.integers(0, 2, n, dtype=np.uint8)
+    for m in (1, 2, 30_001, n - 1, n):
+        assert half_length(n, m) >= ex.THREADED_MIN_HALF_LEN
+        spec = ex.ToeplitzSpec(
+            n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8)
+        )
+        want = full_length_fft_hash(spec, x)
+        assert np.array_equal(ex.toeplitz_fast(spec, x), want)
+        # the same shapes with both halves on the calling thread
+        with monkeypatch.context() as patch:
+            patch.setattr(ex, "THREADED_MIN_HALF_LEN", 1 << 62)
+            assert np.array_equal(ex.toeplitz_fast(spec, x), want)
+        windows = np.lib.stride_tricks.sliding_window_view(spec.seed_bits, n)
+        for i in {0, m // 2, m - 1}:
+            assert want[i] == int(windows[i][::-1].astype(np.int64) @ x) & 1
+
+
+def test_fast_equals_naive_at_tight_half_length():
+    # (n + m) // 2 is itself a fast length, so the half length is as short
+    # as the polyphase slice allows: one sample shorter wraps the top
+    # coefficient of a half onto the first output, or truncates s_e.
+    # The dense oracle takes the small halves, the full-length reference
+    # the large ones; 1 << 15 is above the thread crossover.
+    rng = np.random.default_rng(14)
+    halves = (1, 2, 3, 5, 6, 9, 16, 25, 81, 120, 243, 1000, 3125, 4096, 1 << 15)
+    assert halves[-1] >= ex.THREADED_MIN_HALF_LEN
+    for half in halves:
+        assert half_length(half, half) == half
+        oracle = toeplitz_naive if half <= 243 else full_length_fft_hash
+        for total in (2 * half, 2 * half + 1):
+            for _ in range(20 if half <= 4096 else 3):
+                m = int(rng.integers(1, total // 2 + 1))
+                n = total - m
+                spec = ex.ToeplitzSpec(
+                    n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8)
+                )
+                x = rng.integers(0, 2, n, dtype=np.uint8)
+                assert half_length(n, m) == half
+                assert np.array_equal(oracle(spec, x), ex.toeplitz_fast(spec, x))
+
+
+@pytest.mark.parametrize("transform", ["rfft", "irfft"])
+def test_worker_error_leaves_the_hash_and_no_thread(transform, monkeypatch):
+    real = getattr(scipy.fft, transform)
+
+    def failing_on_worker(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker transform failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, transform, failing_on_worker)
+    rng = np.random.default_rng(15)
+    n = m = 1 << 16
+    assert half_length(n, m) >= ex.THREADED_MIN_HALF_LEN
+    spec = ex.ToeplitzSpec(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
+    x = rng.integers(0, 2, n, dtype=np.uint8)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="worker transform failed"):
+        ex.toeplitz_fast(spec, x)
+    assert threading.active_count() == before
 
 
 def test_large_instance_spot_window():

@@ -1,6 +1,7 @@
 """Battery behaviour on analytically extreme inputs and null-distribution
 calibration on a known-good generator."""
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -79,6 +80,30 @@ def test_deterministic_p_values():
     assert [(r.test_name, r.p_value) for r in a] == [
         (r.test_name, r.p_value) for r in b
     ]
+
+
+def test_battery_matches_tests_called_in_turn():
+    # spectral runs on a worker beside the other seven; the reports keep
+    # BATTERY's names, order and p-values
+    bits = np.random.default_rng(21).integers(0, 2, 1_000_000, dtype=np.uint8)
+    reports = st.run_battery(bits, alpha=0.01)
+    assert [r.test_name for r in reports] == [name for name, _ in st.BATTERY]
+    assert [r.p_value for r in reports] == [fn(bits) for _, fn in st.BATTERY]
+
+
+def test_battery_spectral_error_propagates_and_leaves_no_thread(monkeypatch):
+    def failing(bits):
+        raise RuntimeError("spectral failed")
+
+    monkeypatch.setattr(
+        st,
+        "BATTERY",
+        tuple((name, failing if name == "spectral" else fn) for name, fn in st.BATTERY),
+    )
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="spectral failed"):
+        st.run_battery(np.ones(1_000_000, dtype=np.uint8), alpha=0.01)
+    assert threading.active_count() == before
 
 
 def test_individual_minimums():
