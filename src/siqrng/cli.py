@@ -390,8 +390,12 @@ def _cmd_pipeline(args) -> int:
 
     from .stat_suite import BATTERY_MIN_BITS
 
+    battery_path = os.path.join(outdir, "battery.csv")
     if len(bits) < BATTERY_MIN_BITS:
-        # the bits stay certified; only the sanity battery cannot run
+        # the bits stay certified; only the sanity battery cannot run, and
+        # a report left by an earlier run would describe other bits
+        if os.path.exists(battery_path):
+            os.remove(battery_path)
         print(
             f"warning: battery skipped: {len(bits)} certified bits, "
             f"it needs >= {BATTERY_MIN_BITS}",
@@ -399,10 +403,7 @@ def _cmd_pipeline(args) -> int:
         )
     else:
         _battery(
-            bits,
-            cfg["suite.alpha"],
-            cfg["suite.max_failures"],
-            os.path.join(outdir, "battery.csv"),
+            bits, cfg["suite.alpha"], cfg["suite.max_failures"], battery_path
         )
 
     curve_path = os.path.join(outdir, "rate_curve.csv")

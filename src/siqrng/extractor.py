@@ -25,7 +25,10 @@ from .protocol_math import RateBreakdown
 ROUNDING_TOLERANCE = 0.25
 
 #: Half length from which toeplitz_fast runs its transforms on two
-#: threads; below it a thread costs more than it saves.
+#: threads; below it a thread costs more than it saves. scipy.fft's own
+#: workers= runs a batch of two rows on one thread, and splits four rows
+#: only by holding all four inputs and outputs at once (+290 MiB peak
+#: at the 2e7-pulse ingest shape).
 THREADED_MIN_HALF_LEN = 1 << 15
 
 
@@ -103,14 +106,16 @@ def _unit_delay(length: int) -> np.ndarray:
     """exp(-2 pi i f / length) for the real-FFT bins f = 0..length//2:
     multiplying a spectrum by it delays the cyclic sequence one sample.
 
-    Past a thousand bins each factor is the product of a coarse and a fine
+    From 320 bins on, each factor is the product of a coarse and a fine
     one, f = a*B + b with B about the square root of the bin count, so
-    only 2B complex exponentials are evaluated (a few times faster); the
-    product is off by a few eps.
+    only 2B complex exponentials are evaluated (6x faster at 5e6 bins);
+    the product is off by a few eps. Below that the product's extra numpy
+    calls cost more than the exponentials they save (measured crossover
+    about 300 bins), and each factor is evaluated directly.
     """
     bins = length // 2 + 1
     w = -2j * math.pi / length
-    if bins < 1024:
+    if bins < 320:
         return np.exp(np.arange(bins) * w)
     block = math.isqrt(bins) + 1
     coarse = np.exp(np.arange(0, bins, block) * w)

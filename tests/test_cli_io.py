@@ -430,8 +430,11 @@ def test_pipeline_deterministic(tmp_path, capsys):
 
 def test_pipeline_below_battery_minimum_skips_battery(tmp_path, capsys):
     # a low eta1 certifies fewer bits than the battery needs: the run still
-    # writes its bits, curve and summary and exits 0, and says it skipped
+    # writes its bits, curve and summary and exits 0, and says it skipped;
+    # a battery report left in the outdir by an earlier run is removed
     outdir = tmp_path / "run"
+    outdir.mkdir()
+    (outdir / "battery.csv").write_text("stale report\n")
     assert run_cli(
         "pipeline", "--set", "detector.eta1=0.2", "--set", "run.n_pulses=2400000",
         "--set", "run.seed=3", "--set", "run.duration=0.6", "--outdir", str(outdir),

@@ -104,12 +104,7 @@ def test_fast_equals_naive_random_instances():
 
 
 def test_fast_equals_naive_at_tight_cyclic_length():
-    # n + m - 1 is itself a fast length, which made the full-length
-    # cyclic convolution of earlier versions as short as the output slice
-    # allows (6, 9, 10, 16, 25 and 81 follow another fast length). The
-    # polyphase hash works at half that length; these shapes stay as a
-    # regression set, and test_fast_equals_naive_at_tight_half_length
-    # covers its own tight case.
+    # regression set; tight case: test_fast_equals_naive_at_tight_half_length
     rng = np.random.default_rng(12)
     for length in (6, 9, 10, 16, 25, 81, 120, 243, 1000, 3125, 4096):
         assert scipy.fft.next_fast_len(length, real=True) == length
