@@ -210,18 +210,27 @@ def _raw_clicks_panel(
 def _suppress_dead(raw: np.ndarray, window: int, warmup: np.ndarray) -> np.ndarray:
     """Clicks surviving dead time: live unless a raw attempt occurred in
     the previous ``window`` pulses. ``warmup`` supplies exactly the
-    ``window`` raw indicators preceding the block."""
+    ``window`` raw indicators preceding the block.
+
+    Pulse i of the block sits at ext[i + window] of ext = warmup + raw,
+    and its look-back is ext[i : i + window]. Each pass ORs ext with
+    itself shifted by the span covered so far, so ext[i] comes to cover
+    ext[i : i + span] with span doubling to the largest power of two
+    <= window; the spans at i and at i + window - span then cover the
+    look-back.
+    """
     if window == 0:
         return raw
     if len(warmup) != window:
         raise ValueError("warmup must supply exactly `window` pulses")
-    ext = np.concatenate([warmup, raw]).astype(np.int64)
-    total = np.concatenate([[0], np.cumsum(ext)])
-    # pulse i of the block sits at ext position i+window; its look-back
-    # window is ext[i : i+window]
-    i = np.arange(len(raw))
-    attempts_before = total[i + window] - total[i]
-    return raw & (attempts_before == 0)
+    ext = np.concatenate([warmup, raw])
+    span = 1
+    while 2 * span <= window:
+        ext[: len(ext) - span] |= ext[span:]
+        span *= 2
+    n = len(raw)
+    dead = ext[:n] | ext[window - span : window - span + n]
+    return raw & ~dead
 
 
 def _in_order(pool, draw, spans):

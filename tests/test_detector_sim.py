@@ -356,6 +356,26 @@ def test_dead_time_suppresses_clicks():
     assert clicks_gated < clicks_free
 
 
+def reference_suppress_dead(raw, window, warmup):
+    """Dead-time mask from the int64 prefix sums of warm-up + raw."""
+    ext = np.concatenate([warmup, raw]).astype(np.int64)
+    total = np.concatenate([[0], np.cumsum(ext)])
+    i = np.arange(len(raw))
+    return raw & (total[i + window] - total[i] == 0)
+
+
+def test_suppress_dead_matches_prefix_sum_form():
+    rng = np.random.default_rng(41)
+    for window in range(1, 10):
+        for rate in (0.02, 0.3, 0.9):
+            raw = rng.random(5_000) < rate
+            warmup = rng.random(window) < rate
+            got = ds._suppress_dead(raw, window, warmup.copy())
+            assert got.dtype == bool
+            assert np.array_equal(got, reference_suppress_dead(raw, window, warmup))
+    assert np.array_equal(ds._suppress_dead(raw, 0, warmup[:0]), raw)
+
+
 def test_determinism_across_runs():
     src, det, cfg = default_setup()
     a = ds.run_simulation(src, det, cfg, 200_000, seed=23)

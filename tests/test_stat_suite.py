@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 import scipy.fft
-from scipy.special import erfc
+from scipy.special import erfc, ndtr
 
 from siqrng import stat_suite as st
 from siqrng.errors import InsufficientBitsError
@@ -83,16 +83,19 @@ def test_deterministic_p_values():
 
 
 def test_battery_matches_tests_called_in_turn():
-    # spectral runs on a worker beside the other seven; the reports keep
-    # BATTERY's names, order and p-values
-    bits = np.random.default_rng(21).integers(0, 2, 1_000_000, dtype=np.uint8)
-    reports = st.run_battery(bits, alpha=0.01)
-    assert [r.test_name for r in reports] == [name for name, _ in st.BATTERY]
-    assert [r.p_value for r in reports] == [fn(bits) for _, fn in st.BATTERY]
+    # the worker computes the chirp spectrum and runs seven tests while
+    # spectral runs here; the reports keep BATTERY's names, order and
+    # p-values. 10^6 takes the real FFT, 2 * 500 009 the chirp-z transform.
+    rng = np.random.default_rng(21)
+    for n in (1_000_000, 2 * 500_009):
+        bits = rng.integers(0, 2, n, dtype=np.uint8)
+        reports = st.run_battery(bits, alpha=0.01)
+        assert [r.test_name for r in reports] == [name for name, _ in st.BATTERY]
+        assert [r.p_value for r in reports] == [fn(bits) for _, fn in st.BATTERY]
 
 
 def test_battery_spectral_error_propagates_and_leaves_no_thread(monkeypatch):
-    def failing(bits):
+    def failing(bits, chirp=None):
         raise RuntimeError("spectral failed")
 
     monkeypatch.setattr(
@@ -104,6 +107,48 @@ def test_battery_spectral_error_propagates_and_leaves_no_thread(monkeypatch):
     with pytest.raises(RuntimeError, match="spectral failed"):
         st.run_battery(np.ones(1_000_000, dtype=np.uint8), alpha=0.01)
     assert threading.active_count() == before
+
+
+def test_battery_chirp_error_propagates_and_leaves_no_thread(monkeypatch):
+    def failing(n):
+        raise RuntimeError("chirp failed")
+
+    monkeypatch.setattr(st, "_chirp_spectrum", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="chirp failed"):
+        st.run_battery(np.ones(2 * 500_009, dtype=np.uint8), alpha=0.01)
+    assert threading.active_count() == before
+
+
+def reference_cumulative_sums(b):
+    """The float64 form of the forward cumulative-sums test."""
+    n = len(b)
+    z = float(np.max(np.abs(np.cumsum(2.0 * b.astype(np.float64) - 1.0))))
+    sqrt_n = math.sqrt(n)
+    k_hi = int(math.floor((n / z - 1.0) / 4.0))
+    k1 = np.arange(int(math.floor((-n / z + 1.0) / 4.0)), k_hi + 1)
+    total = float(
+        np.sum(ndtr((4 * k1 + 1) * z / sqrt_n) - ndtr((4 * k1 - 1) * z / sqrt_n))
+    )
+    k2 = np.arange(int(math.floor((-n / z - 3.0) / 4.0)), k_hi + 1)
+    total2 = float(
+        np.sum(ndtr((4 * k2 + 3) * z / sqrt_n) - ndtr((4 * k2 + 1) * z / sqrt_n))
+    )
+    return float(min(max(1.0 - total + total2, 0.0), 1.0))
+
+
+def test_cumulative_sums_matches_float_form():
+    rng = np.random.default_rng(8)
+    for n in (100, 1001, 250_000):
+        for b in (
+            rng.integers(0, 2, n, dtype=np.uint8),
+            (rng.random(n) < 0.52).astype(np.uint8),
+            (rng.random(n) < 0.3).astype(np.uint8),
+            np.ones(n, dtype=np.uint8),
+            np.zeros(n, dtype=np.uint8),
+            (np.arange(n) % 2).astype(np.uint8),
+        ):
+            assert st.cumulative_sums(b) == reference_cumulative_sums(b)
 
 
 def test_individual_minimums():
@@ -145,15 +190,30 @@ def reference_spectral(b):
     return mags, n1, float(erfc(abs(d) / math.sqrt(2.0)))
 
 
+def is_prime(k):
+    return k > 1 and all(k % d for d in range(2, math.isqrt(k) + 1))
+
+
 def test_spectral_matches_real_fft_form():
-    # even lengths take the packed half-length FFT: 2 * prime, 5-smooth,
-    # mixed factors; odd lengths take the real FFT
+    # lengths from every branch of the router: smooth ones take the real
+    # FFT; the others the chirp-z transform, even ones of the packed
+    # half-length sequence and odd ones of the real sequence
     rng = np.random.default_rng(3)
-    lengths = (
-        2 * 100_003, 100_000, 2 * 3 * 7 * 11 * 13 * 17, 1000, 1002,
-        100_001, 99_999, 1001,
+    bound = st.SPECTRAL_DIRECT_MAX_PRIME
+    below = max(p for p in range(2, bound + 1) if is_prime(p))
+    above = min(p for p in range(bound + 1, 2 * bound + 2) if is_prime(p))
+    direct = (
+        100_000, 2 * 3 * 7 * 11 * 13 * 17, 1000, 1002,  # smooth even
+        3**4 * 5**3 * 7, 99_999, 1001,  # smooth odd
+        2 * 256 * below,  # half's largest prime just below the bound
     )
-    for n in lengths:
+    chirp = (
+        2 * 256 * above,  # just above it
+        2 * 100_003, 2 * 1009,  # prime half
+        100_001, 3 * 1009,  # odd with a large prime factor
+    )
+    for n in direct + chirp:
+        assert (st._chirp_plan(n) is None) == (n in direct)
         inputs = (
             rng.integers(0, 2, n, dtype=np.uint8),
             (rng.random(n) < 0.53).astype(np.uint8),
