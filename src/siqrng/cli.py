@@ -283,6 +283,8 @@ def _cmd_extract(args) -> int:
         raise FormatError(f"estimate file missing key {exc}") from exc
     except ValueError as exc:
         raise FormatError(f"estimate file has a bad value: {exc}") from exc
+    if not 0.0 <= epsilon_total <= 1.0:
+        raise FormatError(f"estimate file has epsilon_total {epsilon_total!r}")
     seed = io_formats.read_seed_file(args.seed_file)
     _extract(stream, rates, seed, epsilon_total, args.out)
     return EXIT_OK
@@ -341,6 +343,14 @@ def _cmd_optimize(args) -> int:
     return EXIT_OK
 
 
+def _check_gate(alpha: float, max_failures: int) -> None:
+    """ConfigError unless alpha is in (0, 1) and max_failures >= 0."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"suite alpha must be in (0, 1), got {alpha!r}")
+    if max_failures < 0:
+        raise ConfigError(f"suite max_failures must be >= 0, got {max_failures}")
+
+
 def _battery(bits: np.ndarray, alpha: float, max_failures: int, out: str | None):
     from . import stat_suite  # loads scipy; only the battery needs it
 
@@ -358,6 +368,7 @@ def _battery(bits: np.ndarray, alpha: float, max_failures: int, out: str | None)
 
 
 def _cmd_testsuite(args) -> int:
+    _check_gate(args.alpha, args.max_failures)
     bits, _ = io_formats.read_bits(args.bits)
     _battery(bits, args.alpha, args.max_failures, args.out)
     return EXIT_OK
@@ -366,6 +377,7 @@ def _cmd_testsuite(args) -> int:
 def _cmd_pipeline(args) -> int:
     cfg = _load_config(args)
     duration = cfg.duration  # checked before any work
+    _check_gate(cfg["suite.alpha"], cfg["suite.max_failures"])
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
 

@@ -33,6 +33,7 @@ BASIS_Z = 0
 BASIS_X = 1
 
 #: Outcome codes are the click bits: detector 0 is bit 0, detector 1 bit 1.
+#: A pulse's event code is ``basis | outcome << 1``, the SQEB v1 body byte.
 OUTCOME_NONE = 0
 OUTCOME_D0 = 1
 OUTCOME_D1 = 2
@@ -90,30 +91,22 @@ class DetectorParams:
 
 
 class EventStream:
-    """Column-store of consecutive pulse events.
+    """Consecutive pulse events: one uint8 event code per pulse plus the
+    index of the first pulse; indices are consecutive by construction.
+    The codes may be a read-only view of an event file's bytes."""
 
-    Holds the basis and outcome codes as uint8 arrays plus the index of
-    the first pulse; indices are consecutive by construction.
-    """
-
-    def __init__(self, basis: np.ndarray, outcome: np.ndarray, start: int = 0):
-        basis = np.asarray(basis, dtype=np.uint8)
-        outcome = np.asarray(outcome, dtype=np.uint8)
-        if basis.shape != outcome.shape or basis.ndim != 1:
-            raise ValueError("basis/outcome must be 1-d arrays of equal length")
-        self.basis = basis
-        self.outcome = outcome
+    def __init__(self, codes: np.ndarray, start: int = 0):
+        self.codes = codes
         self.start = start
 
     def __len__(self):
-        return len(self.basis)
+        return len(self.codes)
 
     def __eq__(self, other):
         return (
             isinstance(other, EventStream)
             and self.start == other.start
-            and np.array_equal(self.basis, other.basis)
-            and np.array_equal(self.outcome, other.outcome)
+            and np.array_equal(self.codes, other.codes)
         )
 
 
@@ -269,7 +262,7 @@ def simulate_range(
     """Events for pulses [start, start+count), byte-identical to the same
     slice of a serial full run.
 
-    Both event arrays are allocated up front and filled panel by panel;
+    The code array is allocated up front and filled panel by panel;
     a count too large to allocate raises RunTooLargeError before any
     simulation work. Dead-time state is warmed up by recomputing the raw
     attempts of the ``window`` pulses before ``start``. The panels' raw
@@ -279,8 +272,7 @@ def simulate_range(
     if count < 0:
         raise ValueError("count must be >= 0")
     try:
-        basis = np.empty(count, dtype=np.uint8)
-        outcome = np.empty(count, dtype=np.uint8)
+        codes = np.empty(count, dtype=np.uint8)
     except MemoryError:
         raise RunTooLargeError(
             f"{count} pulses do not fit in memory; simulate fewer pulses"
@@ -313,13 +305,13 @@ def simulate_range(
             skip = max(0, start - lo)  # warm-up pulses at the front
             if skip >= hi - lo:
                 continue
-            out = slice(lo + skip - start, hi - start)
-            basis[out] = b[t_lo + skip : t_hi]
-            np.left_shift(click1[skip:].view(np.uint8), 1, out=outcome[out])
-            outcome[out] |= click0[skip:].view(np.uint8)
+            out = codes[lo + skip - start : hi - start]
+            np.left_shift(click1[skip:].view(np.uint8), 2, out=out)
+            out |= click0[skip:].view(np.uint8) << 1
+            out |= b[t_lo + skip : t_hi]
     finally:
         pool.shutdown(cancel_futures=True)
-    return EventStream(basis, outcome, start=start)
+    return EventStream(codes, start=start)
 
 
 def tally(events: EventStream) -> TallySummary:
@@ -330,33 +322,25 @@ def tally(events: EventStream) -> TallySummary:
     doubles and nulls are discarded from n_z. Raises EstimationAbort when
     the check sample is empty.
     """
-    basis = events.basis
-    outcome = events.outcome
-    is_x = basis == BASIS_X
-    is_z = ~is_x
-
-    x_out = outcome[is_x]
-    n_x = int(np.count_nonzero(x_out != OUTCOME_NONE))
-    x_wrong = int(np.count_nonzero(x_out == OUTCOME_D1))
-    x_dbl = int(np.count_nonzero(x_out == OUTCOME_DOUBLE))
-
-    z_out = outcome[is_z]
-    n_z = int(
-        np.count_nonzero((z_out == OUTCOME_D0) | (z_out == OUTCOME_D1))
-    )
-    z_dbl = int(np.count_nonzero(z_out == OUTCOME_DOUBLE))
-
+    # code = basis | outcome << 1, so the eight per-code counts form a
+    # table indexed [outcome, basis]
+    per_code = [np.count_nonzero(events.codes == c) for c in range(8)]
+    table = np.array(per_code).reshape(4, 2)
+    x, z = table[:, BASIS_X].tolist(), table[:, BASIS_Z].tolist()
+    n_x = sum(x) - x[OUTCOME_NONE]
+    x_wrong, x_dbl = x[OUTCOME_D1], x[OUTCOME_DOUBLE]
+    n_z = z[OUTCOME_D0] + z[OUTCOME_D1]
     if n_x == 0:
         raise EstimationAbort("no detected check-basis events to estimate from")
     return TallySummary(
         N_total=len(events),
-        N_X=int(np.count_nonzero(is_x)),
-        N_Z=int(np.count_nonzero(is_z)),
+        N_X=sum(x),
+        N_Z=sum(z),
         n_x=n_x,
         n_z=n_z,
         x_wrong_singles=x_wrong,
         x_doubles=x_dbl,
-        z_doubles_discarded=z_dbl,
+        z_doubles_discarded=z[OUTCOME_DOUBLE],
         e_bx=(x_wrong + 0.5 * x_dbl) / n_x,
     )
 
@@ -366,9 +350,9 @@ def raw_bits_from_events(events: EventStream) -> np.ndarray:
 
     Doubles and nulls never enter the string.
     """
-    # One pass over the codes: D0 -> 0 and D1 -> 1, while a null (which
-    # wraps to 255), a double (2) and every X-basis pulse (set to 255)
-    # land above 1 and are dropped.
-    code = events.outcome - np.uint8(OUTCOME_D0)
-    np.putmask(code, events.basis != BASIS_Z, 255)
-    return np.compress(code <= OUTCOME_D1 - OUTCOME_D0, code)
+    codes = events.codes
+    keep = codes == (BASIS_Z | OUTCOME_D0 << 1)
+    keep |= codes == (BASIS_Z | OUTCOME_D1 << 1)
+    bits = np.compress(keep, codes)
+    bits >>= 2  # the detector-1 click bit: D0 -> 0, D1 -> 1
+    return bits

@@ -16,17 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector_sim import (
-    BASIS_X,
-    BASIS_Z,
-    OUTCOME_D0,
-    OUTCOME_D1,
-    OUTCOME_DOUBLE,
-    OUTCOME_NONE,
-    DetectorParams,
-    EventStream,
-    MeasurementConfig,
-)
+from .detector_sim import DetectorParams, EventStream, MeasurementConfig
 from .errors import ConfigError, FormatError
 from .protocol_math import TallySummary
 from .source_sim import SUNLIGHT_FLUCTUATION, SourceParams
@@ -35,15 +25,10 @@ TEXT_MAGIC = "#SIQRNG-EVENTS v1"
 BINARY_MAGIC = b"SQEB"
 BINARY_VERSION = 1
 
-_BASIS_TO_CHAR = {BASIS_Z: "Z", BASIS_X: "X"}
-_CHAR_TO_BASIS = {v: k for k, v in _BASIS_TO_CHAR.items()}
-_OUTCOME_TO_CHAR = {
-    OUTCOME_NONE: "N",
-    OUTCOME_D0: "A",
-    OUTCOME_D1: "B",
-    OUTCOME_DOUBLE: "D",
-}
-_CHAR_TO_OUTCOME = {v: k for k, v in _OUTCOME_TO_CHAR.items()}
+#: Text pair "basis,outcome" of each event code (detector_sim: code =
+#: basis | outcome << 1, with Z/X for the bases and N/A/B/D for none,
+#: detector 0, detector 1 and double).
+_CODE_TEXT = ("Z,N", "X,N", "Z,A", "X,A", "Z,B", "X,B", "Z,D", "X,D")
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -70,11 +55,8 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def events_to_text(stream: EventStream) -> str:
     lines = [TEXT_MAGIC, "index,basis,outcome"]
-    for i in range(len(stream)):
-        lines.append(
-            f"{stream.start + i},{_BASIS_TO_CHAR[int(stream.basis[i])]},"
-            f"{_OUTCOME_TO_CHAR[int(stream.outcome[i])]}"
-        )
+    for i, code in enumerate(stream.codes.tolist(), stream.start):
+        lines.append(f"{i},{_CODE_TEXT[code]}")
     return "\n".join(lines) + "\n"
 
 
@@ -89,26 +71,22 @@ def events_from_text(text: str) -> EventStream:
         raise FormatError("missing event-file column header")
     pos += 1
     records = [ln for ln in lines[pos:] if ln]
-    basis = np.empty(len(records), dtype=np.uint8)
-    outcome = np.empty(len(records), dtype=np.uint8)
+    codes = np.empty(len(records), dtype=np.uint8)
     start = 0
     prev = -1
     for i, ln in enumerate(records):
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise FormatError(f"bad event record: {ln!r}")
+        index, _, pair = ln.partition(",")
         try:
-            idx = int(parts[0])
-            basis[i] = _CHAR_TO_BASIS[parts[1]]
-            outcome[i] = _CHAR_TO_OUTCOME[parts[2]]
-        except (ValueError, KeyError) as exc:
+            idx = int(index)
+            codes[i] = _CODE_TEXT.index(pair)
+        except ValueError as exc:
             raise FormatError(f"bad event record: {ln!r}") from exc
         if i == 0:
             start = idx
         elif idx != prev + 1:
             raise FormatError(f"event indices not consecutive at {idx}")
         prev = idx
-    return EventStream(basis, outcome, start=start)
+    return EventStream(codes, start=start)
 
 
 def events_to_binary(stream: EventStream) -> bytes:
@@ -117,12 +95,11 @@ def events_to_binary(stream: EventStream) -> bytes:
     header = BINARY_MAGIC + bytes([BINARY_VERSION]) + struct.pack(
         "<Q", len(stream)
     )
-    body = np.left_shift(stream.outcome, 1)
-    body |= stream.basis
-    return header + memoryview(body)
+    return header + memoryview(stream.codes)
 
 
 def events_from_binary(data: bytes) -> EventStream:
+    """The stream whose codes are a read-only view of ``data``'s body."""
     if len(data) < 13 or data[:4] != BINARY_MAGIC:
         raise FormatError("missing binary event-file magic")
     if data[4] != BINARY_VERSION:
@@ -132,10 +109,10 @@ def events_from_binary(data: bytes) -> EventStream:
         raise FormatError(
             f"event-file length {len(data)} does not match count {count}"
         )
-    raw = np.frombuffer(data, dtype=np.uint8, offset=13)
-    if raw.max(initial=0) > 7:
+    codes = np.frombuffer(data, dtype=np.uint8, offset=13)
+    if codes.max(initial=0) > 7:
         raise FormatError("event byte has reserved bits set")
-    return EventStream(raw & 1, raw >> 1, start=0)
+    return EventStream(codes, start=0)
 
 
 def write_events(path: str, stream: EventStream, binary: bool = True) -> None:
@@ -187,8 +164,10 @@ def read_bits(path: str) -> tuple[np.ndarray, float | None]:
             raise FormatError(f"bad sidecar {sidecar}") from exc
         if count < 0:
             raise FormatError(f"negative sidecar bit count {count}")
-        if count > len(data) * 8:
-            raise FormatError("sidecar bit count exceeds file size")
+        if (count + 7) // 8 != len(data):
+            raise FormatError(
+                f"sidecar bit count {count} does not match {len(data)} bytes"
+            )
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count)
     return bits, epsilon
 

@@ -278,6 +278,8 @@ class RateBreakdown:
     coefficient: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.R0, self.R1, self.R_final))):
+            raise ValueError("lengths must be finite")
         if not 0.0 < self.rescale_factor <= 1.0 + 1e-12:
             raise ValueError("rescale_factor must be in (0, 1]")
         if self.R1 > self.R0 + 1e-6:

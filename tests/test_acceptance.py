@@ -20,6 +20,7 @@ from siqrng import stat_suite as st
 from siqrng.cli import main as cli_main
 from siqrng.source_sim import SourceParams
 
+import event_codes as ec
 from toeplitz_oracle import toeplitz_naive
 
 
@@ -88,8 +89,8 @@ def test_acceptance_4_single_click_monte_carlo():
         )
         lam_p = src.mean_photons_lambda * det.eta0
         p_model = 2.0 * math.exp(-lam_p / 2) * (1.0 - math.exp(-lam_p / 2))
-        is_z = stream.basis == ds.BASIS_Z
-        z_out = stream.outcome[is_z]
+        is_z = ec.basis(stream) == ds.BASIS_Z
+        z_out = ec.outcome(stream)[is_z]
         singles = int(
             np.count_nonzero((z_out == ds.OUTCOME_D0) | (z_out == ds.OUTCOME_D1))
         )

@@ -3,6 +3,7 @@ with the documented exit codes."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,14 +16,13 @@ from siqrng.cli import main
 from siqrng.errors import ConfigError, FormatError
 from siqrng.protocol_math import TallySummary
 
+import event_codes as ec
+
 RNG = np.random.default_rng(77)
 
 
 def random_stream(n=500):
-    return ds.EventStream(
-        RNG.integers(0, 2, n).astype(np.uint8),
-        RNG.integers(0, 4, n).astype(np.uint8),
-    )
+    return ds.EventStream(RNG.integers(0, 8, n).astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +37,14 @@ def test_text_round_trip():
     back = io.events_from_text(text)
     assert back == stream
     assert io.events_to_text(back) == text
+    pairs = ec.stream(
+        [ds.BASIS_Z, ds.BASIS_X, ds.BASIS_X, ds.BASIS_Z],
+        [ds.OUTCOME_D0, ds.OUTCOME_D1, ds.OUTCOME_DOUBLE, ds.OUTCOME_NONE],
+        start=7,
+    )
+    assert io.events_to_text(pairs).split("\n")[2:] == [
+        "7,Z,A", "8,X,B", "9,X,D", "10,Z,N", ""
+    ]
 
 
 def test_binary_round_trip():
@@ -92,6 +100,21 @@ def test_event_file_io(tmp_path):
         assert io.read_events(path) == stream
 
 
+def test_read_and_tally_memory(tmp_path):
+    # the file body is the in-memory stream, and tally needs one boolean
+    # temporary at a time: about 2 bytes per event at the peak
+    n = 2_000_000
+    path = str(tmp_path / "events.sqeb")
+    io.write_events(path, random_stream(n))
+    tracemalloc.start()
+    try:
+        ds.tally(io.read_events(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n
+
+
 # ---------------------------------------------------------------------------
 # bits files
 
@@ -110,8 +133,9 @@ def test_bits_file_round_trip(tmp_path):
 
 def test_bits_sidecar_validation(tmp_path):
     path = str(tmp_path / "out.bits")
-    io.write_bits(path, np.ones(8, dtype=np.uint8), 0.5)
-    for count in ("9999", "-8"):
+    io.write_bits(path, np.ones(16, dtype=np.uint8), 0.5)
+    # a count that needs more or fewer bytes than the file holds is stale
+    for count in ("9999", "-8", "8"):
         io.atomic_write_text(path + ".len", f"{count}\n0.5\n")
         with pytest.raises(FormatError):
             io.read_bits(path)
@@ -269,6 +293,21 @@ def test_cli_usage_errors_are_exit_one(tmp_path):
         assert not outdir.exists()
     assert run_cli(*counts, "--set", "run.n_pulses=0", "--out", str(est)) == 1
     assert not est.exists()
+    # a battery gate with alpha outside (0, 1) or max_failures < 0 is refused
+    bits_f = str(tmp_path / "good.bits")
+    io.write_bits(bits_f, RNG.integers(0, 2, 1_000_000).astype(np.uint8), 1e-9)
+    report = tmp_path / "battery.csv"
+    gates = (
+        ("--alpha", "-1"), ("--alpha", "0"), ("--alpha", "1"), ("--alpha", "2"),
+        ("--alpha", "nan"), ("--max-failures", "-1"),
+    )
+    for flag, value in gates:
+        assert run_cli("testsuite", "--bits", bits_f, flag, value, "--out", str(report)) == 1
+        assert not report.exists()
+        key = "suite." + flag[2:].replace("-", "_")
+        outdir = tmp_path / "run"
+        assert run_cli("pipeline", "--set", f"{key}={value}", "--outdir", str(outdir)) == 1
+        assert not outdir.exists()
 
 
 def test_cli_oversized_run_is_exit_one(tmp_path, capsys):
@@ -368,13 +407,22 @@ def test_cli_io_errors_are_exit_four(tmp_path):
         "r0": "12.0", "r1": "11.0", "r_final": "10.5", "rescale_factor": "1.0",
         "entropy_cost": "0.5", "coefficient": "0.952", "epsilon_total": "1e-9",
     }
-    est_f = tmp_path / "estimate.txt"
-    for change, code in (({}, 0), ({"r0": "abc"}, 4), ({"r1": "13.0"}, 4)):
+    est_f, bits_f = tmp_path / "estimate.txt", tmp_path / "out.bits"
+    changes = (
+        ({}, 0), ({"r0": "abc"}, 4), ({"r1": "13.0"}, 4),
+        # a certificate needs finite lengths and a probability for epsilon
+        ({"r_final": "nan"}, 4), ({"r_final": "-inf"}, 4), ({"r0": "inf"}, 4),
+        ({"epsilon_total": "nan"}, 4), ({"epsilon_total": "-1"}, 4),
+        ({"epsilon_total": "2"}, 4),
+    )
+    for change, code in changes:
         est_f.write_text(io.dump_keyvals({**good, **change}))
+        bits_f.unlink(missing_ok=True)
         assert run_cli(
             "extract", "--events", events, "--estimate", str(est_f),
-            "--seed-file", str(seed_f), "--out", str(tmp_path / "out.bits"),
+            "--seed-file", str(seed_f), "--out", str(bits_f),
         ) == code
+        assert bits_f.exists() == (code == 0)
 
 
 def test_cli_suite_failure_is_exit_three(tmp_path, capsys):

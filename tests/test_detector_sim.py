@@ -13,6 +13,8 @@ from siqrng import detector_sim as ds
 from siqrng.errors import EstimationAbort
 from siqrng.source_sim import PolarizationState, SourceParams, polarization_from_waveplates
 
+import event_codes as ec
+
 PLUS = polarization_from_waveplates(22.5, 0.0)
 
 
@@ -104,7 +106,7 @@ def test_detect_nothing_without_efficiency_or_darks():
     cfg = ds.MeasurementConfig(prob_X=0.5)
     for src in (SourceParams(mean_photons_lambda=50.0), SourceParams.sunlight()):
         stream = ds.run_simulation(src, det, cfg, 200_000, seed=0)
-        assert not stream.outcome.any()
+        assert not ec.outcome(stream).any()
 
 
 def test_detect_dark_click_probability():
@@ -116,7 +118,7 @@ def test_detect_dark_click_probability():
     stream = ds.run_simulation(
         SourceParams(mean_photons_lambda=0.0), det, ds.MeasurementConfig(), n, seed=1
     )
-    clicks = np.count_nonzero(stream.outcome != ds.OUTCOME_NONE)
+    clicks = np.count_nonzero(ec.outcome(stream) != ds.OUTCOME_NONE)
     expected = 1.0 - (1.0 - d) ** 2  # = 1 - exp(-2 * rate * gate)
     sigma = math.sqrt(expected * (1 - expected) / n)
     assert abs(clicks / n - expected) <= 3.0 * sigma
@@ -131,7 +133,7 @@ def test_detect_single_click_matches_closed_form():
         SourceParams(mean_photons_lambda=lam), det, cfg, n, seed=2
     )
     singles = np.count_nonzero(
-        (stream.outcome == ds.OUTCOME_D0) | (stream.outcome == ds.OUTCOME_D1)
+        (ec.outcome(stream) == ds.OUTCOME_D0) | (ec.outcome(stream) == ds.OUTCOME_D1)
     )
     lp = lam * eta
     expected = 2.0 * math.exp(-lp / 2) * (1.0 - math.exp(-lp / 2))
@@ -148,7 +150,7 @@ def test_dead_time_state_paralyzable_semantics():
     )
     src = SourceParams(mean_photons_lambda=100.0, pulse_rate_G=4.0e6)
     cfg = ds.MeasurementConfig(prob_X=1.0)
-    outs = ds.run_simulation(src, det, cfg, 6, seed=3).outcome.tolist()
+    outs = ec.outcome(ds.run_simulation(src, det, cfg, 6, seed=3)).tolist()
     assert outs == [
         ds.OUTCOME_D0,
         ds.OUTCOME_NONE,
@@ -159,7 +161,7 @@ def test_dead_time_state_paralyzable_semantics():
     ]
     # without dead time every pulse clicks
     free = ds.DetectorParams(eta0=1.0, eta1=1.0, dark_rate=0.0, dead_time=0.0)
-    outs = ds.run_simulation(src, free, cfg, 6, seed=3).outcome.tolist()
+    outs = ec.outcome(ds.run_simulation(src, free, cfg, 6, seed=3)).tolist()
     assert outs == [ds.OUTCOME_D0] * 6
 
 
@@ -187,8 +189,8 @@ def test_generation_basis_single_click_rate_matches_model():
     stream = ds.run_simulation(src, det, cfg, 1_000_000, seed=6)
     lam_p = src.mean_photons_lambda * det.eta0
     p_single = 2.0 * math.exp(-lam_p / 2) * (1.0 - math.exp(-lam_p / 2))
-    is_z = stream.basis == ds.BASIS_Z
-    z_out = stream.outcome[is_z]
+    is_z = ec.basis(stream) == ds.BASIS_Z
+    z_out = ec.outcome(stream)[is_z]
     singles = np.count_nonzero((z_out == ds.OUTCOME_D0) | (z_out == ds.OUTCOME_D1))
     nz = int(np.count_nonzero(is_z))
     sigma = math.sqrt(p_single * (1 - p_single) / nz)
@@ -208,9 +210,9 @@ def test_error_rate_floor_from_darks_and_doubles():
     # per check pulse: weighted error w in {0, 0.5, 1}
     mu_w = q1 * (1 - q0) + 0.5 * q0 * q1
     var_w = q1 * (1 - q0) + 0.25 * q0 * q1 - mu_w ** 2
-    is_x = stream.basis == ds.BASIS_X
+    is_x = ec.basis(stream) == ds.BASIS_X
     nx_pulses = int(np.count_nonzero(is_x))
-    x_out = stream.outcome[is_x]
+    x_out = ec.outcome(stream)[is_x]
     observed = np.count_nonzero(x_out == ds.OUTCOME_D1) + 0.5 * np.count_nonzero(
         x_out == ds.OUTCOME_DOUBLE
     )
@@ -221,8 +223,8 @@ def test_error_rate_floor_from_darks_and_doubles():
 def test_loss_is_basis_independent():
     src, det, cfg = default_setup()
     stream = ds.run_simulation(src, det, cfg, 1_000_000, seed=8)
-    detected = stream.outcome != ds.OUTCOME_NONE
-    is_x = stream.basis == ds.BASIS_X
+    detected = ec.outcome(stream) != ds.OUTCOME_NONE
+    is_x = ec.basis(stream) == ds.BASIS_X
     table = np.array(
         [
             [np.count_nonzero(is_x & detected), np.count_nonzero(is_x & ~detected)],
@@ -241,7 +243,7 @@ def test_double_click_rate_grows_with_lambda():
         stream = ds.run_simulation(
             SourceParams(mean_photons_lambda=lam), det, cfg, 200_000, seed=11
         )
-        frac = np.count_nonzero(stream.outcome == ds.OUTCOME_DOUBLE) / len(stream)
+        frac = np.count_nonzero(ec.outcome(stream) == ds.OUTCOME_DOUBLE) / len(stream)
         d = det.dark_click_prob
         q = 1.0 - (1.0 - d) * math.exp(-lam * det.eta0 / 2)
         sigma = math.sqrt(q * q * (1 - q * q) / len(stream))
@@ -256,9 +258,7 @@ def assert_serial_equals_chunked(src, det, cfg, seed, sizes):
     for size in sizes:
         part = ds.simulate_range(src, det, cfg, seed, pos, size)
         end = pos + size
-        assert part == ds.EventStream(
-            full.basis[pos:end], full.outcome[pos:end], start=pos
-        )
+        assert part == ds.EventStream(full.codes[pos:end], start=pos)
         pos = end
 
 
@@ -351,8 +351,8 @@ def test_dead_time_suppresses_clicks():
     gated = ds.run_simulation(
         src, ds.DetectorParams(dead_time=600e-9), cfg, 200_000, seed=19
     )
-    clicks_free = np.count_nonzero(free.outcome != ds.OUTCOME_NONE)
-    clicks_gated = np.count_nonzero(gated.outcome != ds.OUTCOME_NONE)
+    clicks_free = np.count_nonzero(ec.outcome(free) != ds.OUTCOME_NONE)
+    clicks_gated = np.count_nonzero(ec.outcome(gated) != ds.OUTCOME_NONE)
     assert clicks_gated < clicks_free
 
 
@@ -392,7 +392,7 @@ def test_determinism_across_runs():
 def build_stream(records):
     basis = np.array([b for b, _ in records], dtype=np.uint8)
     outcome = np.array([o for _, o in records], dtype=np.uint8)
-    return ds.EventStream(basis, outcome)
+    return ec.stream(basis, outcome)
 
 
 def test_tally_hand_count():
@@ -418,7 +418,7 @@ def test_tally_all_none_aborts():
 def reference_tally(stream):
     """Independent single-pass counter over the (basis, outcome) pairs."""
     N_X = N_Z = n_x = n_z = wrong = dbl_x = dbl_z = 0
-    for basis, outcome in zip(stream.basis, stream.outcome):
+    for basis, outcome in zip(ec.basis(stream), ec.outcome(stream)):
         if basis == ds.BASIS_X:
             N_X += 1
             if outcome != ds.OUTCOME_NONE:
@@ -440,7 +440,7 @@ def test_tally_matches_reference_counter():
     rng = np.random.default_rng(31)
     for _ in range(20):
         n = int(rng.integers(10, 5000))
-        stream = ds.EventStream(
+        stream = ec.stream(
             rng.integers(0, 2, n).astype(np.uint8),
             rng.integers(0, 4, n).astype(np.uint8),
         )
@@ -481,7 +481,7 @@ def test_raw_bits_match_mask_reference():
         single = (outcome == ds.OUTCOME_D0) | (outcome == ds.OUTCOME_D1)
         keep = is_z & single
         want = (outcome[keep] == ds.OUTCOME_D1).astype(np.uint8)
-        got = ds.raw_bits_from_events(ds.EventStream(basis, outcome))
+        got = ds.raw_bits_from_events(ec.stream(basis, outcome))
         assert got.dtype == np.uint8
         assert np.array_equal(got, want)
 

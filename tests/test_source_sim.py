@@ -10,6 +10,8 @@ from scipy import stats
 from siqrng import detector_sim as ds
 from siqrng import source_sim as ss
 
+import event_codes as ec
+
 
 def jones_oracle(hwp_deg, qwp_deg):
     """Independent 2x2 complex matrix-product construction."""
@@ -87,7 +89,7 @@ def z_clicks(src, n, seed, det=None):
     """Per-pulse click indicators (c0, c1) of a generation-basis run."""
     det = det or ds.DetectorParams()
     cfg = ds.MeasurementConfig(prob_X=0.0)
-    out = ds.run_simulation(src, det, cfg, n, seed).outcome
+    out = ec.outcome(ds.run_simulation(src, det, cfg, n, seed))
     return (out & 1).astype(bool), (out >> 1).astype(bool)
 
 
@@ -194,8 +196,7 @@ def test_indexed_access_matches_bulk():
     for idx in (0, 1, 65_535, 65_536, 123_456):
         one = ds.simulate_range(src, det, cfg, 9, idx, 1)
         assert one.start == idx
-        assert one.basis[0] == bulk.basis[idx]
-        assert one.outcome[0] == bulk.outcome[idx]
+        assert one.codes[0] == bulk.codes[idx]
 
 
 def test_huge_lambda_saturates_both_arms():
