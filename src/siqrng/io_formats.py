@@ -31,13 +31,15 @@ BINARY_VERSION = 1
 _CODE_TEXT = ("Z,N", "X,N", "Z,A", "X,A", "Z,B", "X,B", "Z,D", "X,D")
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write via a temp file in the target directory, then rename."""
+def atomic_write_bytes(path: str, *buffers) -> None:
+    """Write the buffers in turn via a temp file in the target directory,
+    then rename. Each buffer is written as it is, without a joined copy."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-siqrng-")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for data in buffers:
+                f.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -89,13 +91,15 @@ def events_from_text(text: str) -> EventStream:
     return EventStream(codes, start=start)
 
 
-def events_to_binary(stream: EventStream) -> bytes:
+def _binary_header(stream: EventStream) -> bytes:
+    """The 13 bytes before the binary form's body, the code array."""
     if stream.start != 0:
         raise FormatError("binary form stores streams starting at index 0")
-    header = BINARY_MAGIC + bytes([BINARY_VERSION]) + struct.pack(
-        "<Q", len(stream)
-    )
-    return header + memoryview(stream.codes)
+    return BINARY_MAGIC + bytes([BINARY_VERSION]) + struct.pack("<Q", len(stream))
+
+
+def events_to_binary(stream: EventStream) -> bytes:
+    return _binary_header(stream) + memoryview(stream.codes)
 
 
 def events_from_binary(data: bytes) -> EventStream:
@@ -117,7 +121,7 @@ def events_from_binary(data: bytes) -> EventStream:
 
 def write_events(path: str, stream: EventStream, binary: bool = True) -> None:
     if binary:
-        atomic_write_bytes(path, events_to_binary(stream))
+        atomic_write_bytes(path, _binary_header(stream), stream.codes)
     else:
         atomic_write_text(path, events_to_text(stream))
 
@@ -141,7 +145,7 @@ def write_bits(path: str, bits: np.ndarray, epsilon_total: float) -> None:
     """Certified bits packed MSB-first, zero-padded; `.len` sidecar with
     the decimal bit count and the failure probability."""
     packed = np.packbits(np.asarray(bits, dtype=np.uint8))
-    atomic_write_bytes(path, packed.tobytes())
+    atomic_write_bytes(path, packed)
     atomic_write_text(path + ".len", f"{len(bits)}\n{epsilon_total:.6e}\n")
 
 

@@ -4,14 +4,17 @@ Eight standard frequency/structure tests with their published default
 parameters: monobit frequency, block frequency (block 128), runs,
 longest run of ones, cumulative sums (forward), serial (m = 2, first
 p-value), approximate entropy (m = 2), and the discrete-spectral test.
-Tests that define several p-values report their primary one so each test
-contributes exactly one row. This battery is a sanity harness; the
-security statement is the certified length, not these p-values.
+The spectral test reads the first n' = scipy.fft.prev_fast_len(n) bits,
+the largest 2*3*5-smooth length that fits, so its one real FFT is fast
+whatever n's factors (n' >= 1000 whenever n >= 1000, and n'/n > 0.976
+from the battery's 10^6-bit minimum up); the other seven read all n
+bits. Tests that define several p-values report their primary one so
+each test contributes exactly one row. This battery is a sanity harness;
+the security statement is the certified length, not these p-values.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,212 +226,14 @@ def approximate_entropy(bits, m: int = 2) -> float:
     return float(gammaincc(2 ** (m - 1), chi2 / 2.0))
 
 
-#: Largest prime factor of the bit count up to which the spectral DFT
-#: runs as one real FFT at that length; above it, as a chirp-z transform.
-#: Measured on a 2-vCPU Xeon VM at n = 2*k*p near 9.1e6 bits, k 5-smooth,
-#: median of three in-process runs, real FFT against chirp-z with its
-#: chirp spectrum on a second thread: p = 251 2.05 s against 2.31 s,
-#: p = 397 2.25 against 2.14, p = 401 1.92 against 1.96, p = 509 2.32
-#: against 2.06, p = 1471 5.78 against 2.14. The real FFT also needs less
-#: memory (battery peak RSS 376 MB at 9 036 000 bits, against 587 MB for
-#: the chirp-z transform at 9 080 462).
-SPECTRAL_DIRECT_MAX_PRIME = 400
-
-#: Elements per block when a chirp or a twiddle multiplies an array in
-#: place: the factors stay a few MB rather than the array's size.
-_CHIRP_BLOCK = 1 << 18
-
-
-def _chirp_plan(n: int) -> tuple[int, int, int] | None:
-    """(N, count, M) of the chirp-z transform the spectral test runs on n
-    bits, or None when n has no prime factor above
-    SPECTRAL_DIRECT_MAX_PRIME and one real FFT at n is cheaper.
-
-    The transform gives the first ``count`` outputs of an N-point DFT by
-    a cyclic convolution at L = 2M >= N + count - 1, M a fast length:
-    N = n/2, count = N on the packed complex sequence of an even n, N = n
-    and count = n//2 on the real sequence of an odd n.
-    """
-    rest = n
-    for d in range(2, SPECTRAL_DIRECT_MAX_PRIME + 1):
-        while rest % d == 0:
-            rest //= d
-    if rest == 1:
-        return None
-    npts, count = (n // 2, n // 2) if n % 2 == 0 else (n, n // 2)
-    return npts, count, scipy.fft.next_fast_len((npts + count) // 2)
-
-
-def _chirp_phases(npts: int) -> np.ndarray:
-    """k^2 mod 2N for k = 0..N-1, exact in integers, in the narrowest
-    unsigned dtype that holds 2N - 1: the chirp w_k = exp(-i pi k^2 / N)
-    is exp(-i pi phase_k / N)."""
-    k = np.arange(npts, dtype=np.int64)  # k^2 < 2^63 for N < 3e9
-    k *= k
-    k %= 2 * npts
-    return k.astype(np.min_scalar_type(2 * npts - 1))
-
-
-def _chirp_multiply(x: np.ndarray, phases: np.ndarray, npts: int, sign: int) -> None:
-    """x *= exp(sign * i pi p / N) elementwise for the phases p in [0, 2N).
-
-    Each factor is the product of a coarse and a fine exponential,
-    p = a*B + b with B a power of two near sqrt(2N), so only about
-    2 sqrt(2N) exponentials are evaluated; the product is off by a few
-    eps. The factors are gathered block by block.
-    """
-    shift = (2 * npts).bit_length() // 2
-    w = sign * 1j * math.pi / npts
-    coarse = np.exp(np.arange(0, 2 * npts, 1 << shift) * w)
-    fine = np.exp(np.arange(1 << shift) * w)
-    mask = (1 << shift) - 1
-    for lo in range(0, len(x), _CHIRP_BLOCK):
-        p = phases[lo : lo + _CHIRP_BLOCK]
-        factor = coarse[p >> shift]
-        factor *= fine[p & mask]
-        x[lo : lo + _CHIRP_BLOCK] *= factor
-
-
-def _rotate(x: np.ndarray, length: int, sign: int) -> None:
-    """x[j] *= exp(sign * 2 pi i j / length), block by block: each
-    block's factors are one exponential times a table of fine ones."""
-    w = sign * 2j * math.pi / length
-    fine = np.exp(np.arange(min(len(x), _CHIRP_BLOCK)) * w)
-    for lo in range(0, len(x), _CHIRP_BLOCK):
-        block = x[lo : lo + _CHIRP_BLOCK]
-        block *= fine[: len(block)] * np.exp(lo * w)
-
-
-def _half_spectra(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The L-point DFT of x, L = len(x) = 2M, at its even and at its odd
-    bins, by two M-point FFTs (one radix-2 decimation-in-frequency step):
-    X_2k = DFT_M(x_lo + x_hi)_k and X_2k+1 = DFT_M((x_lo - x_hi) e^(-2 pi i j/L))_k
-    for the halves x_lo = x[:M], x_hi = x[M:]. Overwrites x. The plan and
-    the work buffer of an M-point FFT take half the memory of an L-point
-    one's."""
-    half = len(x) // 2
-    lo, hi = x[:half], x[half:]
-    lo += hi
-    hi *= -2.0
-    hi += lo
-    _rotate(hi, len(x), -1)
-    return scipy.fft.fft(lo, overwrite_x=True), scipy.fft.fft(hi, overwrite_x=True)
-
-
-def _chirp_spectrum(n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The L-point DFT, as _half_spectra's even and odd bins, of the
-    conjugate chirp conj(w_m), m = -(N-1) .. count-1 placed cyclically,
-    for the plan of an n-bit spectral test, or None when n takes the real
-    FFT. It depends on n only."""
-    plan = _chirp_plan(n)
-    if plan is None:
-        return None
-    npts, count, half = plan
-    filt = np.zeros(2 * half, dtype=np.complex128)
-    tail = filt[2 * half - npts + 1 :]  # m = -(N-1) .. -1
-    tail.fill(1.0)
-    _chirp_multiply(tail, _chirp_phases(npts)[:0:-1], npts, +1)
-    filt[0] = 1.0
-    filt[1:count] = tail[::-1][: count - 1]  # w_m = w_{-m}
-    return _half_spectra(filt)
-
-
-def _dft_magnitudes(b: np.ndarray, chirp=None) -> np.ndarray:
-    """|X_k| for k < n//2, X the n-point DFT of the +/-1 sequence 2b-1.
-
-    A length whose prime factors are all at most SPECTRAL_DIRECT_MAX_PRIME
-    takes one real FFT at n. Any other length takes a chirp-z transform
-    (Bluestein): with w_k = exp(-i pi k^2 / N), jk = (j^2 + k^2 - (k-j)^2)/2
-    gives Y_k = w_k sum_j (y_j w_j) conj(w_{k-j}), a cyclic convolution at
-    L = 2M, M a fast length whatever N's factors. The chirped data's
-    spectrum, its product with the chirp spectrum ``chirp()`` (see
-    _chirp_spectrum; computed here when ``chirp`` is None) and the inverse
-    transform give the convolution, each L-point transform as two M-point
-    FFTs; the phases k^2 mod 2N are exact integers.
-
-    An odd n transforms the real sequence (N = n); since |w_k| = 1, |X_k|
-    is the convolution's magnitude. An even n transforms the packed
-    sequence z = y[0::2] + i y[1::2] (N = h = n/2), and its DFT Z gives the
-    even and odd half-sequences' DFTs E_k = (Z_k + conj Z_{h-k})/2 and
-    O_k = (Z_k - conj Z_{h-k})/(2i), with X_k = E_k + e^(-2 pi i k/n) O_k.
-    With S_k = Z_k + conj Z_{h-k}, D_k = Z_k - conj Z_{h-k} and
-    t_k = sin(2 pi k/n) + i cos(2 pi k/n) this is 2 X_k = S_k - t_k D_k,
-    and since S, D and t turn into conj S, -conj D and conj t at h-k,
-    2 |X_{h-k}| = |S_k + t_k D_k|: the twiddles are needed for
-    k <= h/2 only.
-    """
-    n = len(b)
-    plan = _chirp_plan(n)
-    if plan is None:
-        return np.abs(scipy.fft.rfft(2.0 * b - 1.0))[: n // 2]
-    npts, count, half = plan
-    a = np.zeros(2 * half, dtype=np.complex128)
-    y = a[:npts]
-    if n % 2:
-        y.real = b
-        y *= 2.0
-        y -= 1.0
-    else:
-        y.real = b[0::2]
-        y.imag = b[1::2]
-        y *= 2.0
-        y -= 1.0 + 1.0j
-    phases = _chirp_phases(npts)
-    _chirp_multiply(y, phases, npts, -1)
-    del y
-    data_even, data_odd = _half_spectra(a)
-    del a
-    even, odd = chirp() if chirp is not None else _chirp_spectrum(n)
-    even *= data_even
-    odd *= data_odd
-    del data_even, data_odd
-    # the convolution's first M outputs: (IDFT_M(even) + e^(2 pi i j/L) IDFT_M(odd))/2
-    conv = scipy.fft.ifft(even, overwrite_x=True)[:count]
-    odd = scipy.fft.ifft(odd, overwrite_x=True)[:count]
-    _rotate(odd, 2 * half, +1)
-    conv += odd
-    conv *= 0.5
-    del even, odd
-    if n % 2:
-        return np.abs(conv)
-    h, q = npts, npts // 2
-    z = conv  # Z_k = w_k conv_k
-    _chirp_multiply(z, phases, npts, -1)
-    del phases
-    mags = np.empty(h)
-    mags[0] = 2.0 * abs(z[0].real + z[0].imag)  # X_0 = E_0 + O_0
-    low = z[1 : q + 1]
-    s = np.conjugate(z[h - 1 : h - q - 1 : -1])  # conj Z_{h-k}, k = 1..q
-    d = low - s
-    s += low
-    del conv, z, low
-    t = np.empty_like(d)
-    angle = np.arange(1, q + 1) * (2.0 * math.pi / n)
-    np.sin(angle, out=t.real)
-    np.cos(angle, out=t.imag)
-    del angle
-    d *= t
-    del t
-    np.abs(s - d, out=mags[1 : q + 1])
-    s += d
-    np.abs(s, out=mags[h - 1 : h - q - 1 : -1])
-    mags *= 0.5
-    return mags
-
-
-def spectral(bits, chirp=None) -> float:
-    """Discrete-Fourier peak count below the 95% threshold.
-
-    The magnitudes come from _dft_magnitudes: one real FFT at a smooth
-    length, a chirp-z transform at any other. ``chirp``, if given, is a
-    callable returning _chirp_spectrum(len(bits)), such as the result
-    method of a future computing it on another thread; without it the
-    test computes the chirp spectrum itself.
-    """
+def spectral(bits) -> float:
+    """Discrete-Fourier peak count below the 95% threshold, on the first
+    n' = prev_fast_len(n) bits, the largest 2*3*5-smooth length that
+    fits: one real FFT whatever n's factors."""
     b = _bits(bits)
     _require(b, 1000, "spectral")
-    n = len(b)
-    mags = _dft_magnitudes(b, chirp)
+    n = scipy.fft.prev_fast_len(len(b), real=True)
+    mags = np.abs(scipy.fft.rfft(2.0 * b[:n] - 1.0))[: n // 2]
     threshold = math.sqrt(math.log(1.0 / 0.05) * n)
     n0 = 0.95 * n / 2.0
     n1 = int(np.count_nonzero(mags < threshold))
@@ -450,34 +255,20 @@ BATTERY = (
 
 
 def run_battery(bits, alpha: float) -> list[TestReport]:
-    """Run the eight-test battery; requires at least 10^6 bits.
-
-    One worker thread first computes the chirp spectrum of the spectral
-    test, which depends on the length only (None for a length that takes
-    the real FFT), then the seven other tests in BATTERY order. The
-    calling thread meanwhile runs ``spectral``, which transforms the
-    chirped bits and waits for the chirp spectrum only to multiply. Each
-    test reads the bits only, so the p-values do not depend on the
-    overlap; the reports come back in BATTERY order. Individual tests
-    remain callable on shorter inputs subject to their own minima.
+    """Run the eight-test battery in BATTERY order on the calling thread;
+    requires at least 10^6 bits. Individual tests remain callable on
+    shorter inputs subject to their own minima.
     """
     b = _bits(bits)
     if len(b) < BATTERY_MIN_BITS:
         raise InsufficientBitsError(
             f"battery needs >= {BATTERY_MIN_BITS} bits, got {len(b)}"
         )
-    battery = BATTERY  # looked up per call: a tracer may wrap the tests
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        chirp = pool.submit(_chirp_spectrum, len(b))
-        pending = {
-            name: pool.submit(fn, b) for name, fn in battery if name != "spectral"
-        }
-        p = {"spectral": dict(battery)["spectral"](b, chirp=chirp.result)}
-        p.update((name, future.result()) for name, future in pending.items())
-    return [
-        TestReport(test_name=name, p_value=p[name], passed=p[name] >= alpha)
-        for name, _ in battery
-    ]
+    reports = []
+    for name, fn in BATTERY:  # looked up per call: a tracer may wrap the tests
+        p = fn(b)
+        reports.append(TestReport(test_name=name, p_value=p, passed=p >= alpha))
+    return reports
 
 
 def battery_csv(reports: list[TestReport]) -> str:

@@ -115,6 +115,22 @@ def test_read_and_tally_memory(tmp_path):
     assert peak <= 2.5 * n
 
 
+def test_write_events_memory(tmp_path):
+    # the header and the code array are written in turn, not joined
+    n = 2_000_000
+    stream = random_stream(n)
+    path = str(tmp_path / "events.sqeb")
+    tracemalloc.start()
+    try:
+        io.write_events(path, stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * n
+    with open(path, "rb") as f:
+        assert f.read() == io.events_to_binary(stream)
+
+
 # ---------------------------------------------------------------------------
 # bits files
 

@@ -83,9 +83,9 @@ def test_deterministic_p_values():
 
 
 def test_battery_matches_tests_called_in_turn():
-    # the worker computes the chirp spectrum and runs seven tests while
-    # spectral runs here; the reports keep BATTERY's names, order and
-    # p-values. 10^6 takes the real FFT, 2 * 500 009 the chirp-z transform.
+    # the reports keep BATTERY's names, order and p-values. 10^6 is
+    # 5-smooth, so spectral reads every bit; 2 * 500 009 is not, so it
+    # reads a prefix.
     rng = np.random.default_rng(21)
     for n in (1_000_000, 2 * 500_009):
         bits = rng.integers(0, 2, n, dtype=np.uint8)
@@ -94,29 +94,22 @@ def test_battery_matches_tests_called_in_turn():
         assert [r.p_value for r in reports] == [fn(bits) for _, fn in st.BATTERY]
 
 
-def test_battery_spectral_error_propagates_and_leaves_no_thread(monkeypatch):
-    def failing(bits, chirp=None):
-        raise RuntimeError("spectral failed")
+@pytest.mark.parametrize("failing_test", ["spectral", "monobit"])
+def test_battery_error_propagates_and_leaves_no_thread(monkeypatch, failing_test):
+    # the last test of the battery fails, or the first
+    def failing(bits):
+        raise RuntimeError(f"{failing_test} failed")
 
     monkeypatch.setattr(
         st,
         "BATTERY",
-        tuple((name, failing if name == "spectral" else fn) for name, fn in st.BATTERY),
+        tuple(
+            (name, failing if name == failing_test else fn) for name, fn in st.BATTERY
+        ),
     )
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="spectral failed"):
+    with pytest.raises(RuntimeError, match=f"{failing_test} failed"):
         st.run_battery(np.ones(1_000_000, dtype=np.uint8), alpha=0.01)
-    assert threading.active_count() == before
-
-
-def test_battery_chirp_error_propagates_and_leaves_no_thread(monkeypatch):
-    def failing(n):
-        raise RuntimeError("chirp failed")
-
-    monkeypatch.setattr(st, "_chirp_spectrum", failing)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="chirp failed"):
-        st.run_battery(np.ones(2 * 500_009, dtype=np.uint8), alpha=0.01)
     assert threading.active_count() == before
 
 
@@ -190,30 +183,39 @@ def reference_spectral(b):
     return mags, n1, float(erfc(abs(d) / math.sqrt(2.0)))
 
 
-def is_prime(k):
-    return k > 1 and all(k % d for d in range(2, math.isqrt(k) + 1))
+def smooth_prefix_len(n):
+    """The largest 2^a 3^b 5^c <= n, by brute force."""
+    for k in range(n, 0, -1):
+        rest = k
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return k
 
 
-def test_spectral_matches_real_fft_form():
-    # lengths from every branch of the router: smooth ones take the real
-    # FFT; the others the chirp-z transform, even ones of the packed
-    # half-length sequence and odd ones of the real sequence
+def test_prev_fast_len_is_largest_smooth_prefix():
+    # the spectral test's prefix rule rests on scipy's real fast lengths
+    # being exactly the 5-smooth numbers
+    for n in range(1000, 6000):
+        assert scipy.fft.prev_fast_len(n, real=True) == smooth_prefix_len(n)
+
+
+def test_spectral_is_real_fft_form_on_smooth_prefix():
+    # smooth lengths read every bit; the others the largest smooth prefix
     rng = np.random.default_rng(3)
-    bound = st.SPECTRAL_DIRECT_MAX_PRIME
-    below = max(p for p in range(2, bound + 1) if is_prime(p))
-    above = min(p for p in range(bound + 1, 2 * bound + 2) if is_prime(p))
-    direct = (
-        100_000, 2 * 3 * 7 * 11 * 13 * 17, 1000, 1002,  # smooth even
-        3**4 * 5**3 * 7, 99_999, 1001,  # smooth odd
-        2 * 256 * below,  # half's largest prime just below the bound
-    )
-    chirp = (
-        2 * 256 * above,  # just above it
+    smooth = (100_000, 3**4 * 5**3, 1000, 2**3 * 3**2 * 5**4)
+    other = (
+        2 * 3 * 7 * 11 * 13 * 17, 1002, 2 * 256 * 397, 2 * 256 * 401,  # even
+        3**4 * 5**3 * 7, 99_999, 1001,  # odd
         2 * 100_003, 2 * 1009,  # prime half
+        100_003, 1009,  # prime
         100_001, 3 * 1009,  # odd with a large prime factor
     )
-    for n in direct + chirp:
-        assert (st._chirp_plan(n) is None) == (n in direct)
+    for n in smooth + other:
+        prefix = smooth_prefix_len(n)
+        assert (prefix == n) == (n in smooth)
+        assert prefix >= 1000
         inputs = (
             rng.integers(0, 2, n, dtype=np.uint8),
             (rng.random(n) < 0.53).astype(np.uint8),
@@ -221,17 +223,7 @@ def test_spectral_matches_real_fft_form():
             (np.arange(n) % 7 < 3).astype(np.uint8),
         )
         for b in inputs:
-            mags, n1, p = reference_spectral(b)
-            got = st._dft_magnitudes(b)
-            assert got.shape == mags.shape
-            # relative to each magnitude, or to the threshold's scale
-            # sqrt(n) for bins near zero
-            np.testing.assert_allclose(
-                got, mags, rtol=1e-9, atol=1e-9 * math.sqrt(n)
-            )
-            threshold = math.sqrt(math.log(1.0 / 0.05) * n)
-            assert int(np.count_nonzero(got < threshold)) == n1
-            assert st.spectral(b) == p
+            assert st.spectral(b) == reference_spectral(b[:prefix])[2]
 
 
 def reference_pattern_counts(b, m):
