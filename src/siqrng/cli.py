@@ -10,10 +10,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import detector_sim, io_formats, optimizer, protocol_math
+from . import io_formats, optimizer, protocol_math
 from .errors import (
     ConfigError,
     EstimationAbort,
@@ -22,6 +21,10 @@ from .errors import (
     SuiteFailure,
 )
 from .io_formats import RunConfig
+
+if TYPE_CHECKING:
+    import numpy as np
+    from .detector_sim import EventStream
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -133,7 +136,8 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _simulate(cfg: RunConfig) -> detector_sim.EventStream:
+def _simulate(cfg: RunConfig) -> EventStream:
+    from . import detector_sim  # loads numpy; only the array stages need it
     return detector_sim.run_simulation(
         cfg.source_params(),
         cfg.detector_params(),
@@ -150,6 +154,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_tally(args) -> int:
+    from . import detector_sim
     stream = io_formats.read_events(args.events)
     summary = detector_sim.tally(stream)
     _emit(io_formats.tally_to_text(summary), args.out)
@@ -292,6 +297,7 @@ def _cmd_extract(args) -> int:
 
 def _extract(stream, rates, seed: bytes, epsilon_total: float, out: str):
     """Hash the stream's raw bits and write the certified bits file."""
+    from . import detector_sim
     from .extractor import extract  # loads scipy; only the hashing stages need it
 
     raw = detector_sim.raw_bits_from_events(stream)
@@ -375,6 +381,7 @@ def _cmd_testsuite(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    from . import detector_sim
     cfg = _load_config(args)
     duration = cfg.duration  # checked before any work
     _check_gate(cfg["suite.alpha"], cfg["suite.max_failures"])

@@ -116,11 +116,7 @@ def choose_basis_block(
     """Vectorized basis choices for pulses [start, start+count)."""
     out = np.empty(count, dtype=np.uint8)
     for panel, lo, hi, t_lo, t_hi in rngstream.panel_range(start, count):
-        rng = np.random.Generator(
-            np.random.Philox(
-                np.random.SeedSequence(entropy=basis_seed, spawn_key=(panel,))
-            )
-        )
+        rng = rngstream.panel_generator(basis_seed, rngstream.DOMAIN_BASIS, panel)
         u = rng.random(rngstream.PANEL_PULSES)
         out[lo - start : hi - start] = (u[t_lo:t_hi] < prob_X).astype(np.uint8)
     return out

@@ -13,13 +13,17 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .detector_sim import DetectorParams, EventStream, MeasurementConfig
 from .errors import ConfigError, FormatError
 from .protocol_math import TallySummary
-from .source_sim import SUNLIGHT_FLUCTUATION, SourceParams
+
+# numpy, detector_sim and source_sim are imported where they are used, so
+# the key-value stages (estimate, calibrate, optimize) never load numpy
+if TYPE_CHECKING:
+    import numpy as np
+    from .detector_sim import DetectorParams, EventStream, MeasurementConfig
+    from .source_sim import SourceParams
 
 TEXT_MAGIC = "#SIQRNG-EVENTS v1"
 BINARY_MAGIC = b"SQEB"
@@ -63,6 +67,8 @@ def events_to_text(stream: EventStream) -> str:
 
 
 def events_from_text(text: str) -> EventStream:
+    import numpy as np
+    from .detector_sim import EventStream
     lines = text.split("\n")
     if not lines or lines[0] != TEXT_MAGIC:
         raise FormatError("missing event-file magic line")
@@ -104,6 +110,8 @@ def events_to_binary(stream: EventStream) -> bytes:
 
 def events_from_binary(data: bytes) -> EventStream:
     """The stream whose codes are a read-only view of ``data``'s body."""
+    import numpy as np
+    from .detector_sim import EventStream
     if len(data) < 13 or data[:4] != BINARY_MAGIC:
         raise FormatError("missing binary event-file magic")
     if data[4] != BINARY_VERSION:
@@ -144,6 +152,7 @@ def read_events(path: str) -> EventStream:
 def write_bits(path: str, bits: np.ndarray, epsilon_total: float) -> None:
     """Certified bits packed MSB-first, zero-padded; `.len` sidecar with
     the decimal bit count and the failure probability."""
+    import numpy as np
     packed = np.packbits(np.asarray(bits, dtype=np.uint8))
     atomic_write_bytes(path, packed)
     atomic_write_text(path + ".len", f"{len(bits)}\n{epsilon_total:.6e}\n")
@@ -152,6 +161,7 @@ def write_bits(path: str, bits: np.ndarray, epsilon_total: float) -> None:
 def read_bits(path: str) -> tuple[np.ndarray, float | None]:
     """Bits of a certified file; the sidecar, when present, fixes the
     exact bit count and supplies epsilon."""
+    import numpy as np
     with open(path, "rb") as f:
         data = f.read()
     sidecar = path + ".len"
@@ -335,17 +345,21 @@ class RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
         typ = _CONFIG_TYPES.get(key, float)
         try:
-            self.values[key] = typ(raw)
+            value = typ(raw)
         except ValueError as exc:
             raise ConfigError(
                 f"bad value for {key!r}: {raw!r} ({typ.__name__})"
             ) from exc
+        if typ is float and not math.isfinite(value):
+            raise ConfigError(f"{key!r} must be a finite number, got {raw!r}")
+        self.values[key] = value
 
     def __getitem__(self, key: str):
         return self.values[key]
 
     @property
     def fluctuation(self) -> float:
+        from .source_sim import SUNLIGHT_FLUCTUATION
         v = self.values["source.fluctuation"]
         if v is None:
             return (
@@ -366,6 +380,7 @@ class RunConfig:
         return check_duration(derived, "run.n_pulses / source.pulse_rate")
 
     def source_params(self) -> SourceParams:
+        from .source_sim import SourceParams
         return SourceParams(
             mean_photons_lambda=self.values["source.lambda"],
             pulse_rate_G=self.values["source.pulse_rate"],
@@ -376,6 +391,7 @@ class RunConfig:
         )
 
     def detector_params(self) -> DetectorParams:
+        from .detector_sim import DetectorParams
         return DetectorParams(
             eta0=self.values["detector.eta0"],
             eta1=self.values["detector.eta1"],
@@ -385,6 +401,7 @@ class RunConfig:
         )
 
     def measurement_config(self) -> MeasurementConfig:
+        from .detector_sim import MeasurementConfig
         return MeasurementConfig(
             prob_X=self.values["measure.prob_x"],
             phase_Z=(
@@ -411,6 +428,7 @@ def check_duration(seconds: float, name: str) -> float:
 def derived_seed_bytes(extractor_seed: int, nbits: int) -> bytes:
     """Deterministic seed material for simulation runs without an
     operator seed file; hardware deployments must supply a real file."""
+    import numpy as np
     gen = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=extractor_seed))
     )

@@ -415,6 +415,9 @@ def overlap_bound_from_calibration(
     the input was not a valid eigenstate and calibration is rejected.
     This is a plug-in point estimate; no confidence interval is attached.
     """
+    counts = (counts_d0, counts_d1, *(z_counts or ()))
+    if min(counts) < 0:
+        raise CalibrationError(f"calibration counts must be >= 0, got {counts}")
     ratio = None
     if z_counts is not None:
         ratio = z_gate_ratio_db(*z_counts)

@@ -1,10 +1,10 @@
-"""Counter-based random streams for reproducible, chunkable simulation.
+"""Keyed random streams for reproducible, chunkable simulation.
 
 Every stream is organized in fixed panels of PANEL_PULSES consecutive
-pulses. The generator for a panel is keyed by (entropy, domain, panel)
-through a SeedSequence, so any pulse range can be recomputed from scratch
-and chunked execution is byte-identical to a serial run regardless of
-chunk boundaries.
+pulses. A panel's generator is SFC64 seeded by a SeedSequence with spawn
+key (domain, panel) under the run's entropy; that keying lets any pulse
+range be recomputed from scratch, so chunked execution is byte-identical
+to a serial run regardless of chunk boundaries.
 """
 from __future__ import annotations
 
@@ -17,12 +17,13 @@ PANEL_PULSES = 1 << 16
 #: Domain tags keeping independent streams out of each other's draws.
 DOMAIN_SOURCE = 0
 DOMAIN_DETECTION = 1
+DOMAIN_BASIS = 2
 
 
 def panel_generator(entropy: int, domain: int, panel: int) -> np.random.Generator:
-    """Philox generator for one (stream, panel) cell."""
+    """SFC64 generator for one (stream, panel) cell of ``entropy``."""
     ss = np.random.SeedSequence(entropy=entropy, spawn_key=(domain, panel))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def panel_range(start: int, count: int):

@@ -341,6 +341,29 @@ def test_cli_oversized_run_is_exit_one(tmp_path, capsys):
     assert os.listdir(outdir) == []
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "source.lambda=nan",
+        "source.fluctuation=nan",
+        "source.hwp_deg=nan",
+        "detector.dark_rate=nan",
+        "detector.dark_rate=inf",
+        "detector.dead_time=inf",
+        "detector.gate_width=inf",
+        "source.pulse_rate=inf",
+    ],
+)
+def test_cli_non_finite_config_is_exit_one(tmp_path, capsys, setting):
+    out = tmp_path / "events.sqeb"
+    argv = ("simulate", "--set", "run.n_pulses=100000", "--set", setting)
+    assert run_cli(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(setting.split("=")[0]) in err
+    assert not out.exists()
+
+
 def run_python(code):
     """Stdout of ``code`` in a fresh interpreter that imports this siqrng."""
     src = os.path.dirname(os.path.dirname(siqrng.__file__))
@@ -380,6 +403,33 @@ print(after_import, codes, scipy_modules())
 """
     last = run_python(code).splitlines()[-1]
     assert last == "[] [0, 0, 0, 0, 0] []"
+
+
+def test_cli_key_value_stages_leave_out_numpy(tmp_path):
+    # estimate, calibrate and optimize are pure math: numpy stays unloaded
+    tally_f, curve = str(tmp_path / "tally.txt"), str(tmp_path / "curve.csv")
+    tally = TallySummary(
+        N_total=10_000_000, N_X=40_000, N_Z=9_960_000, n_x=3_980,
+        n_z=4_960_000, x_wrong_singles=13, x_doubles=0,
+        z_doubles_discarded=3_000, e_bx=13 / 3_980,
+    )
+    Path(tally_f).write_text(io.tally_to_text(tally))
+    code = f"""
+import sys
+from siqrng.cli import main
+
+after_import = "numpy" in sys.modules
+codes = [
+    main(["estimate", "--tally", {tally_f!r}]),
+    main(["estimate", "--n-z", "3577108266", "--e-bx", "0.0033", "--duration", "1800"]),
+    main(["estimate", "--tally", {tally_f!r}, "--solve-theta", "1e-6"]),
+    main(["calibrate", "--z-counts", "100000", "50", "--x-counts", "51692", "48308"]),
+    main(["optimize", "--out", {curve!r}]),
+]
+print(after_import, codes, "numpy" in sys.modules)
+"""
+    last = run_python(code).splitlines()[-1]
+    assert last == "False [0, 0, 0, 0, 0] False"
 
 
 def test_cli_estimate_warnings_go_to_stderr(tmp_path, capsys):
@@ -460,6 +510,9 @@ def test_cli_calibrate(capsys):
         "calibrate", "--z-counts", "1000", "50",
         "--x-counts", "51692", "48308",
     ) == 1
+    # a negative count is refused, not clamped or passed to a logarithm
+    for z, x in ((("100000", "50"), ("60", "-10")), (("100000", "-50"), ("60", "40"))):
+        assert run_cli("calibrate", "--z-counts", *z, "--x-counts", *x) == 1
 
 
 def test_cli_optimize(tmp_path, capsys):

@@ -10,8 +10,14 @@ import pytest
 from scipy import stats
 
 from siqrng import detector_sim as ds
+from siqrng import rngstream
 from siqrng.errors import EstimationAbort
-from siqrng.source_sim import PolarizationState, SourceParams, polarization_from_waveplates
+from siqrng.source_sim import (
+    PolarizationState,
+    SourceParams,
+    panel_lambda,
+    polarization_from_waveplates,
+)
 
 import event_codes as ec
 
@@ -383,6 +389,28 @@ def test_determinism_across_runs():
     assert a == b
     c = ds.run_simulation(src, det, cfg, 200_000, seed=24)
     assert a != c
+
+
+def test_domains_of_one_seed_draw_different_streams():
+    # with measure.basis_seed == run.seed, the basis, source and detection
+    # draws of a panel share entropy and differ only in the domain tag
+    seed, panel, n = 7, 3, rngstream.PANEL_PULSES
+    firsts = {
+        rngstream.panel_generator(seed, domain, panel).random()
+        for domain in (
+            rngstream.DOMAIN_BASIS,
+            rngstream.DOMAIN_SOURCE,
+            rngstream.DOMAIN_DETECTION,
+        )
+    }
+    assert len(firsts) == 3
+    # and the basis and source draws come from their own domains' streams
+    basis_u = rngstream.panel_generator(seed, rngstream.DOMAIN_BASIS, panel).random(n)
+    block = ds.choose_basis_block(seed, panel * n, n, 0.5)
+    assert np.array_equal(block, basis_u < 0.5)
+    src = SourceParams(1.0, intensity_fluctuation_rel_std=1.0)
+    z = rngstream.panel_generator(seed, rngstream.DOMAIN_SOURCE, panel).standard_normal(n)
+    assert np.array_equal(panel_lambda(src, seed, panel), np.maximum(1.0 + z, 0.0))
 
 
 # ---------------------------------------------------------------------------

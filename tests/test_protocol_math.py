@@ -391,6 +391,10 @@ def test_calibration_gate():
         pm.overlap_bound_from_calibration(60, 40, z_counts=(999, 1))
     with pytest.raises(CalibrationError):
         pm.overlap_bound_from_calibration(0, 0)
+    with pytest.raises(CalibrationError):
+        pm.overlap_bound_from_calibration(60, -10, z_counts=(100_000, 50))
+    with pytest.raises(CalibrationError):
+        pm.overlap_bound_from_calibration(60, 40, z_counts=(100_000, -50))
 
 
 def test_z_gate_ratio():
