@@ -39,15 +39,17 @@ OUTCOME_D0 = 1
 OUTCOME_D1 = 2
 OUTCOME_DOUBLE = 3
 
+#: CPUs this process may use.
+CPUS = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
+
 #: Threads drawing panels in simulate_range. Each panel's generators are
 #: keyed by (seed, domain, panel), and numpy's fills and ufuncs release
 #: the GIL, so the draws overlap and their values do not depend on this.
-WORKERS = min(
-    4,
-    len(os.sched_getaffinity(0))
-    if hasattr(os, "sched_getaffinity")  # CPUs this process may use
-    else os.cpu_count() or 1,
-)
+WORKERS = min(4, CPUS)
 
 
 @dataclass(frozen=True)

@@ -4,19 +4,20 @@ to the certified number of bits.
 The matrix T is n columns by m rows with T[i][j] = seed[i - j + n - 1],
 so row i reads the seed slice [i, i+n) reversed and the product equals a
 slice of the integer convolution seed * input reduced mod 2. The fast
-path computes that convolution with a real FFT and verifies — never
-assumes — that every used coefficient rounds to an exact integer.
+path computes that convolution with FFTs in four-step form (Bailey,
+"FFTs in external or hierarchical memory", J. Supercomputing 4, 1990)
+and verifies — never assumes — that every used coefficient rounds to an
+exact integer.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
+from .detector_sim import CPUS
 from .errors import ConvolutionPrecisionError, EstimationAbort, FormatError
 from .protocol_math import RateBreakdown
 
@@ -24,12 +25,12 @@ from .protocol_math import RateBreakdown
 #: nearest integer before the result is considered unverifiable.
 ROUNDING_TOLERANCE = 0.25
 
-#: Half length from which toeplitz_fast runs its transforms on two
-#: threads; below it a thread costs more than it saves. scipy.fft's own
-#: workers= runs a batch of two rows on one thread, and splits four rows
-#: only by holding all four inputs and outputs at once (+290 MiB peak
-#: at the 2e7-pulse ingest shape).
-THREADED_MIN_HALF_LEN = 1 << 15
+#: Convolution length from which toeplitz_fast takes a four-step shape
+#: and lets scipy.fft run each transform on all CPUS. Below it the shape
+#: is one column, a plain real-FFT convolution on the calling thread:
+#: there pocketfft's threads and the row step cost more than they save
+#: (measured crossover between 4e4 and 6.6e4 on two CPUs).
+FOUR_STEP_MIN_LEN = 1 << 16
 
 
 def _as_bits(x, length: int | None = None, name: str = "bits") -> np.ndarray:
@@ -71,13 +72,11 @@ def _fft_capacity_ok(seed: np.ndarray, x: np.ndarray, length: int) -> bool:
     """Conservative a-priori check that FFT round-off cannot reach 1/2.
 
     Round-off of a length-L real-FFT convolution is bounded by
-    C * eps * log2(L) * ||a||_2 * ||b||_2; C = 8 is generous. toeplitz_fast
-    sums two such convolutions of the seed's and the input's even and odd
-    phases per output coefficient, and by Cauchy-Schwarz
-    ||s_e|| ||x_e|| + ||s_o|| ||x_o|| <= ||s|| ||x|| (likewise with the
-    phases crossed), so the bound for the whole seed and input at the
-    half length covers the sum; the one-sample delay's unit phase factors
-    add a relative error of a few eps per bin, which C absorbs.
+    C * eps * log2(L) * ||a||_2 * ||b||_2; C = 8 is generous. The
+    four-step form keeps that O(eps log L) growth: its short transforms
+    along each axis add log2(N1) + log2(N2) = log2(L) levels, and its
+    twiddle factors are accurate to a few eps (exact integer exponents,
+    a coarse times a fine factor), which C absorbs.
     """
     norm = math.sqrt(float(np.count_nonzero(seed))) * math.sqrt(
         float(np.count_nonzero(x))
@@ -86,113 +85,105 @@ def _fft_capacity_ok(seed: np.ndarray, x: np.ndarray, length: int) -> bool:
     return err < ROUNDING_TOLERANCE
 
 
-def _rowwise(pool: ThreadPoolExecutor | None, fn, rows):
-    """The rows of fn(rows), for an fn that maps a sequence of rows to a
-    stack of results row by row. Without a pool, one call on the calling
-    thread takes all rows; with one, the rows go two at a time, the pool's
-    worker computing fn(rows[i:i+1]) while the calling thread computes
-    fn(rows[i+1:i+2])."""
-    if pool is None:
-        return fn(rows)
-    out = []
-    for i in range(0, len(rows), 2):
-        pending = pool.submit(fn, rows[i : i + 1])
-        second = fn(rows[i + 1 : i + 2])[0]
-        out += [pending.result()[0], second]
-    return out
+def _four_step_shape(total: int) -> tuple[int, int]:
+    """(N1, N2) with N1*N2 >= total. Below FOUR_STEP_MIN_LEN, one column
+    of the smallest fast length; from it, the smallest product over fast N1
+    in [sqrt(total)/2, 2 sqrt(total)], each with the smallest fast
+    N2 >= total/N1, so that each transform is a batch of short ones."""
+    fast = scipy.fft.next_fast_len
+    if total < FOUR_STEP_MIN_LEN:
+        return fast(total, real=True), 1
+    root = math.isqrt(total)
+    shapes = []
+    n1 = fast(max(1, root // 2), real=True)
+    while n1 <= 2 * root:
+        shapes.append((n1 * fast(-(-total // n1), real=True), n1))
+        n1 = fast(n1 + 1, real=True)
+    size, n1 = min(shapes)
+    return n1, size // n1
 
 
-def _unit_delay(length: int) -> np.ndarray:
-    """exp(-2 pi i f / length) for the real-FFT bins f = 0..length//2:
-    multiplying a spectrum by it delays the cyclic sequence one sample.
+def _twiddles(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """The four-step twiddle exp(-2 pi i k1 j2 / N1 N2) of the rows
+    k1 = 1..N1//2 (row 0 has none) as a coarse and a fine factor: with
+    j2 = a*B + b and B the largest divisor of N2 up to its square root,
+    coarse[k1, a, 0] takes the exponent k1*a*B and fine[k1, 0, b] the
+    exponent k1*b. Exponents are exact integers below N1 N2 and each
+    product is off by a few eps; the full table would be as large as a
+    spectrum."""
+    block = math.isqrt(n2)
+    while n2 % block:
+        block -= 1
+    w = -2j * math.pi / (n1 * n2)
+    k1 = np.arange(1, n1 // 2 + 1)
+    coarse = np.exp(np.outer(k1, np.arange(0, n2, block)) * w)
+    fine = np.exp(np.outer(k1, np.arange(block)) * w)
+    return coarse[:, :, None], fine[:, None, :]
 
-    From 320 bins on, each factor is the product of a coarse and a fine
-    one, f = a*B + b with B about the square root of the bin count, so
-    only 2B complex exponentials are evaluated (6x faster at 5e6 bins);
-    the product is off by a few eps. Below that the product's extra numpy
-    calls cost more than the exponentials they save (measured crossover
-    about 300 bins), and each factor is evaluated directly.
-    """
-    bins = length // 2 + 1
-    w = -2j * math.pi / length
-    if bins < 320:
-        return np.exp(np.arange(bins) * w)
-    block = math.isqrt(bins) + 1
-    coarse = np.exp(np.arange(0, bins, block) * w)
-    return np.outer(coarse, np.exp(np.arange(block) * w)).ravel()[:bins]
+
+def _twiddle(spectrum: np.ndarray, coarse: np.ndarray, fine: np.ndarray) -> None:
+    """Multiply the rows 1..N1//2 of spectrum by coarse * fine, in place."""
+    blocks = spectrum[1:].reshape(coarse.shape[:2] + fine.shape[2:])
+    blocks *= coarse
+    blocks *= fine
+
+
+def _forward(bits, shape: tuple[int, int], twiddles, workers: int) -> np.ndarray:
+    """DFT of bits zero-padded to N = N1*N2, in four steps over the
+    row-major (N1, N2) grid j = j1*N2 + j2: real FFTs of length N1 down
+    the columns, the twiddles, and FFTs of length N2 along the rows. Bin
+    k1 + N1*k2 lands at [k1, k2] for k1 = 0..N1//2; the other bins are
+    their conjugates, since the input is real. Without twiddles the
+    grid is one column (N2 = 1), whose row step is the identity."""
+    grid = np.zeros(shape)
+    grid.reshape(-1)[: len(bits)] = bits
+    spectrum = scipy.fft.rfft(grid, shape[0], axis=0, workers=workers)
+    del grid
+    if twiddles is None:
+        return spectrum
+    _twiddle(spectrum, *twiddles)
+    return scipy.fft.fft(spectrum, axis=1, overwrite_x=True, workers=workers)
 
 
 def toeplitz_fast(spec: ToeplitzSpec, bits) -> np.ndarray:
     """FFT-convolution product, bit-identical to the dense matrix product.
 
     The Toeplitz product is the slice [n-1, n-1+m) of the integer
-    convolution c = seed * input, of linear length 2n+m-2. It is computed
-    in polyphase form from the even (e) and odd (o) phases of both:
+    convolution c = seed * input. It is computed as one cyclic
+    convolution of length N = N1*N2 >= n+m-1 (_four_step_shape): from
+    index n-1 on, the wrapped coefficients c[k+N] lie past the linear
+    length 2n+m-2, so nothing wraps onto the slice. Both forward
+    transforms and the inverse run in four-step form (_forward; the
+    inverse takes the same steps backwards with conjugate twiddles), and
+    the inverse's row-major grid is c in natural order. From
+    FOUR_STEP_MIN_LEN on, scipy.fft splits each batch of short
+    transforms over CPUS threads of its own; below it, the shape is one
+    column, and its three real FFTs run on the calling thread. No Python
+    thread is started.
 
-        c[2k]   = (s_e * x_e)[k] + (s_o * x_o)[k-1]
-        c[2k+1] = (s_e * x_o)[k] + (s_o * x_e)[k]
-
-    four real FFTs of the phases and two inverse ones, all at the half
-    length h, the smallest fast length >= (n+m)//2; the one-sample delay
-    is a phase factor per bin. Transforms run two at a time, one on a
-    worker thread beside one on the calling thread, once h reaches
-    THREADED_MIN_HALF_LEN; below it both run in one call on the calling
-    thread.
-
-    Nothing wraps onto the slice: the cyclic convolution at h adds the
-    coefficients k+h and k-h of each half c[p::2] onto k. In half p the
-    used k run from ceil((n-1-p)/2) to (n+m-2-p)//2, and its last
-    coefficient, (2n+m-3-p)//2, lies less than (n+m)//2 past the first
-    used one; so any h >= (n+m)//2, which is also the length of s_e,
-    wraps nothing onto the used k and truncates no phase, and one sample
-    less would. Every used coefficient is verified to sit within
-    ROUNDING_TOLERANCE of an integer. An input too large for the
-    a-priori capacity check (about 7e12 bits) is refused with
-    ConvolutionPrecisionError.
+    Every used coefficient is verified to sit within ROUNDING_TOLERANCE
+    of an integer. An input too large for the a-priori capacity check
+    (about 7e12 bits) is refused with ConvolutionPrecisionError.
     """
     x = _as_bits(bits, spec.input_len_n, "input")
     seed = spec.seed_bits
     n, m = spec.input_len_n, spec.output_len_m
-    h = scipy.fft.next_fast_len((n + m) // 2, real=True)
-    if not _fft_capacity_ok(seed, x, h):
+    n1, n2 = shape = _four_step_shape(n + m - 1)
+    if not _fft_capacity_ok(seed, x, n1 * n2):
         raise ConvolutionPrecisionError(
-            f"FFT length {h} exceeds the verified-exact capacity"
+            f"FFT length {n1 * n2} exceeds the verified-exact capacity"
         )
-
-    def forward(phases):
-        rows = np.zeros((len(phases), h))
-        for row, phase in zip(rows, phases):
-            row[: len(phase)] = phase
-        return scipy.fft.rfft(rows, h)
-
-    def inverse(spectra):
-        return scipy.fft.irfft(spectra, h)
-
-    threaded = h >= THREADED_MIN_HALF_LEN
-    # the pool's worker is joined when the block ends, also on an error
-    with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as pool:
-        se, so, xe, xo = _rowwise(
-            pool, forward, [seed[0::2], seed[1::2], x[0::2], x[1::2]]
-        )
-        spectra = np.empty((2, h // 2 + 1), dtype=np.complex128)
-        even, odd = spectra
-        np.multiply(se, xo, out=odd)
-        xo *= so
-        so *= xe
-        odd += so
-        del so
-        np.multiply(se, xe, out=even)
-        del se, xe
-        xo *= _unit_delay(h)
-        even += xo
-        del xo, even, odd
-        halves = _rowwise(pool, inverse, spectra)  # c[0::2], c[1::2], cyclic
-        del spectra
-    conv = np.empty(m)
-    for p in (0, 1):
-        j = n - 1 + p  # conv[p::2] holds c[j], c[j+2], ...
-        conv[p::2] = halves[j % 2][j // 2 : j // 2 + (m - p + 1) // 2]
-    del halves
+    twiddles = _twiddles(n1, n2) if n2 > 1 else None
+    workers = CPUS if n2 > 1 else 1
+    spectrum = _forward(seed, shape, twiddles, workers)
+    spectrum *= _forward(x, shape, twiddles, workers)
+    if n2 > 1:
+        spectrum = scipy.fft.ifft(spectrum, axis=1, overwrite_x=True, workers=workers)
+        coarse, fine = twiddles
+        _twiddle(spectrum, coarse.conj(), fine.conj())
+    conv = scipy.fft.irfft(spectrum, n1, axis=0, workers=workers)
+    del spectrum
+    conv = conv.reshape(-1)[n - 1 : n - 1 + m]
     rounded = np.rint(conv)
     conv -= rounded
     dev = float(np.abs(conv, out=conv).max())

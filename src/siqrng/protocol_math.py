@@ -146,7 +146,8 @@ def solve_theta(n: int, q_x: float, e_bx: float, target_epsilon: float) -> float
 
 def failure_probability(epsilon_theta: float, t_e: int) -> float:
     """Total failure probability (trace distance):
-    sqrt((eps_theta + 2^-t_e) (2 - eps_theta - 2^-t_e)).
+    sqrt((eps_theta + 2^-t_e) (2 - eps_theta - 2^-t_e)), and 1 once
+    s = eps_theta + 2^-t_e reaches 1, where the root would fall again.
 
     Evaluated via log2 so that tiny inputs do not underflow the root.
     """
@@ -156,6 +157,8 @@ def failure_probability(epsilon_theta: float, t_e: int) -> float:
         )
     if t_e < 0:
         raise ValueError(f"t_e must be non-negative, got {t_e}")
+    if epsilon_theta + 2.0 ** -t_e >= 1.0:
+        return 1.0
     # s = eps_theta + 2^-t_e, accumulated in log2 to survive large t_e.
     log2_pow = -float(t_e)
     if epsilon_theta == 0.0:
@@ -164,8 +167,6 @@ def failure_probability(epsilon_theta: float, t_e: int) -> float:
         a = math.log2(epsilon_theta)
         lo, hi_ = min(a, log2_pow), max(a, log2_pow)
         log2_s = hi_ + math.log2(1.0 + 2.0 ** (lo - hi_))
-    if log2_s >= 1.0:  # s == 2 exactly only at eps=1, t_e=0
-        return 0.0
     s = 2.0 ** log2_s if log2_s > -1000 else 0.0
     log2_eps = 0.5 * (log2_s + math.log2(2.0 - s))
     return min(1.0, 2.0 ** log2_eps)

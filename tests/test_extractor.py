@@ -104,7 +104,7 @@ def test_fast_equals_naive_random_instances():
 
 
 def test_fast_equals_naive_at_tight_cyclic_length():
-    # regression set; tight case: test_fast_equals_naive_at_tight_half_length
+    # regression set; tight case: test_fast_equals_naive_at_tight_four_step_length
     rng = np.random.default_rng(12)
     for length in (6, 9, 10, 16, 25, 81, 120, 243, 1000, 3125, 4096):
         assert scipy.fft.next_fast_len(length, real=True) == length
@@ -133,73 +133,97 @@ def full_length_fft_hash(spec: ex.ToeplitzSpec, x: np.ndarray) -> np.ndarray:
     return (rounded.astype(np.int64) & 1).astype(np.uint8)
 
 
-def half_length(n, m):
-    return scipy.fft.next_fast_len((n + m) // 2, real=True)
-
-
 @pytest.mark.parametrize("n", [65_537, 65_538])  # n - 1 even, then odd
-def test_fast_equals_reference_on_two_threads(n, monkeypatch):
+def test_fast_equals_reference_on_both_sides_of_the_crossover(n, monkeypatch):
     rng = np.random.default_rng(13 + n)
     x = rng.integers(0, 2, n, dtype=np.uint8)
     for m in (1, 2, 30_001, n - 1, n):
-        assert half_length(n, m) >= ex.THREADED_MIN_HALF_LEN
+        assert n + m - 1 >= ex.FOUR_STEP_MIN_LEN
+        assert ex._four_step_shape(n + m - 1)[1] > 1
         spec = ex.ToeplitzSpec(
             n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8)
         )
         want = full_length_fft_hash(spec, x)
         assert np.array_equal(ex.toeplitz_fast(spec, x), want)
-        # the same shapes with both halves on the calling thread
+        # the same shapes as one column on the calling thread alone
         with monkeypatch.context() as patch:
-            patch.setattr(ex, "THREADED_MIN_HALF_LEN", 1 << 62)
+            patch.setattr(ex, "FOUR_STEP_MIN_LEN", 1 << 62)
+            assert ex._four_step_shape(n + m - 1)[1] == 1
             assert np.array_equal(ex.toeplitz_fast(spec, x), want)
         windows = np.lib.stride_tricks.sliding_window_view(spec.seed_bits, n)
         for i in {0, m // 2, m - 1}:
             assert want[i] == int(windows[i][::-1].astype(np.int64) @ x) & 1
 
 
-def test_fast_equals_naive_at_tight_half_length():
-    # (n + m) // 2 is itself a fast length, so the half length is as short
-    # as the polyphase slice allows: one sample shorter wraps the top
-    # coefficient of a half onto the first output, or truncates s_e.
-    # The dense oracle takes the small halves, the full-length reference
-    # the large ones; 1 << 15 is above the thread crossover.
+def test_fast_equals_naive_at_tight_four_step_length(monkeypatch):
+    # n + m - 1 == N1 * N2 exactly, so the cyclic length is as short as
+    # the slice allows: one sample shorter wraps c[2n+m-3] onto the first
+    # output. Below the crossover, which is lowered here so that small
+    # totals take proper four-step shapes (even N1, odd N1 and N1 = 1),
+    # the dense oracle checks them; above it the full-length reference.
     rng = np.random.default_rng(14)
-    halves = (1, 2, 3, 5, 6, 9, 16, 25, 81, 120, 243, 1000, 3125, 4096, 1 << 15)
-    assert halves[-1] >= ex.THREADED_MIN_HALF_LEN
-    for half in halves:
-        assert half_length(half, half) == half
-        oracle = toeplitz_naive if half <= 243 else full_length_fft_hash
-        for total in (2 * half, 2 * half + 1):
-            for _ in range(20 if half <= 4096 else 3):
-                m = int(rng.integers(1, total // 2 + 1))
-                n = total - m
+    small = (4, 6, 16, 18, 25, 27, 30, 81, 100, 120, 243, 1000, 2025, 4096)
+    large = (1 << 16, 72_900, 118_098)
+    for total in small + large:
+        with monkeypatch.context() as patch:
+            if total in small:
+                patch.setattr(ex, "FOUR_STEP_MIN_LEN", 1)
+            n1, n2 = ex._four_step_shape(total)
+            assert n1 * n2 == total and n2 > 1
+            oracle = toeplitz_naive if total in small else full_length_fft_hash
+            for _ in range(20 if total in small else 3):
+                m = int(rng.integers(1, (total + 1) // 2 + 1))
+                n = total + 1 - m
                 spec = ex.ToeplitzSpec(
-                    n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8)
+                    n, m, rng.integers(0, 2, total, dtype=np.uint8)
                 )
                 x = rng.integers(0, 2, n, dtype=np.uint8)
-                assert half_length(n, m) == half
                 assert np.array_equal(oracle(spec, x), ex.toeplitz_fast(spec, x))
 
 
-@pytest.mark.parametrize("transform", ["rfft", "irfft"])
-def test_worker_error_leaves_the_hash_and_no_thread(transform, monkeypatch):
-    real = getattr(scipy.fft, transform)
+@pytest.mark.parametrize(
+    "shape", [(2, 8), (32, 128), (9, 27), (135, 540), (1, 12), (12, 1)]
+)
+def test_four_step_forward_equals_rfft(shape):
+    # bin k1 + N1*k2 of the length-N1*N2 DFT sits at [k1, k2]; bins past
+    # N/2 are conjugates of the rfft's. (12, 1) is the one-column shape.
+    n1, n2 = shape
+    size = n1 * n2
+    bits = np.random.default_rng(size).integers(0, 2, size - 3, dtype=np.uint8)
+    twiddles = ex._twiddles(n1, n2) if n2 > 1 else None
+    got = ex._forward(bits, shape, twiddles, 1)
+    half = scipy.fft.rfft(bits.astype(np.float64), size)
+    k = np.arange(n1 // 2 + 1)[:, None] + n1 * np.arange(n2)
+    mirrored = k > size // 2
+    want = half[np.where(mirrored, size - k, k)]
+    want[mirrored] = want[mirrored].conj()
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
-    def failing_on_worker(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            raise RuntimeError("worker transform failed")
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, transform, failing_on_worker)
+def test_transforms_run_on_the_calling_thread(monkeypatch):
     rng = np.random.default_rng(15)
     n = m = 1 << 16
-    assert half_length(n, m) >= ex.THREADED_MIN_HALF_LEN
+    assert ex._four_step_shape(n + m - 1)[1] > 1
     spec = ex.ToeplitzSpec(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
     x = rng.integers(0, 2, n, dtype=np.uint8)
+    want = full_length_fft_hash(spec, x)
+    calls = []
+    for name in ("rfft", "irfft", "fft", "ifft"):
+        real = getattr(scipy.fft, name)
+
+        def on_calling_thread(*args, _name=name, _real=real, **kwargs):
+            calls.append((_name, threading.current_thread() is threading.main_thread()))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, on_calling_thread)
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="worker transform failed"):
-        ex.toeplitz_fast(spec, x)
+    assert np.array_equal(ex.toeplitz_fast(spec, x), want)
     assert threading.active_count() == before
+    assert sorted(name for name, _ in calls) == [
+        "fft", "fft", "ifft", "irfft", "rfft", "rfft"
+    ]
+    assert all(on_main for _, on_main in calls)
 
 
 def test_large_instance_spot_window():

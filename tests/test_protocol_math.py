@@ -6,6 +6,7 @@ partition enumeration on small instances.
 """
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -357,6 +358,34 @@ def test_failure_probability_log_domain_survives_underflow():
 )
 def test_failure_probability_in_unit_interval(eps, t_e):
     assert 0.0 <= pm.failure_probability(eps, t_e) <= 1.0
+
+
+@given(
+    st_.floats(min_value=0.0, max_value=1.0),
+    st_.floats(min_value=0.0, max_value=1.0),
+    st_.integers(min_value=0, max_value=1200),
+    st_.integers(min_value=0, max_value=1200),
+)
+@settings(max_examples=500)
+def test_failure_probability_monotone(eps_a, eps_b, t_a, t_b):
+    # non-decreasing in eps_theta, non-increasing in t_e (up to round-off
+    # of the log2 evaluation), and exactly 1 once s = eps_theta + 2^-t_e
+    # reaches 1
+    eps_lo, eps_hi = sorted((eps_a, eps_b))
+    t_lo, t_hi = sorted((t_a, t_b))
+    f = pm.failure_probability
+    assert f(eps_lo, t_a) <= f(eps_hi, t_a) * (1 + 1e-12)
+    assert f(eps_a, t_hi) <= f(eps_a, t_lo) * (1 + 1e-12)
+    for eps, t_e in ((eps_a, t_a), (eps_b, t_b)):
+        if Fraction(eps) + Fraction(1, 2**t_e) >= 1:
+            assert f(eps, t_e) == 1.0
+
+
+def test_failure_probability_does_not_fall_past_one():
+    assert pm.failure_probability(1.0, 0) == 1.0
+    assert pm.failure_probability(0.99, 0) == 1.0
+    assert pm.failure_probability(0.9, 1) == 1.0
+    assert pm.failure_probability(0.5, 1) == 1.0
 
 
 # ---------------------------------------------------------------------------
