@@ -226,6 +226,30 @@ def test_transforms_run_on_the_calling_thread(monkeypatch):
     assert all(on_main for _, on_main in calls)
 
 
+@pytest.mark.parametrize("transform", ["rfft", "irfft"])
+def test_worker_error_leaves_the_hash_and_no_thread(transform, monkeypatch):
+    # above the crossover the transforms run on scipy.fft's own workers; an
+    # error there must reach the caller and leave no thread behind
+    real = getattr(scipy.fft, transform)
+
+    def failing_on_workers(*args, workers=1, **kwargs):
+        if workers > 1:
+            raise RuntimeError("worker transform failed")
+        return real(*args, workers=workers, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, transform, failing_on_workers)
+    monkeypatch.setattr(ex, "CPUS", 2)
+    rng = np.random.default_rng(15)
+    n = m = 1 << 16
+    assert ex._four_step_shape(n + m - 1)[1] > 1
+    spec = ex.ToeplitzSpec(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
+    x = rng.integers(0, 2, n, dtype=np.uint8)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="worker transform failed"):
+        ex.toeplitz_fast(spec, x)
+    assert threading.active_count() == before
+
+
 def test_large_instance_spot_window():
     rng = np.random.default_rng(5)
     n, m = 1 << 20, 1 << 19
