@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .detector_sim import CPUS
 from .errors import ConvolutionPrecisionError, EstimationAbort, FormatError
 from .protocol_math import RateBreakdown
 
@@ -25,12 +24,11 @@ from .protocol_math import RateBreakdown
 #: nearest integer before the result is considered unverifiable.
 ROUNDING_TOLERANCE = 0.25
 
-#: Convolution length from which toeplitz_fast takes a four-step shape
-#: and lets scipy.fft run each transform on all CPUS. Below it the shape
-#: is one column, a plain real-FFT convolution on the calling thread:
-#: there pocketfft's threads and the row step cost more than they save
-#: (measured crossover between 4e4 and 6.6e4 on two CPUs).
-FOUR_STEP_MIN_LEN = 1 << 16
+#: Convolution length from which toeplitz_fast takes a four-step shape.
+#: Below it the shape is one column, a plain real-FFT convolution: there
+#: the row step costs more than the short transforms save (measured
+#: crossover between 2.5e4 and 3.3e4).
+FOUR_STEP_MIN_LEN = 1 << 15
 
 
 def _as_bits(x, length: int | None = None, name: str = "bits") -> np.ndarray:
@@ -128,7 +126,7 @@ def _twiddle(spectrum: np.ndarray, coarse: np.ndarray, fine: np.ndarray) -> None
     blocks *= fine
 
 
-def _forward(bits, shape: tuple[int, int], twiddles, workers: int) -> np.ndarray:
+def _forward(bits, shape: tuple[int, int], twiddles) -> np.ndarray:
     """DFT of bits zero-padded to N = N1*N2, in four steps over the
     row-major (N1, N2) grid j = j1*N2 + j2: real FFTs of length N1 down
     the columns, the twiddles, and FFTs of length N2 along the rows. Bin
@@ -137,12 +135,12 @@ def _forward(bits, shape: tuple[int, int], twiddles, workers: int) -> np.ndarray
     grid is one column (N2 = 1), whose row step is the identity."""
     grid = np.zeros(shape)
     grid.reshape(-1)[: len(bits)] = bits
-    spectrum = scipy.fft.rfft(grid, shape[0], axis=0, workers=workers)
+    spectrum = scipy.fft.rfft(grid, shape[0], axis=0)
     del grid
     if twiddles is None:
         return spectrum
     _twiddle(spectrum, *twiddles)
-    return scipy.fft.fft(spectrum, axis=1, overwrite_x=True, workers=workers)
+    return scipy.fft.fft(spectrum, axis=1, overwrite_x=True)
 
 
 def toeplitz_fast(spec: ToeplitzSpec, bits) -> np.ndarray:
@@ -155,11 +153,11 @@ def toeplitz_fast(spec: ToeplitzSpec, bits) -> np.ndarray:
     length 2n+m-2, so nothing wraps onto the slice. Both forward
     transforms and the inverse run in four-step form (_forward; the
     inverse takes the same steps backwards with conjugate twiddles), and
-    the inverse's row-major grid is c in natural order. From
-    FOUR_STEP_MIN_LEN on, scipy.fft splits each batch of short
-    transforms over CPUS threads of its own; below it, the shape is one
-    column, and its three real FFTs run on the calling thread. No Python
-    thread is started.
+    the inverse's row-major grid is c in natural order. Below
+    FOUR_STEP_MIN_LEN the shape is one column: three plain real FFTs.
+    Every transform runs on the calling thread alone: split over
+    threads, a batch waits for its slowest share, so where the CPUs are
+    shared with other work the hash's time would depend on that work.
 
     Every used coefficient is verified to sit within ROUNDING_TOLERANCE
     of an integer. An input too large for the a-priori capacity check
@@ -174,14 +172,13 @@ def toeplitz_fast(spec: ToeplitzSpec, bits) -> np.ndarray:
             f"FFT length {n1 * n2} exceeds the verified-exact capacity"
         )
     twiddles = _twiddles(n1, n2) if n2 > 1 else None
-    workers = CPUS if n2 > 1 else 1
-    spectrum = _forward(seed, shape, twiddles, workers)
-    spectrum *= _forward(x, shape, twiddles, workers)
+    spectrum = _forward(seed, shape, twiddles)
+    spectrum *= _forward(x, shape, twiddles)
     if n2 > 1:
-        spectrum = scipy.fft.ifft(spectrum, axis=1, overwrite_x=True, workers=workers)
+        spectrum = scipy.fft.ifft(spectrum, axis=1, overwrite_x=True)
         coarse, fine = twiddles
         _twiddle(spectrum, coarse.conj(), fine.conj())
-    conv = scipy.fft.irfft(spectrum, n1, axis=0, workers=workers)
+    conv = scipy.fft.irfft(spectrum, n1, axis=0)
     del spectrum
     conv = conv.reshape(-1)[n - 1 : n - 1 + m]
     rounded = np.rint(conv)

@@ -145,7 +145,7 @@ def test_fast_equals_reference_on_both_sides_of_the_crossover(n, monkeypatch):
         )
         want = full_length_fft_hash(spec, x)
         assert np.array_equal(ex.toeplitz_fast(spec, x), want)
-        # the same shapes as one column on the calling thread alone
+        # the same shapes as one column
         with monkeypatch.context() as patch:
             patch.setattr(ex, "FOUR_STEP_MIN_LEN", 1 << 62)
             assert ex._four_step_shape(n + m - 1)[1] == 1
@@ -191,7 +191,7 @@ def test_four_step_forward_equals_rfft(shape):
     size = n1 * n2
     bits = np.random.default_rng(size).integers(0, 2, size - 3, dtype=np.uint8)
     twiddles = ex._twiddles(n1, n2) if n2 > 1 else None
-    got = ex._forward(bits, shape, twiddles, 1)
+    got = ex._forward(bits, shape, twiddles)
     half = scipy.fft.rfft(bits.astype(np.float64), size)
     k = np.arange(n1 // 2 + 1)[:, None] + n1 * np.arange(n2)
     mirrored = k > size // 2
@@ -228,24 +228,23 @@ def test_transforms_run_on_the_calling_thread(monkeypatch):
 
 @pytest.mark.parametrize("transform", ["rfft", "irfft"])
 def test_worker_error_leaves_the_hash_and_no_thread(transform, monkeypatch):
-    # above the crossover the transforms run on scipy.fft's own workers; an
-    # error there must reach the caller and leave no thread behind
+    # an error in a transform down the columns of a four-step grid must
+    # reach the caller and leave no thread behind
     real = getattr(scipy.fft, transform)
 
-    def failing_on_workers(*args, workers=1, **kwargs):
-        if workers > 1:
-            raise RuntimeError("worker transform failed")
-        return real(*args, workers=workers, **kwargs)
+    def failing_on_columns(x, *args, axis=-1, **kwargs):
+        if axis == 0:
+            raise RuntimeError("column transform failed")
+        return real(x, *args, axis=axis, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, transform, failing_on_workers)
-    monkeypatch.setattr(ex, "CPUS", 2)
+    monkeypatch.setattr(scipy.fft, transform, failing_on_columns)
     rng = np.random.default_rng(15)
     n = m = 1 << 16
     assert ex._four_step_shape(n + m - 1)[1] > 1
     spec = ex.ToeplitzSpec(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
     x = rng.integers(0, 2, n, dtype=np.uint8)
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="worker transform failed"):
+    with pytest.raises(RuntimeError, match="column transform failed"):
         ex.toeplitz_fast(spec, x)
     assert threading.active_count() == before
 
