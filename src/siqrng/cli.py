@@ -2,8 +2,9 @@
 
 Subcommands: simulate, tally, estimate, calibrate, extract, optimize,
 testsuite, pipeline. Exit codes: 0 success, 1 usage/config error,
-2 estimation abort (nothing certifiable), 3 statistical-suite failure,
-4 I/O or file-format error.
+2 estimation abort (nothing certifiable: no positive length, or
+epsilon_total >= 1), 3 statistical-suite failure, 4 I/O or file-format
+error.
 """
 from __future__ import annotations
 
@@ -11,6 +12,10 @@ import argparse
 import os
 import sys
 from typing import TYPE_CHECKING
+
+# the only matrix products are 2x2, so an OpenBLAS thread pool would only
+# idle and spin on the other CPUs; set before anything imports numpy
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import io_formats, optimizer, protocol_math
 from .errors import (
@@ -221,7 +226,7 @@ def _estimate_text(
 
 def _estimate(tally, cfg: RunConfig, theta: float, duration: float, out: str | None):
     """Estimate, write it (warnings also to stderr), then abort if nothing
-    is certified."""
+    is certified: no positive length, or a failure probability of 1."""
     imperfection = protocol_math.MeasurementImperfection(
         cfg["calibration.coefficient"],
         cfg["detector.eta0"],
@@ -235,6 +240,10 @@ def _estimate(tally, cfg: RunConfig, theta: float, duration: float, out: str | N
         print(f"warning: {w}", file=sys.stderr)
     if not est.rates.certifiable:
         raise EstimationAbort(f"certified length {est.rates.R_final:.6g} <= 0")
+    if est.security.epsilon_total >= 1.0:
+        raise EstimationAbort(
+            f"epsilon_total {est.security.epsilon_total!r} >= 1 certifies nothing"
+        )
     return est
 
 

@@ -3,11 +3,11 @@ to the certified number of bits.
 
 The matrix T is n columns by m rows with T[i][j] = seed[i - j + n - 1],
 so row i reads the seed slice [i, i+n) reversed and the product equals a
-slice of the integer convolution seed * input reduced mod 2. The fast
-path computes that convolution with FFTs in four-step form (Bailey,
-"FFTs in external or hierarchical memory", J. Supercomputing 4, 1990)
-and verifies — never assumes — that every used coefficient rounds to an
-exact integer.
+slice of the integer convolution seed * input reduced mod 2. The hash
+computes that convolution with FFTs in four-step form at every size
+(Bailey, "FFTs in external or hierarchical memory", J. Supercomputing 4,
+1990) and verifies — never assumes — that every used coefficient rounds
+to an exact integer.
 """
 from __future__ import annotations
 
@@ -23,12 +23,6 @@ from .protocol_math import RateBreakdown
 #: Maximum tolerated distance of a convolution coefficient from its
 #: nearest integer before the result is considered unverifiable.
 ROUNDING_TOLERANCE = 0.25
-
-#: Convolution length from which toeplitz_fast takes a four-step shape.
-#: Below it the shape is one column, a plain real-FFT convolution: there
-#: the row step costs more than the short transforms save (measured
-#: crossover between 2.5e4 and 3.3e4).
-FOUR_STEP_MIN_LEN = 1 << 15
 
 
 def _as_bits(x, length: int | None = None, name: str = "bits") -> np.ndarray:
@@ -84,20 +78,13 @@ def _fft_capacity_ok(seed: np.ndarray, x: np.ndarray, length: int) -> bool:
 
 
 def _four_step_shape(total: int) -> tuple[int, int]:
-    """(N1, N2) with N1*N2 >= total. Below FOUR_STEP_MIN_LEN, one column
-    of the smallest fast length; from it, the smallest product over fast N1
-    in [sqrt(total)/2, 2 sqrt(total)], each with the smallest fast
-    N2 >= total/N1, so that each transform is a batch of short ones."""
-    fast = scipy.fft.next_fast_len
-    if total < FOUR_STEP_MIN_LEN:
-        return fast(total, real=True), 1
-    root = math.isqrt(total)
-    shapes = []
-    n1 = fast(max(1, root // 2), real=True)
-    while n1 <= 2 * root:
-        shapes.append((n1 * fast(-(-total // n1), real=True), n1))
-        n1 = fast(n1 + 1, real=True)
-    size, n1 = min(shapes)
+    """(N1, N2) for the smallest fast length N >= total: N1 is the
+    smallest divisor of N from isqrt(N)/2 on and N2 = N/N1, so that each
+    transform is a batch of short ones. N <= 8 takes N1 = 1, one row."""
+    size = scipy.fft.next_fast_len(total, real=True)
+    n1 = -(-math.isqrt(size) // 2)
+    while size % n1:
+        n1 += 1
     return n1, size // n1
 
 
@@ -113,10 +100,10 @@ def _twiddles(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
     while n2 % block:
         block -= 1
     w = -2j * math.pi / (n1 * n2)
-    k1 = np.arange(1, n1 // 2 + 1)
-    coarse = np.exp(np.outer(k1, np.arange(0, n2, block)) * w)
-    fine = np.exp(np.outer(k1, np.arange(block)) * w)
-    return coarse[:, :, None], fine[:, None, :]
+    k1 = np.arange(1, n1 // 2 + 1)[:, None, None]
+    coarse = np.exp(k1 * np.arange(0, n2, block)[:, None] * w)
+    fine = np.exp(k1 * np.arange(block) * w)
+    return coarse, fine
 
 
 def _twiddle(spectrum: np.ndarray, coarse: np.ndarray, fine: np.ndarray) -> None:
@@ -131,14 +118,11 @@ def _forward(bits, shape: tuple[int, int], twiddles) -> np.ndarray:
     row-major (N1, N2) grid j = j1*N2 + j2: real FFTs of length N1 down
     the columns, the twiddles, and FFTs of length N2 along the rows. Bin
     k1 + N1*k2 lands at [k1, k2] for k1 = 0..N1//2; the other bins are
-    their conjugates, since the input is real. Without twiddles the
-    grid is one column (N2 = 1), whose row step is the identity."""
+    their conjugates, since the input is real."""
     grid = np.zeros(shape)
     grid.reshape(-1)[: len(bits)] = bits
     spectrum = scipy.fft.rfft(grid, shape[0], axis=0)
     del grid
-    if twiddles is None:
-        return spectrum
     _twiddle(spectrum, *twiddles)
     return scipy.fft.fft(spectrum, axis=1, overwrite_x=True)
 
@@ -148,16 +132,16 @@ def toeplitz_fast(spec: ToeplitzSpec, bits) -> np.ndarray:
 
     The Toeplitz product is the slice [n-1, n-1+m) of the integer
     convolution c = seed * input. It is computed as one cyclic
-    convolution of length N = N1*N2 >= n+m-1 (_four_step_shape): from
-    index n-1 on, the wrapped coefficients c[k+N] lie past the linear
-    length 2n+m-2, so nothing wraps onto the slice. Both forward
-    transforms and the inverse run in four-step form (_forward; the
-    inverse takes the same steps backwards with conjugate twiddles), and
-    the inverse's row-major grid is c in natural order. Below
-    FOUR_STEP_MIN_LEN the shape is one column: three plain real FFTs.
-    Every transform runs on the calling thread alone: split over
-    threads, a batch waits for its slowest share, so where the CPUs are
-    shared with other work the hash's time would depend on that work.
+    convolution at the smallest fast length N >= n+m-1, laid out as an
+    (N1, N2) grid (_four_step_shape): from index n-1 on, the wrapped
+    coefficients c[k+N] lie past the linear length 2n+m-2, so nothing
+    wraps onto the slice. Both forward transforms and the inverse run in
+    four-step form at every size (_forward; the inverse takes the same
+    steps backwards with conjugate twiddles), and the inverse's
+    row-major grid is c in natural order. Every transform runs on the
+    calling thread alone: split over threads, a batch waits for its
+    slowest share, so where the CPUs are shared with other work the
+    hash's time would depend on that work.
 
     Every used coefficient is verified to sit within ROUNDING_TOLERANCE
     of an integer. An input too large for the a-priori capacity check
@@ -171,13 +155,11 @@ def toeplitz_fast(spec: ToeplitzSpec, bits) -> np.ndarray:
         raise ConvolutionPrecisionError(
             f"FFT length {n1 * n2} exceeds the verified-exact capacity"
         )
-    twiddles = _twiddles(n1, n2) if n2 > 1 else None
+    coarse, fine = twiddles = _twiddles(n1, n2)
     spectrum = _forward(seed, shape, twiddles)
     spectrum *= _forward(x, shape, twiddles)
-    if n2 > 1:
-        spectrum = scipy.fft.ifft(spectrum, axis=1, overwrite_x=True)
-        coarse, fine = twiddles
-        _twiddle(spectrum, coarse.conj(), fine.conj())
+    spectrum = scipy.fft.ifft(spectrum, axis=1, overwrite_x=True)
+    _twiddle(spectrum, coarse.conj(), fine.conj())
     conv = scipy.fft.irfft(spectrum, n1, axis=0)
     del spectrum
     conv = conv.reshape(-1)[n - 1 : n - 1 + m]
@@ -195,11 +177,9 @@ def toeplitz_fast(spec: ToeplitzSpec, bits) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    """Certified output bits plus the exact hash instance used (the seed
-    is retained for audit)."""
+    """Certified output bits."""
 
     bits: np.ndarray
-    spec: ToeplitzSpec
 
 
 def seed_bits_from_bytes(data: bytes, count: int) -> np.ndarray:
@@ -232,4 +212,4 @@ def extract(bits, rate: RateBreakdown, seed: bytes) -> ExtractionResult:
         raise ValueError(f"certified {m} bits exceed the {n} raw bits")
     seed_bits = seed_bits_from_bytes(seed, n + m - 1)
     spec = ToeplitzSpec(input_len_n=n, output_len_m=m, seed_bits=seed_bits)
-    return ExtractionResult(bits=toeplitz_fast(spec, bits), spec=spec)
+    return ExtractionResult(bits=toeplitz_fast(spec, bits))

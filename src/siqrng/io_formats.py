@@ -104,10 +104,6 @@ def _binary_header(stream: EventStream) -> bytes:
     return BINARY_MAGIC + bytes([BINARY_VERSION]) + struct.pack("<Q", len(stream))
 
 
-def events_to_binary(stream: EventStream) -> bytes:
-    return _binary_header(stream) + memoryview(stream.codes)
-
-
 def events_from_binary(data: bytes) -> EventStream:
     """The stream whose codes are a read-only view of ``data``'s body."""
     import numpy as np
@@ -293,21 +289,6 @@ def _default_config() -> dict:
     }
 
 
-_CONFIG_TYPES = {
-    "source.kind": str,
-    "optimize.e_model": str,
-    "path.events": str,
-    "path.seed": str,
-    "path.output": str,
-    "measure.basis_seed": int,
-    "security.t_e": int,
-    "suite.max_failures": int,
-    "run.n_pulses": int,
-    "run.seed": int,
-    "run.extractor_seed": int,
-}
-
-
 @dataclass
 class RunConfig:
     """Flat dotted-key configuration; defaults are the bundled laser
@@ -341,9 +322,10 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
     def set(self, key: str, raw: str) -> None:
-        if key not in self.values:
+        defaults = _default_config()
+        if key not in defaults:
             raise ConfigError(f"unknown config key {key!r}")
-        typ = _CONFIG_TYPES.get(key, float)
+        typ = float if defaults[key] is None else type(defaults[key])
         try:
             value = typ(raw)
         except ValueError as exc:

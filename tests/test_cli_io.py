@@ -47,20 +47,21 @@ def test_text_round_trip():
     ]
 
 
-def test_binary_round_trip():
+def test_binary_round_trip(tmp_path):
     stream = random_stream()
-    blob = io.events_to_binary(stream)
+    path = tmp_path / "events.sqeb"
+    io.write_events(str(path), stream)
+    blob = path.read_bytes()
     assert blob[:4] == b"SQEB" and blob[4] == 1
-    back = io.events_from_binary(blob)
-    assert back == stream
-    assert io.events_to_binary(back) == blob
+    assert blob == ec.sqeb_bytes(stream)
+    assert io.events_from_binary(blob) == stream
 
 
 def test_cross_form_round_trip():
     stream = random_stream()
-    blob = io.events_to_binary(stream)
+    blob = ec.sqeb_bytes(stream)
     text = io.events_to_text(io.events_from_binary(blob))
-    assert io.events_to_binary(io.events_from_text(text)) == blob
+    assert ec.sqeb_bytes(io.events_from_text(text)) == blob
 
 
 def test_text_metadata_lines_parse():
@@ -83,7 +84,7 @@ def test_text_rejects_gaps_and_garbage():
 
 
 def test_binary_rejects_corruption():
-    blob = io.events_to_binary(random_stream(16))
+    blob = ec.sqeb_bytes(random_stream(16))
     with pytest.raises(FormatError):
         io.events_from_binary(blob[:10])
     with pytest.raises(FormatError):
@@ -128,7 +129,7 @@ def test_write_events_memory(tmp_path):
         tracemalloc.stop()
     assert peak <= 0.1 * n
     with open(path, "rb") as f:
-        assert f.read() == io.events_to_binary(stream)
+        assert f.read() == ec.sqeb_bytes(stream)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +286,32 @@ def test_cli_estimate_abort_is_exit_two(tmp_path, capsys):
         assert capsys.readouterr().err == "abort: empty check sample: cannot estimate\n"
 
 
+def test_cli_epsilon_total_of_one_is_exit_two(tmp_path, capsys):
+    # t_e = 0 gives epsilon_total = 1, which certifies nothing: estimate
+    # writes its report and aborts, and pipeline aborts before hashing
+    est_f = tmp_path / "estimate.txt"
+    assert run_cli(
+        "estimate", "--n-z", "3577108266", "--e-bx", "0.0033",
+        "--duration", "1800", "--set", "security.t_e=0", "--out", str(est_f),
+    ) == 2
+    kv = io.parse_keyvals(est_f.read_text())
+    assert float(kv["epsilon_total"]) == 1.0 and int(kv["bits"]) > 0
+    assert capsys.readouterr().err == (
+        "abort: epsilon_total 1.0 >= 1 certifies nothing\n"
+    )
+    outdir = tmp_path / "run"
+    assert run_cli(
+        "pipeline", "--set", "security.t_e=0", "--set", "run.n_pulses=2400000",
+        "--set", "run.seed=3", "--set", "run.duration=0.6",
+        "--outdir", str(outdir),
+    ) == 2
+    kv = io.parse_keyvals((outdir / "estimate.txt").read_text())
+    assert float(kv["epsilon_total"]) == 1.0 and int(kv["bits"]) > 0
+    names = os.listdir(outdir)
+    assert "certified.bits" not in names and "battery.csv" not in names
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_usage_errors_are_exit_one(tmp_path):
     assert run_cli("simulate", "--set", "bogus=1", "--out", str(tmp_path / "x")) == 1
     assert run_cli("estimate") == 1
@@ -430,6 +457,20 @@ print(after_import, codes, "numpy" in sys.modules)
 """
     last = run_python(code).splitlines()[-1]
     assert last == "False [0, 0, 0, 0, 0] False"
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task"
+)
+def test_cli_import_starts_no_blas_threads():
+    # importing the CLI first keeps OpenBLAS to the calling thread; the
+    # variable is cleared first, since this process set it on import
+    code = (
+        "import os; os.environ.pop('OPENBLAS_NUM_THREADS', None); "
+        "import siqrng.cli, numpy, scipy.fft; "
+        "print(len(os.listdir('/proc/self/task')))"
+    )
+    assert run_python(code) == "1"
 
 
 def test_cli_estimate_warnings_go_to_stderr(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Hashing paths against an explicit matrix oracle and each other."""
+"""The hash against an explicit matrix oracle and full-length references."""
+import math
 import threading
 
 import numpy as np
@@ -134,51 +135,59 @@ def full_length_fft_hash(spec: ex.ToeplitzSpec, x: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("n", [65_537, 65_538])  # n - 1 even, then odd
-def test_fast_equals_reference_on_both_sides_of_the_crossover(n, monkeypatch):
+def test_fast_equals_full_length_reference(n):
     rng = np.random.default_rng(13 + n)
     x = rng.integers(0, 2, n, dtype=np.uint8)
     for m in (1, 2, 30_001, n - 1, n):
-        assert n + m - 1 >= ex.FOUR_STEP_MIN_LEN
-        assert ex._four_step_shape(n + m - 1)[1] > 1
         spec = ex.ToeplitzSpec(
             n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8)
         )
         want = full_length_fft_hash(spec, x)
         assert np.array_equal(ex.toeplitz_fast(spec, x), want)
-        # the same shapes as one column
-        with monkeypatch.context() as patch:
-            patch.setattr(ex, "FOUR_STEP_MIN_LEN", 1 << 62)
-            assert ex._four_step_shape(n + m - 1)[1] == 1
-            assert np.array_equal(ex.toeplitz_fast(spec, x), want)
         windows = np.lib.stride_tricks.sliding_window_view(spec.seed_bits, n)
         for i in {0, m // 2, m - 1}:
             assert want[i] == int(windows[i][::-1].astype(np.int64) @ x) & 1
 
 
-def test_fast_equals_naive_at_tight_four_step_length(monkeypatch):
+def test_four_step_shape_is_the_smallest_fast_length():
+    # the grid holds exactly next_fast_len(total) samples, whatever the
+    # factorisation of that length; 78 125 = 5^7 has no fast divisor
+    # within a factor 2 of its square root
+    for total in [*range(1, 4097), 3125, 78_125, 1 << 15, 131_073, 19_036_477]:
+        size = scipy.fft.next_fast_len(total, real=True)
+        n1, n2 = ex._four_step_shape(total)
+        assert n1 * n2 == size
+        assert n1 >= -(-math.isqrt(size) // 2)
+    # the shape of the ingest_extract benchmark's hash (n + m - 1)
+    assert ex._four_step_shape(19_036_477) == (2187, 8748)
+
+
+def test_fast_equals_naive_at_tight_four_step_length():
     # n + m - 1 == N1 * N2 exactly, so the cyclic length is as short as
     # the slice allows: one sample shorter wraps c[2n+m-3] onto the first
-    # output. Below the crossover, which is lowered here so that small
-    # totals take proper four-step shapes (even N1, odd N1 and N1 = 1),
-    # the dense oracle checks them; above it the full-length reference.
+    # output. The dense oracle checks the small totals, whose shapes
+    # include N1 = 1, odd N1 and even N1; the full-length reference
+    # checks the large ones.
     rng = np.random.default_rng(14)
     small = (4, 6, 16, 18, 25, 27, 30, 81, 100, 120, 243, 1000, 2025, 4096)
     large = (1 << 16, 72_900, 118_098)
+    column_lengths = set()
     for total in small + large:
-        with monkeypatch.context() as patch:
-            if total in small:
-                patch.setattr(ex, "FOUR_STEP_MIN_LEN", 1)
-            n1, n2 = ex._four_step_shape(total)
-            assert n1 * n2 == total and n2 > 1
-            oracle = toeplitz_naive if total in small else full_length_fft_hash
-            for _ in range(20 if total in small else 3):
-                m = int(rng.integers(1, (total + 1) // 2 + 1))
-                n = total + 1 - m
-                spec = ex.ToeplitzSpec(
-                    n, m, rng.integers(0, 2, total, dtype=np.uint8)
-                )
-                x = rng.integers(0, 2, n, dtype=np.uint8)
-                assert np.array_equal(oracle(spec, x), ex.toeplitz_fast(spec, x))
+        n1, n2 = ex._four_step_shape(total)
+        assert n1 * n2 == total and n2 > 1
+        column_lengths.add(n1)
+        oracle = toeplitz_naive if total in small else full_length_fft_hash
+        for _ in range(20 if total in small else 3):
+            m = int(rng.integers(1, (total + 1) // 2 + 1))
+            n = total + 1 - m
+            spec = ex.ToeplitzSpec(
+                n, m, rng.integers(0, 2, total, dtype=np.uint8)
+            )
+            x = rng.integers(0, 2, n, dtype=np.uint8)
+            assert np.array_equal(oracle(spec, x), ex.toeplitz_fast(spec, x))
+    assert 1 in column_lengths
+    assert any(n1 % 2 for n1 in column_lengths - {1})
+    assert any(n1 % 2 == 0 for n1 in column_lengths)
 
 
 @pytest.mark.parametrize(
@@ -186,12 +195,12 @@ def test_fast_equals_naive_at_tight_four_step_length(monkeypatch):
 )
 def test_four_step_forward_equals_rfft(shape):
     # bin k1 + N1*k2 of the length-N1*N2 DFT sits at [k1, k2]; bins past
-    # N/2 are conjugates of the rfft's. (12, 1) is the one-column shape.
+    # N/2 are conjugates of the rfft's. (1, 12) is one row, (12, 1) one
+    # column.
     n1, n2 = shape
     size = n1 * n2
     bits = np.random.default_rng(size).integers(0, 2, size - 3, dtype=np.uint8)
-    twiddles = ex._twiddles(n1, n2) if n2 > 1 else None
-    got = ex._forward(bits, shape, twiddles)
+    got = ex._forward(bits, shape, ex._twiddles(n1, n2))
     half = scipy.fft.rfft(bits.astype(np.float64), size)
     k = np.arange(n1 // 2 + 1)[:, None] + n1 * np.arange(n2)
     mirrored = k > size // 2
@@ -317,12 +326,12 @@ def test_extract_aborts_below_one_bit():
 def test_extract_floors_fractional_bits():
     rng = np.random.default_rng(8)
     block = rng.integers(0, 2, 100, dtype=np.uint8)
-    result = ex.extract(block, flat_rate(17.9), rng.bytes(20))
+    seed = rng.bytes(20)
+    result = ex.extract(block, flat_rate(17.9), seed)
     assert len(result.bits) == 17
-    assert result.spec.output_len_m == 17
-    assert result.spec.input_len_n == 100
-    # the audit record holds the exact seed used
-    assert len(result.spec.seed_bits) == 116
+    # the hash takes the first n + m - 1 = 116 bits of the seed
+    spec = ex.ToeplitzSpec(100, 17, ex.seed_bits_from_bytes(seed, 116))
+    assert np.array_equal(result.bits, toeplitz_naive(spec, block))
 
 
 def test_extract_rejects_short_seed():
