@@ -198,7 +198,7 @@ def _tally_from_args(args, cfg: RunConfig) -> protocol_math.TallySummary:
 
 
 def _estimate_text(
-    est: protocol_math.ProtocolEstimate, duration: float
+    est: protocol_math.ProtocolEstimate, n_z: int, duration: float
 ) -> str:
     rates = est.rates
     sec = est.security
@@ -207,6 +207,7 @@ def _estimate_text(
         "r1": repr(rates.R1),
         "r_final": repr(rates.R_final),
         "bits": rates.whole_bits,
+        "n_z": n_z,
         "rate_bps": repr(rates.R_final / duration),
         "duration_s": repr(duration),
         "rescale_factor": repr(rates.rescale_factor),
@@ -235,7 +236,7 @@ def _estimate(tally, cfg: RunConfig, theta: float, duration: float, out: str | N
     est = protocol_math.estimate_protocol(
         tally, theta, cfg["security.t_e"], imperfection
     )
-    _emit(_estimate_text(est, duration), out)
+    _emit(_estimate_text(est, tally.n_z, duration), out)
     for w in est.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if not est.rates.certifiable:
@@ -280,7 +281,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    stream = io_formats.read_events(args.events)
+    from . import detector_sim
     with open(args.estimate, encoding="utf-8") as f:
         kv = io_formats.parse_keyvals(f.read())
     try:
@@ -293,6 +294,7 @@ def _cmd_extract(args) -> int:
             coefficient=float(kv["coefficient"]),
         )
         epsilon_total = float(kv["epsilon_total"])
+        n_z = int(kv["n_z"])
     except KeyError as exc:
         raise FormatError(f"estimate file missing key {exc}") from exc
     except ValueError as exc:
@@ -300,16 +302,20 @@ def _cmd_extract(args) -> int:
     if not 0.0 <= epsilon_total <= 1.0:
         raise FormatError(f"estimate file has epsilon_total {epsilon_total!r}")
     seed = io_formats.read_seed_file(args.seed_file)
-    _extract(stream, rates, seed, epsilon_total, args.out)
+    raw = detector_sim.raw_bits_from_events(io_formats.read_events(args.events))
+    _extract(raw, n_z, rates, seed, epsilon_total, args.out)
     return EXIT_OK
 
 
-def _extract(stream, rates, seed: bytes, epsilon_total: float, out: str):
-    """Hash the stream's raw bits and write the certified bits file."""
-    from . import detector_sim
-    from .extractor import extract  # loads scipy; only the hashing stages need it
+def _extract(raw, n_z: int, rates, seed: bytes, epsilon_total: float, out: str):
+    """Hash the raw bits and write the certified bits file, if they are
+    the n_z raw bits that the estimate certified."""
+    from .extractor import extract
 
-    raw = detector_sim.raw_bits_from_events(stream)
+    if len(raw) != n_z:
+        raise FormatError(
+            f"the estimate is for n_z={n_z} raw bits, the events hold {len(raw)}"
+        )
     result = extract(raw, rates, seed)
     io_formats.write_bits(out, result.bits, epsilon_total)
     return result.bits
@@ -414,7 +420,12 @@ def _cmd_pipeline(args) -> int:
         need = summary.n_z + est.rates.whole_bits - 1
         seed = io_formats.derived_seed_bytes(cfg["run.extractor_seed"], need)
     bits_path = os.path.join(outdir, cfg["path.output"])
-    bits = _extract(stream, est.rates, seed, est.security.epsilon_total, bits_path)
+    events = len(stream)
+    raw = detector_sim.raw_bits_from_events(stream)
+    del stream  # free the events before the hash allocates its spectra
+    bits = _extract(
+        raw, summary.n_z, est.rates, seed, est.security.epsilon_total, bits_path
+    )
 
     from .stat_suite import BATTERY_MIN_BITS
 
@@ -439,7 +450,7 @@ def _cmd_pipeline(args) -> int:
     sys.stdout.write(
         io_formats.dump_keyvals(
             {
-                "events": len(stream),
+                "events": events,
                 "n_z": summary.n_z,
                 "e_bx": f"{summary.e_bx:.6g}",
                 "certified_bits": est.rates.whole_bits,

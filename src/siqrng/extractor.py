@@ -11,11 +11,11 @@ to an exact integer.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import ConvolutionPrecisionError, EstimationAbort, FormatError
 from .protocol_math import RateBreakdown
@@ -23,6 +23,15 @@ from .protocol_math import RateBreakdown
 #: Maximum tolerated distance of a convolution coefficient from its
 #: nearest integer before the result is considered unverifiable.
 ROUNDING_TOLERANCE = 0.25
+
+#: Bytes of the bins of one block of grid columns (at least one twiddle
+#: step wide). The column transforms, twiddles and rounding run a block
+#: at a time, so besides the two half-spectra the hash holds about one
+#: block. Blocks are transposed in and out, which slows once a block
+#: leaves the cache: a 1e5-point hash takes 6.2-6.7 ms with blocks of
+#: 64-256 KiB and 8.4 ms from 1 MiB on. At the benchmark's shape one
+#: twiddle step already exceeds 256 KiB (BENCH_numpy_hash.json).
+BLOCK_BYTES = 1 << 18
 
 
 def _as_bits(x, length: int | None = None, name: str = "bits") -> np.ndarray:
@@ -77,40 +86,71 @@ def _fft_capacity_ok(seed: np.ndarray, x: np.ndarray, length: int) -> bool:
     return err < ROUNDING_TOLERANCE
 
 
+def _fast_len(target: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= target, for target >= 1: for each
+    3**b * 5**c below the best length so far, the power of two that lifts
+    it to target."""
+    best = 1 << (target - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            length = odd << (-(-target // odd) - 1).bit_length()
+            if length < best:
+                best = length
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def _four_step_shape(total: int) -> tuple[int, int]:
     """(N1, N2) for the smallest fast length N >= total: N1 is the
     smallest divisor of N from isqrt(N)/2 on and N2 = N/N1, so that each
     transform is a batch of short ones. N <= 8 takes N1 = 1, one row."""
-    size = scipy.fft.next_fast_len(total, real=True)
+    size = _fast_len(total)
     n1 = -(-math.isqrt(size) // 2)
     while size % n1:
         n1 += 1
     return n1, size // n1
 
 
+@functools.lru_cache(maxsize=8)
 def _twiddles(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
-    """The four-step twiddle exp(-2 pi i k1 j2 / N1 N2) of the rows
-    k1 = 1..N1//2 (row 0 has none) as a coarse and a fine factor: with
-    j2 = a*B + b and B the largest divisor of N2 up to its square root,
-    coarse[k1, a, 0] takes the exponent k1*a*B and fine[k1, 0, b] the
-    exponent k1*b. Exponents are exact integers below N1 N2 and each
-    product is off by a few eps; the full table would be as large as a
-    spectrum."""
+    """The four-step twiddle exp(-2 pi i k1 j2 / N1 N2) of the bins
+    k1 = 0..N1//2 as a coarse and a fine factor, laid out for a column
+    block with the columns j2 as rows: with j2 = a*B + b and B the
+    largest divisor of N2 up to its square root, coarse[a, 0, k1] takes
+    the exponent k1*a*B and fine[b, k1] the exponent k1*b. Exponents
+    are exact integers below N1 N2 and each product is off by a few eps
+    (bin 0's factor is exactly 1); the full table would be as large as
+    a spectrum. Like an FFT plan, the tables are kept per shape, read
+    only, for hashes of the same size that follow."""
     block = math.isqrt(n2)
     while n2 % block:
         block -= 1
     w = -2j * math.pi / (n1 * n2)
-    k1 = np.arange(1, n1 // 2 + 1)[:, None, None]
-    coarse = np.exp(k1 * np.arange(0, n2, block)[:, None] * w)
-    fine = np.exp(k1 * np.arange(block) * w)
+    k1 = np.arange(n1 // 2 + 1)
+    coarse = np.exp(np.arange(0, n2, block)[:, None, None] * k1 * w)
+    fine = np.exp(np.arange(block)[:, None] * k1 * w)
+    coarse.flags.writeable = fine.flags.writeable = False
     return coarse, fine
 
 
-def _twiddle(spectrum: np.ndarray, coarse: np.ndarray, fine: np.ndarray) -> None:
-    """Multiply the rows 1..N1//2 of spectrum by coarse * fine, in place."""
-    blocks = spectrum[1:].reshape(coarse.shape[:2] + fine.shape[2:])
-    blocks *= coarse
-    blocks *= fine
+def _column_blocks(n1: int, n2: int, step: int) -> list[tuple[int, int]]:
+    """Column ranges [lo, hi) of the (N1, N2) grid, each a whole number of
+    twiddle steps B wide, so that the block's bins, an
+    (hi - lo, N1//2 + 1) complex array, take about BLOCK_BYTES."""
+    width = step * max(1, BLOCK_BYTES // (16 * (n1 // 2 + 1) * step))
+    return [(lo, min(lo + width, n2)) for lo in range(0, n2, width)]
+
+
+def _twiddle(block: np.ndarray, coarse: np.ndarray, fine: np.ndarray, lo: int) -> None:
+    """Multiply a column block, the grid columns lo, lo+1, ... as its
+    rows, by their twiddles, in place."""
+    step = len(fine)
+    steps = block.reshape(len(block) // step, step, -1)
+    steps *= coarse[lo // step : lo // step + len(steps)]
+    steps *= fine
 
 
 def _forward(bits, shape: tuple[int, int], twiddles) -> np.ndarray:
@@ -118,13 +158,21 @@ def _forward(bits, shape: tuple[int, int], twiddles) -> np.ndarray:
     row-major (N1, N2) grid j = j1*N2 + j2: real FFTs of length N1 down
     the columns, the twiddles, and FFTs of length N2 along the rows. Bin
     k1 + N1*k2 lands at [k1, k2] for k1 = 0..N1//2; the other bins are
-    their conjugates, since the input is real."""
-    grid = np.zeros(shape)
+    their conjugates, since the input is real. The column steps run a
+    block of columns at a time, each copied out as contiguous rows of
+    the grid's nonzero part, which the transform pads to N1; the row
+    steps run in place."""
+    n1, n2 = shape
+    grid = np.zeros((-(-len(bits) // n2), n2), dtype=np.uint8)
     grid.reshape(-1)[: len(bits)] = bits
-    spectrum = scipy.fft.rfft(grid, shape[0], axis=0)
+    spectrum = np.empty((n1 // 2 + 1, n2), dtype=complex)
+    for lo, hi in _column_blocks(n1, n2, len(twiddles[1])):
+        columns = np.ascontiguousarray(grid[:, lo:hi].T, dtype=float)
+        block = np.fft.rfft(columns, n1, axis=1)
+        _twiddle(block, *twiddles, lo)
+        spectrum[:, lo:hi] = block.T
     del grid
-    _twiddle(spectrum, *twiddles)
-    return scipy.fft.fft(spectrum, axis=1, overwrite_x=True)
+    return np.fft.fft(spectrum, axis=1, out=spectrum)
 
 
 def toeplitz_fast(spec: ToeplitzSpec, bits) -> np.ndarray:
@@ -138,10 +186,13 @@ def toeplitz_fast(spec: ToeplitzSpec, bits) -> np.ndarray:
     wraps onto the slice. Both forward transforms and the inverse run in
     four-step form at every size (_forward; the inverse takes the same
     steps backwards with conjugate twiddles), and the inverse's
-    row-major grid is c in natural order. Every transform runs on the
-    calling thread alone: split over threads, a batch waits for its
-    slowest share, so where the CPUs are shared with other work the
-    hash's time would depend on that work.
+    row-major grid is c in natural order. Besides the two half-spectra
+    the hash holds one block of columns at a time: the inverse column
+    transforms, the rounding and the parity run block by block, on the
+    grid rows that hold the slice. Every transform runs on the calling
+    thread alone: split over threads, a batch waits for its slowest
+    share, so where the CPUs are shared with other work the hash's time
+    would depend on that work.
 
     Every used coefficient is verified to sit within ROUNDING_TOLERANCE
     of an integer. An input too large for the a-priori capacity check
@@ -158,21 +209,28 @@ def toeplitz_fast(spec: ToeplitzSpec, bits) -> np.ndarray:
     coarse, fine = twiddles = _twiddles(n1, n2)
     spectrum = _forward(seed, shape, twiddles)
     spectrum *= _forward(x, shape, twiddles)
-    spectrum = scipy.fft.ifft(spectrum, axis=1, overwrite_x=True)
-    _twiddle(spectrum, coarse.conj(), fine.conj())
-    conv = scipy.fft.irfft(spectrum, n1, axis=0)
-    del spectrum
-    conv = conv.reshape(-1)[n - 1 : n - 1 + m]
-    rounded = np.rint(conv)
-    conv -= rounded
-    dev = float(np.abs(conv, out=conv).max())
-    if dev >= ROUNDING_TOLERANCE:
-        raise ConvolutionPrecisionError(
-            f"convolution coefficient off an integer by {dev:.3g}"
-        )
-    parity = rounded.astype(np.int64)
-    parity &= 1
-    return parity.astype(np.uint8)
+    np.fft.ifft(spectrum, axis=1, out=spectrum)
+    coarse, fine = coarse.conj(), fine.conj()
+    # grid rows first..last-1 hold the slice [n-1, n-1+m)
+    first, last = (n - 1) // n2, (n + m - 2) // n2 + 1
+    parity = np.empty((last - first, n2), dtype=np.uint8)
+    for lo, hi in _column_blocks(n1, n2, len(fine)):
+        block = np.ascontiguousarray(spectrum[:, lo:hi].T)
+        _twiddle(block, coarse, fine, lo)
+        conv = np.fft.irfft(block, n1, axis=1)[:, first:last]
+        conv = np.ascontiguousarray(conv.T)  # grid rows, contiguous
+        rounded = np.rint(conv)
+        conv -= rounded
+        dev = float(np.abs(conv, out=conv).max())
+        if dev >= ROUNDING_TOLERANCE:
+            raise ConvolutionPrecisionError(
+                f"convolution coefficient off an integer by {dev:.3g}"
+            )
+        whole = rounded.astype(np.int64)
+        whole &= 1
+        parity[:, lo:hi] = whole
+    start = n - 1 - first * n2
+    return parity.reshape(-1)[start : start + m]
 
 
 @dataclass(frozen=True)

@@ -408,7 +408,7 @@ def test_cli_import_leaves_out_scipy_stats():
 
 
 def test_cli_stages_without_hashing_leave_out_scipy(tmp_path):
-    # only extract, testsuite and pipeline import the scipy-backed modules
+    # only testsuite and pipeline import the scipy-backed battery
     events, tally_f = str(tmp_path / "events.sqeb"), str(tmp_path / "tally.txt")
     est_f, curve = str(tmp_path / "estimate.txt"), str(tmp_path / "curve.csv")
     code = f"""
@@ -430,6 +430,29 @@ print(after_import, codes, scipy_modules())
 """
     last = run_python(code).splitlines()[-1]
     assert last == "[] [0, 0, 0, 0, 0] []"
+
+
+def test_cli_extract_leaves_out_scipy(tmp_path):
+    # the hash runs on numpy.fft, so extract starts and hashes without scipy
+    events, est_f = str(tmp_path / "events.sqeb"), str(tmp_path / "estimate.txt")
+    seed_f, bits_f = str(tmp_path / "seed.bin"), str(tmp_path / "out.bits")
+    Path(seed_f).write_bytes(RNG.bytes(100_000))
+    code = f"""
+import sys
+from siqrng.cli import main
+from siqrng import detector_sim, io_formats
+
+main(["simulate", "--set", "run.n_pulses=400000", "--out", {events!r}])
+n_z = len(detector_sim.raw_bits_from_events(io_formats.read_events({events!r})))
+main(["estimate", "--n-z", str(n_z), "--e-bx", "0.0033", "--duration", "0.1",
+      "--out", {est_f!r}])
+code = main(["extract", "--events", {events!r}, "--estimate", {est_f!r},
+             "--seed-file", {seed_f!r}, "--out", {bits_f!r}])
+print(code, "siqrng.extractor" in sys.modules,
+      sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    last = run_python(code).splitlines()[-1]
+    assert last == "0 True []"
 
 
 def test_cli_key_value_stages_leave_out_numpy(tmp_path):
@@ -507,12 +530,15 @@ def test_cli_io_errors_are_exit_four(tmp_path):
 
     # an estimate with a non-numeric or an inconsistent value is a bad file
     events = str(tmp_path / "events.sqeb")
-    io.write_events(events, random_stream())
+    stream = random_stream()
+    io.write_events(events, stream)
+    n_z = len(ds.raw_bits_from_events(stream))
     seed_f = tmp_path / "seed.bin"
     seed_f.write_bytes(RNG.bytes(200))
     good = {
         "r0": "12.0", "r1": "11.0", "r_final": "10.5", "rescale_factor": "1.0",
         "entropy_cost": "0.5", "coefficient": "0.952", "epsilon_total": "1e-9",
+        "n_z": str(n_z),
     }
     est_f, bits_f = tmp_path / "estimate.txt", tmp_path / "out.bits"
     changes = (
@@ -521,6 +547,8 @@ def test_cli_io_errors_are_exit_four(tmp_path):
         ({"r_final": "nan"}, 4), ({"r_final": "-inf"}, 4), ({"r0": "inf"}, 4),
         ({"epsilon_total": "nan"}, 4), ({"epsilon_total": "-1"}, 4),
         ({"epsilon_total": "2"}, 4),
+        # the estimate must be for exactly these events' raw bits
+        ({"n_z": "1.5"}, 4), ({"n_z": str(n_z - 1)}, 4),
     )
     for change, code in changes:
         est_f.write_text(io.dump_keyvals({**good, **change}))
@@ -530,6 +558,47 @@ def test_cli_io_errors_are_exit_four(tmp_path):
             "--seed-file", str(seed_f), "--out", str(bits_f),
         ) == code
         assert bits_f.exists() == (code == 0)
+
+
+def test_cli_extract_refuses_an_estimate_for_other_events(tmp_path, capsys):
+    # an estimate made for more raw bits than the events hold would hash
+    # fewer bits to the same length: exit 4, and no bits are written; so
+    # does an estimate that does not say which n_z it was made for
+    events = str(tmp_path / "events.sqeb")
+    assert run_cli(
+        "simulate", "--set", "run.n_pulses=400000", "--out", events
+    ) == 0
+    n_z = len(ds.raw_bits_from_events(io.read_events(events)))
+    seed_f = tmp_path / "seed.bin"
+    seed_f.write_bytes(RNG.bytes(2 * n_z // 8 + 1))
+    est_f, bits_f = tmp_path / "estimate.txt", tmp_path / "out.bits"
+    extract = (
+        "extract", "--events", events, "--estimate", str(est_f),
+        "--seed-file", str(seed_f), "--out", str(bits_f),
+    )
+    for stated, code in ((n_z + 1, 4), (n_z, 0)):
+        assert run_cli(
+            "estimate", "--n-z", str(stated), "--e-bx", "0.0033",
+            "--duration", "0.1", "--out", str(est_f),
+        ) == 0
+        assert int(io.parse_keyvals(est_f.read_text())["n_z"]) == stated
+        capsys.readouterr()
+        assert run_cli(*extract) == code
+        assert bits_f.exists() == Path(str(bits_f) + ".len").exists() == (code == 0)
+        err = capsys.readouterr().err
+        if code:
+            assert err == (
+                f"format error: the estimate is for n_z={stated} raw bits, "
+                f"the events hold {n_z}\n"
+            )
+    bits_f.unlink()
+    Path(str(bits_f) + ".len").unlink()
+    kv = io.parse_keyvals(est_f.read_text())
+    del kv["n_z"]
+    est_f.write_text(io.dump_keyvals(kv))
+    assert run_cli(*extract) == 4
+    assert capsys.readouterr().err == "format error: estimate file missing key 'n_z'\n"
+    assert not bits_f.exists()
 
 
 def test_cli_suite_failure_is_exit_three(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The hash against an explicit matrix oracle and full-length references."""
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,12 +150,28 @@ def test_fast_equals_full_length_reference(n):
             assert want[i] == int(windows[i][::-1].astype(np.int64) @ x) & 1
 
 
+def smallest_smooth_len(target: int) -> int:
+    """Brute force: the first 2·3·5-smooth integer from target on."""
+    length = target
+    while True:
+        rest = length
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return length
+        length += 1
+
+
 def test_four_step_shape_is_the_smallest_fast_length():
     # the grid holds exactly next_fast_len(total) samples, whatever the
     # factorisation of that length; 78 125 = 5^7 has no fast divisor
     # within a factor 2 of its square root
     for total in [*range(1, 4097), 3125, 78_125, 1 << 15, 131_073, 19_036_477]:
         size = scipy.fft.next_fast_len(total, real=True)
+        assert ex._fast_len(total) == size, total
+        if total <= 131_073:
+            assert smallest_smooth_len(total) == size, total
         n1, n2 = ex._four_step_shape(total)
         assert n1 * n2 == size
         assert n1 >= -(-math.isqrt(size) // 2)
@@ -200,7 +217,10 @@ def test_four_step_forward_equals_rfft(shape):
     n1, n2 = shape
     size = n1 * n2
     bits = np.random.default_rng(size).integers(0, 2, size - 3, dtype=np.uint8)
-    got = ex._forward(bits, shape, ex._twiddles(n1, n2))
+    twiddles = ex._twiddles(n1, n2)
+    got = ex._forward(bits, shape, twiddles)
+    # the tables are shared by later hashes of this shape
+    assert not any(table.flags.writeable for table in twiddles)
     half = scipy.fft.rfft(bits.astype(np.float64), size)
     k = np.arange(n1 // 2 + 1)[:, None] + n1 * np.arange(n2)
     mirrored = k > size // 2
@@ -219,34 +239,29 @@ def test_transforms_run_on_the_calling_thread(monkeypatch):
     want = full_length_fft_hash(spec, x)
     calls = []
     for name in ("rfft", "irfft", "fft", "ifft"):
-        real = getattr(scipy.fft, name)
+        real = getattr(np.fft, name)
 
         def on_calling_thread(*args, _name=name, _real=real, **kwargs):
             calls.append((_name, threading.current_thread() is threading.main_thread()))
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, name, on_calling_thread)
+        monkeypatch.setattr(np.fft, name, on_calling_thread)
     before = threading.active_count()
     assert np.array_equal(ex.toeplitz_fast(spec, x), want)
     assert threading.active_count() == before
-    assert sorted(name for name, _ in calls) == [
-        "fft", "fft", "ifft", "irfft", "rfft", "rfft"
-    ]
+    assert {name for name, _ in calls} == {"rfft", "irfft", "fft", "ifft"}
     assert all(on_main for _, on_main in calls)
 
 
 @pytest.mark.parametrize("transform", ["rfft", "irfft"])
 def test_worker_error_leaves_the_hash_and_no_thread(transform, monkeypatch):
-    # an error in a transform down the columns of a four-step grid must
-    # reach the caller and leave no thread behind
-    real = getattr(scipy.fft, transform)
+    # an error in a transform down the columns of a four-step grid (the
+    # real transforms run only there) must reach the caller and leave no
+    # thread behind
+    def failing_on_columns(*args, **kwargs):
+        raise RuntimeError("column transform failed")
 
-    def failing_on_columns(x, *args, axis=-1, **kwargs):
-        if axis == 0:
-            raise RuntimeError("column transform failed")
-        return real(x, *args, axis=axis, **kwargs)
-
-    monkeypatch.setattr(scipy.fft, transform, failing_on_columns)
+    monkeypatch.setattr(np.fft, transform, failing_on_columns)
     rng = np.random.default_rng(15)
     n = m = 1 << 16
     assert ex._four_step_shape(n + m - 1)[1] > 1
@@ -256,6 +271,57 @@ def test_worker_error_leaves_the_hash_and_no_thread(transform, monkeypatch):
     with pytest.raises(RuntimeError, match="column transform failed"):
         ex.toeplitz_fast(spec, x)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_rounding_is_checked_in_every_column_block(where, monkeypatch):
+    # 0.3 added to one used coefficient of one column block, after the
+    # inverse column transform, must stop the hash
+    rng = np.random.default_rng(16)
+    n = m = 1 << 16
+    spec = ex.ToeplitzSpec(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
+    x = rng.integers(0, 2, n, dtype=np.uint8)
+    n1, n2 = ex._four_step_shape(n + m - 1)
+    monkeypatch.setattr(ex, "BLOCK_BYTES", 16 * (n1 // 2 + 1))  # one step wide
+    blocks = ex._column_blocks(n1, n2, len(ex._twiddles(n1, n2)[1]))
+    assert len(blocks) >= 3
+    target = {"first": 0, "middle": len(blocks) // 2, "last": len(blocks) - 1}[where]
+    lo, hi = blocks[target]
+    row = (n - 1 + m // 2) // n2
+    assert n - 1 <= row * n2 + lo < n - 1 + m
+    calls = []
+    real = np.fft.irfft
+
+    def off_by_three_tenths(*args, **kwargs):
+        # a block's columns come out as rows, each indexed by grid row
+        out = real(*args, **kwargs)
+        if len(calls) == target:
+            assert out.shape == (hi - lo, n1)
+            out[0, row] += 0.3
+        calls.append(len(out))
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", off_by_three_tenths)
+    with pytest.raises(ConvolutionPrecisionError, match="off an integer by 0.3"):
+        ex.toeplitz_fast(spec, x)
+    assert len(calls) == target + 1
+
+
+def test_peak_allocation_is_two_half_spectra_and_a_block():
+    # the two half-spectra take 2x; the parent's full grids took it to 3.1x
+    rng = np.random.default_rng(17)
+    n, m = 1 << 20, 1 << 19
+    spec = ex.ToeplitzSpec(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
+    x = rng.integers(0, 2, n, dtype=np.uint8)
+    n1, n2 = ex._four_step_shape(n + m - 1)
+    half_spectrum = (n1 // 2 + 1) * n2 * 16
+    tracemalloc.start()
+    try:
+        ex.toeplitz_fast(spec, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * half_spectrum, peak / half_spectrum
 
 
 def test_large_instance_spot_window():
