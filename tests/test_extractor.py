@@ -308,7 +308,7 @@ def test_rounding_is_checked_in_every_column_block(where, monkeypatch):
 
 
 def test_peak_allocation_is_two_half_spectra_and_a_block():
-    # the two half-spectra take 2x; the parent's full grids took it to 3.1x
+    # the two half-spectra take 2x; whole-grid transforms took it to 3.0x
     rng = np.random.default_rng(17)
     n, m = 1 << 20, 1 << 19
     spec = ex.ToeplitzSpec(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
