@@ -11,7 +11,6 @@ to an exact integer.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -114,7 +113,6 @@ def _four_step_shape(total: int) -> tuple[int, int]:
     return n1, size // n1
 
 
-@functools.lru_cache(maxsize=8)
 def _twiddles(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
     """The four-step twiddle exp(-2 pi i k1 j2 / N1 N2) of the bins
     k1 = 0..N1//2 as a coarse and a fine factor, laid out for a column
@@ -123,8 +121,7 @@ def _twiddles(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
     the exponent k1*a*B and fine[b, k1] the exponent k1*b. Exponents
     are exact integers below N1 N2 and each product is off by a few eps
     (bin 0's factor is exactly 1); the full table would be as large as
-    a spectrum. Like an FFT plan, the tables are kept per shape, read
-    only, for hashes of the same size that follow."""
+    a spectrum."""
     block = math.isqrt(n2)
     while n2 % block:
         block -= 1
@@ -132,7 +129,6 @@ def _twiddles(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
     k1 = np.arange(n1 // 2 + 1)
     coarse = np.exp(np.arange(0, n2, block)[:, None, None] * k1 * w)
     fine = np.exp(np.arange(block)[:, None] * k1 * w)
-    coarse.flags.writeable = fine.flags.writeable = False
     return coarse, fine
 
 

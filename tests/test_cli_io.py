@@ -408,9 +408,12 @@ def test_cli_import_leaves_out_scipy_stats():
 
 
 def test_cli_stages_without_hashing_leave_out_scipy(tmp_path):
-    # only testsuite and pipeline import the scipy-backed battery
+    # only testsuite and pipeline import the scipy-backed battery; the
+    # hash runs on numpy.fft, so extract leaves scipy out too
     events, tally_f = str(tmp_path / "events.sqeb"), str(tmp_path / "tally.txt")
     est_f, curve = str(tmp_path / "estimate.txt"), str(tmp_path / "curve.csv")
+    seed_f, bits_f = str(tmp_path / "seed.bin"), str(tmp_path / "out.bits")
+    Path(seed_f).write_bytes(RNG.bytes(100_000))
     code = f"""
 import sys
 from siqrng.cli import main
@@ -423,36 +426,15 @@ codes = [
     main(["simulate", "--set", "run.n_pulses=400000", "--out", {events!r}]),
     main(["tally", "--events", {events!r}, "--out", {tally_f!r}]),
     main(["estimate", "--tally", {tally_f!r}, "--out", {est_f!r}]),
+    main(["extract", "--events", {events!r}, "--estimate", {est_f!r},
+          "--seed-file", {seed_f!r}, "--out", {bits_f!r}]),
     main(["calibrate", "--z-counts", "100000", "50", "--x-counts", "51692", "48308"]),
     main(["optimize", "--out", {curve!r}]),
 ]
 print(after_import, codes, scipy_modules())
 """
     last = run_python(code).splitlines()[-1]
-    assert last == "[] [0, 0, 0, 0, 0] []"
-
-
-def test_cli_extract_leaves_out_scipy(tmp_path):
-    # the hash runs on numpy.fft, so extract starts and hashes without scipy
-    events, est_f = str(tmp_path / "events.sqeb"), str(tmp_path / "estimate.txt")
-    seed_f, bits_f = str(tmp_path / "seed.bin"), str(tmp_path / "out.bits")
-    Path(seed_f).write_bytes(RNG.bytes(100_000))
-    code = f"""
-import sys
-from siqrng.cli import main
-from siqrng import detector_sim, io_formats
-
-main(["simulate", "--set", "run.n_pulses=400000", "--out", {events!r}])
-n_z = len(detector_sim.raw_bits_from_events(io_formats.read_events({events!r})))
-main(["estimate", "--n-z", str(n_z), "--e-bx", "0.0033", "--duration", "0.1",
-      "--out", {est_f!r}])
-code = main(["extract", "--events", {events!r}, "--estimate", {est_f!r},
-             "--seed-file", {seed_f!r}, "--out", {bits_f!r}])
-print(code, "siqrng.extractor" in sys.modules,
-      sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-"""
-    last = run_python(code).splitlines()[-1]
-    assert last == "0 True []"
+    assert last == "[] [0, 0, 0, 0, 0, 0] []"
 
 
 def test_cli_key_value_stages_leave_out_numpy(tmp_path):
@@ -547,58 +529,23 @@ def test_cli_io_errors_are_exit_four(tmp_path):
         ({"r_final": "nan"}, 4), ({"r_final": "-inf"}, 4), ({"r0": "inf"}, 4),
         ({"epsilon_total": "nan"}, 4), ({"epsilon_total": "-1"}, 4),
         ({"epsilon_total": "2"}, 4),
-        # the estimate must be for exactly these events' raw bits
+        # the estimate must be for exactly these events' raw bits: one
+        # made for more would hash fewer bits to the same length; None
+        # leaves the key out
         ({"n_z": "1.5"}, 4), ({"n_z": str(n_z - 1)}, 4),
+        ({"n_z": str(n_z + 1)}, 4), ({"n_z": None}, 4),
     )
+    sidecar = Path(str(bits_f) + ".len")
     for change, code in changes:
-        est_f.write_text(io.dump_keyvals({**good, **change}))
+        est = {k: v for k, v in {**good, **change}.items() if v is not None}
+        est_f.write_text(io.dump_keyvals(est))
         bits_f.unlink(missing_ok=True)
+        sidecar.unlink(missing_ok=True)
         assert run_cli(
             "extract", "--events", events, "--estimate", str(est_f),
             "--seed-file", str(seed_f), "--out", str(bits_f),
         ) == code
-        assert bits_f.exists() == (code == 0)
-
-
-def test_cli_extract_refuses_an_estimate_for_other_events(tmp_path, capsys):
-    # an estimate made for more raw bits than the events hold would hash
-    # fewer bits to the same length: exit 4, and no bits are written; so
-    # does an estimate that does not say which n_z it was made for
-    events = str(tmp_path / "events.sqeb")
-    assert run_cli(
-        "simulate", "--set", "run.n_pulses=400000", "--out", events
-    ) == 0
-    n_z = len(ds.raw_bits_from_events(io.read_events(events)))
-    seed_f = tmp_path / "seed.bin"
-    seed_f.write_bytes(RNG.bytes(2 * n_z // 8 + 1))
-    est_f, bits_f = tmp_path / "estimate.txt", tmp_path / "out.bits"
-    extract = (
-        "extract", "--events", events, "--estimate", str(est_f),
-        "--seed-file", str(seed_f), "--out", str(bits_f),
-    )
-    for stated, code in ((n_z + 1, 4), (n_z, 0)):
-        assert run_cli(
-            "estimate", "--n-z", str(stated), "--e-bx", "0.0033",
-            "--duration", "0.1", "--out", str(est_f),
-        ) == 0
-        assert int(io.parse_keyvals(est_f.read_text())["n_z"]) == stated
-        capsys.readouterr()
-        assert run_cli(*extract) == code
-        assert bits_f.exists() == Path(str(bits_f) + ".len").exists() == (code == 0)
-        err = capsys.readouterr().err
-        if code:
-            assert err == (
-                f"format error: the estimate is for n_z={stated} raw bits, "
-                f"the events hold {n_z}\n"
-            )
-    bits_f.unlink()
-    Path(str(bits_f) + ".len").unlink()
-    kv = io.parse_keyvals(est_f.read_text())
-    del kv["n_z"]
-    est_f.write_text(io.dump_keyvals(kv))
-    assert run_cli(*extract) == 4
-    assert capsys.readouterr().err == "format error: estimate file missing key 'n_z'\n"
-    assert not bits_f.exists()
+        assert bits_f.exists() == sidecar.exists() == (code == 0)
 
 
 def test_cli_suite_failure_is_exit_three(tmp_path, capsys):

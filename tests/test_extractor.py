@@ -219,8 +219,6 @@ def test_four_step_forward_equals_rfft(shape):
     bits = np.random.default_rng(size).integers(0, 2, size - 3, dtype=np.uint8)
     twiddles = ex._twiddles(n1, n2)
     got = ex._forward(bits, shape, twiddles)
-    # the tables are shared by later hashes of this shape
-    assert not any(table.flags.writeable for table in twiddles)
     half = scipy.fft.rfft(bits.astype(np.float64), size)
     k = np.arange(n1 // 2 + 1)[:, None] + n1 * np.arange(n2)
     mirrored = k > size // 2
