@@ -7,7 +7,8 @@ slice of the integer convolution seed * input reduced mod 2. The hash
 computes that convolution with FFTs in four-step form at every size
 (Bailey, "FFTs in external or hierarchical memory", J. Supercomputing 4,
 1990) and verifies — never assumes — that every used coefficient rounds
-to an exact integer.
+to an exact integer. The battery's spectral test (stat_suite) runs its
+DFT on the same four-step forward transform.
 """
 from __future__ import annotations
 
@@ -25,11 +26,13 @@ ROUNDING_TOLERANCE = 0.25
 
 #: Bytes of the bins of one block of grid columns (at least one twiddle
 #: step wide). The column transforms, twiddles and rounding run a block
-#: at a time, so besides the two half-spectra the hash holds about one
-#: block. Blocks are transposed in and out, which slows once a block
-#: leaves the cache: a 1e5-point hash takes 6.2-6.7 ms with blocks of
-#: 64-256 KiB and 8.4 ms from 1 MiB on. At the benchmark's shape one
-#: twiddle step already exceeds 256 KiB (BENCH_numpy_hash.json).
+#: at a time, so the hash holds about one block besides the seed's
+#: half-spectrum and a band of the input's, and the spectral test
+#: (stat_suite) one block besides its half-spectrum. Blocks are
+#: transposed in and out, which slows once a block leaves the cache: a
+#: 1e5-point hash takes 6.2-6.7 ms with blocks of 64-256 KiB and 8.4 ms
+#: from 1 MiB on. At the benchmark's shape one twiddle step already
+#: exceeds 256 KiB (BENCH_numpy_hash.json).
 BLOCK_BYTES = 1 << 18
 
 
@@ -149,25 +152,35 @@ def _twiddle(block: np.ndarray, coarse: np.ndarray, fine: np.ndarray, lo: int) -
     steps *= fine
 
 
-def _forward(bits, shape: tuple[int, int], twiddles) -> np.ndarray:
-    """DFT of bits zero-padded to N = N1*N2, in four steps over the
-    row-major (N1, N2) grid j = j1*N2 + j2: real FFTs of length N1 down
-    the columns, the twiddles, and FFTs of length N2 along the rows. Bin
-    k1 + N1*k2 lands at [k1, k2] for k1 = 0..N1//2; the other bins are
-    their conjugates, since the input is real. The column steps run a
-    block of columns at a time, each copied out as contiguous rows of
-    the grid's nonzero part, which the transform pads to N1; the row
-    steps run in place."""
+def _forward(bits, shape: tuple[int, int], twiddles, rows=None, rfft=None) -> np.ndarray:
+    """Bins of the DFT of bits zero-padded to N = N1*N2, in four steps
+    over the row-major (N1, N2) grid j = j1*N2 + j2: real FFTs of length
+    N1 down the columns, the twiddles, and FFTs of length N2 along the
+    rows. Bin k1 + N1*k2 lands at [k1, k2] for k1 = 0..N1//2; the other
+    bins are their conjugates, since the input is real. Only the rows
+    k1 in [lo, hi) = ``rows`` (all of them by default) are kept, twiddled
+    and transformed along. The column steps run a block of columns at a
+    time, gathered straight from the bits: the grid's full rows as a
+    view, the last partial row padded, and the real FFT (``rfft``, by
+    default numpy.fft.rfft as it is at the call) pads each column to N1.
+    The row steps run in place."""
     n1, n2 = shape
-    grid = np.zeros((-(-len(bits) // n2), n2), dtype=np.uint8)
-    grid.reshape(-1)[: len(bits)] = bits
-    spectrum = np.empty((n1 // 2 + 1, n2), dtype=complex)
-    for lo, hi in _column_blocks(n1, n2, len(twiddles[1])):
-        columns = np.ascontiguousarray(grid[:, lo:hi].T, dtype=float)
-        block = np.fft.rfft(columns, n1, axis=1)
-        _twiddle(block, *twiddles, lo)
+    first, last = rows or (0, n1 // 2 + 1)
+    rfft = rfft or np.fft.rfft
+    coarse, fine = (table[..., first:last] for table in twiddles)
+    full, rest = divmod(len(bits), n2)
+    grid = bits[: full * n2].reshape(full, n2)
+    tail = np.zeros(n2, dtype=bits.dtype)
+    tail[:rest] = bits[full * n2 :]
+    spectrum = np.empty((last - first, n2), dtype=complex)
+    for lo, hi in _column_blocks(n1, n2, len(fine)):
+        columns = np.empty((hi - lo, full + (rest > 0)))
+        columns[:, :full] = grid[:, lo:hi].T
+        if rest:
+            columns[:, full] = tail[lo:hi]
+        block = rfft(columns, n1, axis=1)[:, first:last]
+        _twiddle(block, coarse, fine, lo)
         spectrum[:, lo:hi] = block.T
-    del grid
     return np.fft.fft(spectrum, axis=1, out=spectrum)
 
 
@@ -182,10 +195,13 @@ def toeplitz_fast(spec: ToeplitzSpec, bits) -> np.ndarray:
     wraps onto the slice. Both forward transforms and the inverse run in
     four-step form at every size (_forward; the inverse takes the same
     steps backwards with conjugate twiddles), and the inverse's
-    row-major grid is c in natural order. Besides the two half-spectra
-    the hash holds one block of columns at a time: the inverse column
-    transforms, the rounding and the parity run block by block, on the
-    grid rows that hold the slice. Every transform runs on the calling
+    row-major grid is c in natural order. The hash holds the seed's
+    half-spectrum, half of the input's and one block of columns: the
+    input's spectrum is formed in two bands of bin rows, each multiplied
+    into the seed's as it is done, so the input's column steps run
+    twice; the inverse column transforms, the rounding and the parity
+    run block by block, on the grid rows that hold the slice. Every
+    transform runs on the calling
     thread alone: split over threads, a batch waits for its slowest
     share, so where the CPUs are shared with other work the hash's time
     would depend on that work.
@@ -204,7 +220,10 @@ def toeplitz_fast(spec: ToeplitzSpec, bits) -> np.ndarray:
         )
     coarse, fine = twiddles = _twiddles(n1, n2)
     spectrum = _forward(seed, shape, twiddles)
-    spectrum *= _forward(x, shape, twiddles)
+    half = (n1 // 2 + 1) // 2
+    for rows in ((0, half), (half, n1 // 2 + 1)):
+        if rows[0] < rows[1]:  # N1 = 1 leaves the first band empty
+            spectrum[rows[0] : rows[1]] *= _forward(x, shape, twiddles, rows)
     np.fft.ifft(spectrum, axis=1, out=spectrum)
     coarse, fine = coarse.conj(), fine.conj()
     # grid rows first..last-1 hold the slice [n-1, n-1+m)

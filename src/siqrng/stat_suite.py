@@ -5,10 +5,11 @@ parameters: monobit frequency, block frequency (block 128), runs,
 longest run of ones, cumulative sums (forward), serial (m = 2, first
 p-value), approximate entropy (m = 2), and the discrete-spectral test.
 The spectral test reads the first n' = scipy.fft.prev_fast_len(n) bits,
-the largest 2*3*5-smooth length that fits, so its one real FFT is fast
-whatever n's factors (n' >= 1000 whenever n >= 1000, and n'/n > 0.976
-from the battery's 10^6-bit minimum up); the other seven read all n
-bits. Tests that define several p-values report their primary one so
+the largest 2*3*5-smooth length that fits, so its DFT is fast whatever
+n's factors (n' >= 1000 whenever n >= 1000, and n'/n > 0.976 from the
+battery's 10^6-bit minimum up); the other seven read all n bits. The
+DFT runs in the hash's four-step form (extractor._forward) and holds
+one half-spectrum. Tests that define several p-values report their primary one so
 each test contributes exactly one row. This battery is a sanity harness;
 the security statement is the certified length, not these p-values.
 """
@@ -22,6 +23,7 @@ import scipy.fft
 from scipy.special import erfc, gammaincc, ndtr
 
 from .errors import InsufficientBitsError
+from .extractor import _forward, _four_step_shape, _twiddles
 
 #: Aggregate precondition for run_battery.
 BATTERY_MIN_BITS = 1_000_000
@@ -194,19 +196,23 @@ def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
     return np.bincount(idx, minlength=1 << m)
 
 
-def _psi_sq(b: np.ndarray, m: int) -> float:
-    if m <= 0:
-        return 0.0
-    counts = _pattern_counts(b, m)
-    n = len(b)
-    return float((1 << m) / n * np.sum(counts.astype(np.float64) ** 2) - n)
+def _psi_sq(counts: np.ndarray, n: int) -> float:
+    return float(len(counts) / n * np.sum(counts.astype(np.float64) ** 2) - n)
+
+
+def _marginal(counts: np.ndarray) -> np.ndarray:
+    """Cyclic (m-1)-gram counts from the m-gram counts: the (m-1)-gram
+    at i is the m-gram at i without its last bit."""
+    return counts.reshape(-1, 2).sum(axis=1)
 
 
 def serial(bits, m: int = 2) -> float:
     """Uniformity of overlapping m-grams (first p-value of the pair)."""
     b = _bits(bits)
     _require(b, 1 << (m + 2), "serial")
-    delta1 = _psi_sq(b, m) - _psi_sq(b, m - 1)
+    n = len(b)
+    counts = _pattern_counts(b, m)
+    delta1 = _psi_sq(counts, n) - _psi_sq(_marginal(counts), n)
     return float(gammaincc(2 ** (m - 2), delta1 / 2.0))
 
 
@@ -216,27 +222,50 @@ def approximate_entropy(bits, m: int = 2) -> float:
     _require(b, 1 << (m + 3), "approximate_entropy")
     n = len(b)
 
-    def phi(mm: int) -> float:
-        counts = _pattern_counts(b, mm).astype(np.float64)
-        frac = counts[counts > 0] / n
+    def phi(counts: np.ndarray) -> float:
+        frac = counts[counts > 0].astype(np.float64) / n
         return float(np.sum(frac * np.log(frac)))
 
-    apen = phi(m) - phi(m + 1)
+    counts = _pattern_counts(b, m + 1)
+    apen = phi(_marginal(counts)) - phi(counts)
     chi2 = 2.0 * n * (math.log(2.0) - apen)
     return float(gammaincc(2 ** (m - 1), chi2 / 2.0))
+
+
+def _below_threshold(b: np.ndarray, threshold: float) -> int:
+    """How many bins k in [0, n/2) of the DFT of the +/-1 sequence 2b - 1
+    have a magnitude below threshold, for a 2*3*5-smooth n = len(b).
+
+    The DFT is the hash's four-step transform at N1*N2 = n, with
+    scipy.fft.rfft down the columns, of b itself: DFT(2b - 1) =
+    2 DFT(b) - n at k = 0 and 2 DFT(b) elsewhere. The stored bin [k1, k2]
+    is k = k1 + N1*k2. Rows 0 and N1/2 hold both k and its conjugate
+    partner n - k; a row with 0 < k1 < N1/2 holds k alone, and its bins
+    also stand for the partners, of the same magnitude."""
+    n = len(b)
+    n1, n2 = shape = _four_step_shape(n)
+    spectrum = _forward(b, shape, _twiddles(n1, n2), rfft=scipy.fft.rfft)
+    spectrum[0, 0] -= n / 2
+    half = n // 2
+    below = 0
+    for k1, row in enumerate(spectrum):
+        small = np.abs(row) < threshold / 2
+        below += int(np.count_nonzero(small[: -(-(half - k1) // n1)]))  # k < n/2
+        if 0 < 2 * k1 < n1:  # n - k < n/2
+            below += int(np.count_nonzero(small[(n - half - k1) // n1 + 1 :]))
+    return below
 
 
 def spectral(bits) -> float:
     """Discrete-Fourier peak count below the 95% threshold, on the first
     n' = prev_fast_len(n) bits, the largest 2*3*5-smooth length that
-    fits: one real FFT whatever n's factors."""
+    fits, so the DFT is fast whatever n's factors."""
     b = _bits(bits)
     _require(b, 1000, "spectral")
     n = scipy.fft.prev_fast_len(len(b), real=True)
-    mags = np.abs(scipy.fft.rfft(2.0 * b[:n] - 1.0))[: n // 2]
     threshold = math.sqrt(math.log(1.0 / 0.05) * n)
     n0 = 0.95 * n / 2.0
-    n1 = int(np.count_nonzero(mags < threshold))
+    n1 = _below_threshold(b[:n], threshold)
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
     return float(erfc(abs(d) / math.sqrt(2.0)))
 

@@ -2,6 +2,7 @@
 calibration on a known-good generator."""
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,48 @@ def test_spectral_is_real_fft_form_on_smooth_prefix():
             assert st.spectral(b) == reference_spectral(b[:prefix])[2]
 
 
+@pytest.mark.parametrize(
+    "n",
+    [
+        1000,  # N1 = 20, N2 = 50: bin n/2 on row 0
+        1500,  # N1 = 20, N2 = 75: bin n/2 on row N1/2
+        1250,  # N1 = 25, N2 = 50: N1 odd, bin n/2 on row 0
+        1125,  # N1 = 25, N2 = 45: n odd, bin (n-1)/2 on row N1//2
+        10**6,  # the battery's minimum
+    ],
+)
+def test_spectral_count_equals_real_fft_count(n):
+    # the four-step count over the stored half-plane against a count of
+    # the first n//2 bins of the one-dimensional real FFT, at thresholds
+    # below, at and above the test's own
+    rng = np.random.default_rng(n)
+    inputs = (
+        rng.integers(0, 2, n, dtype=np.uint8),
+        (rng.random(n) < 0.53).astype(np.uint8),
+        (np.arange(n) % 7 < 3).astype(np.uint8),
+    )
+    for b in inputs:
+        mags = reference_spectral(b)[0]
+        for scale in (0.5, 1.0, 1.5):
+            threshold = scale * math.sqrt(math.log(1.0 / 0.05) * n)
+            want = int(np.count_nonzero(mags < threshold))
+            assert st._below_threshold(b, threshold) == want, (scale, want)
+
+
+def test_spectral_peak_allocation_is_one_half_spectrum():
+    n = 10**6
+    b = np.random.default_rng(5).integers(0, 2, n, dtype=np.uint8)
+    n1, n2 = st._four_step_shape(n)
+    half_spectrum = (n1 // 2 + 1) * n2 * 16
+    tracemalloc.start()
+    try:
+        st.spectral(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * half_spectrum, peak / half_spectrum
+
+
 def reference_pattern_counts(b, m):
     """Cyclic m-gram counts from rotated copies of the sequence."""
     if m == 0:
@@ -244,3 +287,7 @@ def test_pattern_counts_match_rotation_reference():
             got = st._pattern_counts(b, m)
             assert np.array_equal(got, reference_pattern_counts(b, m))
             assert got.sum() == n
+            if m:  # serial and approximate_entropy take m-1 from m
+                assert np.array_equal(
+                    st._marginal(got), reference_pattern_counts(b, m - 1)
+                )

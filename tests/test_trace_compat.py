@@ -1,6 +1,7 @@
 """The benchmark's traced run, in small: perfbench's tracer wrapped around
 ``extract`` and ``testsuite`` must record every span its ingest workload
-requires, each nested inside its parent.
+requires, each nested inside its parent, and a ``scipy.fft.rfft`` span
+inside the spectral test.
 
 perfbench is imported read-only from the repository root; its workload
 writes the inputs (a smaller SQEB file, the hash seed and the estimate),
@@ -61,3 +62,10 @@ def test_traced_ingest_records_every_required_span(tmp_path):
             parent = by_id[span["parent"]]
             assert parent["start"] <= span["start"], (parent, span)
             assert span["end"] <= parent["end"], (parent, span)
+    # the benchmark reads the spectral test's transform length from the
+    # scipy.fft.rfft spans under it, so the test must run its DFT there
+    spectral = {span["id"] for span in spans if span["name"] == "stat_suite.spectral"}
+    assert any(
+        span["name"] == "scipy.fft.rfft" and span["parent"] in spectral
+        for span in spans
+    )
