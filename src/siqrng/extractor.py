@@ -220,10 +220,10 @@ def toeplitz_fast(spec: ToeplitzSpec, bits) -> np.ndarray:
         )
     coarse, fine = twiddles = _twiddles(n1, n2)
     spectrum = _forward(seed, shape, twiddles)
-    half = (n1 // 2 + 1) // 2
-    for rows in ((0, half), (half, n1 // 2 + 1)):
-        if rows[0] < rows[1]:  # N1 = 1 leaves the first band empty
-            spectrum[rows[0] : rows[1]] *= _forward(x, shape, twiddles, rows)
+    bins = n1 // 2 + 1
+    for first, last in ((0, bins // 2), (bins // 2, bins)):
+        if first < last:  # N1 = 1 leaves the first band empty
+            spectrum[first:last] *= _forward(x, shape, twiddles, (first, last))
     np.fft.ifft(spectrum, axis=1, out=spectrum)
     coarse, fine = coarse.conj(), fine.conj()
     # grid rows first..last-1 hold the slice [n-1, n-1+m)
