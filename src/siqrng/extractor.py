@@ -201,10 +201,9 @@ def toeplitz_fast(spec: ToeplitzSpec, bits) -> np.ndarray:
     into the seed's as it is done, so the input's column steps run
     twice; the inverse column transforms, the rounding and the parity
     run block by block, on the grid rows that hold the slice. Every
-    transform runs on the calling
-    thread alone: split over threads, a batch waits for its slowest
-    share, so where the CPUs are shared with other work the hash's time
-    would depend on that work.
+    transform runs on the calling thread alone: split over threads, a
+    batch waits for its slowest share, so where the CPUs are shared with
+    other work the hash's time would depend on that work.
 
     Every used coefficient is verified to sit within ROUNDING_TOLERANCE
     of an integer. An input too large for the a-priori capacity check
@@ -221,9 +220,9 @@ def toeplitz_fast(spec: ToeplitzSpec, bits) -> np.ndarray:
     coarse, fine = twiddles = _twiddles(n1, n2)
     spectrum = _forward(seed, shape, twiddles)
     bins = n1 // 2 + 1
-    for first, last in ((0, bins // 2), (bins // 2, bins)):
-        if first < last:  # N1 = 1 leaves the first band empty
-            spectrum[first:last] *= _forward(x, shape, twiddles, (first, last))
+    for rows in ((0, bins // 2), (bins // 2, bins)):
+        if rows[0] < rows[1]:  # N1 = 1 leaves the first band empty
+            spectrum[slice(*rows)] *= _forward(x, shape, twiddles, rows)
     np.fft.ifft(spectrum, axis=1, out=spectrum)
     coarse, fine = coarse.conj(), fine.conj()
     # grid rows first..last-1 hold the slice [n-1, n-1+m)

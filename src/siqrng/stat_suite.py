@@ -9,9 +9,10 @@ the largest 2*3*5-smooth length that fits, so its DFT is fast whatever
 n's factors (n' >= 1000 whenever n >= 1000, and n'/n > 0.976 from the
 battery's 10^6-bit minimum up); the other seven read all n bits. The
 DFT runs in the hash's four-step form (extractor._forward) and holds
-one half-spectrum. Tests that define several p-values report their primary one so
-each test contributes exactly one row. This battery is a sanity harness;
-the security statement is the certified length, not these p-values.
+one half-spectrum. Tests that define several p-values report their
+primary one so each test contributes exactly one row. This battery is a
+sanity harness; the security statement is the certified length, not
+these p-values.
 """
 from __future__ import annotations
 
@@ -197,6 +198,8 @@ def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
 
 
 def _psi_sq(counts: np.ndarray, n: int) -> float:
+    if len(counts) == 1:  # m = 0: exactly 0, which the float form misses by an ulp
+        return 0.0
     return float(len(counts) / n * np.sum(counts.astype(np.float64) ** 2) - n)
 
 
