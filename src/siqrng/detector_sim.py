@@ -25,7 +25,6 @@ from .protocol_math import TallySummary
 from .source_sim import (
     PolarizationState,
     SourceParams,
-    panel_lambda,
     polarization_from_waveplates,
 )
 
@@ -120,7 +119,7 @@ def choose_basis_block(
     for panel, lo, hi, t_lo, t_hi in rngstream.panel_range(start, count):
         rng = rngstream.panel_generator(basis_seed, rngstream.DOMAIN_BASIS, panel)
         u = rng.random(rngstream.PANEL_PULSES)
-        out[lo - start : hi - start] = (u[t_lo:t_hi] < prob_X).astype(np.uint8)
+        np.less(u[t_lo:t_hi], prob_X, out=out[lo - start : hi - start].view(bool))
     return out
 
 
@@ -163,39 +162,57 @@ def measurement_unitary(phi_c: float, phi_a: float) -> np.ndarray:
     return CONTROLLER_UNITARY @ phase_unitary(phi_c, phi_a)
 
 
-def _raw_clicks_panel(
-    panel: int,
-    source: SourceParams,
-    det: DetectorParams,
-    config: MeasurementConfig,
-    seed: int,
-    probs_z: tuple[float, float],
-    probs_x: tuple[float, float],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw (pre-dead-time) click indicators and bases for one panel.
+def outcome_law(
+    source: SourceParams, det: DetectorParams, probs: tuple[float, float]
+) -> tuple[float, float, float]:
+    """Cumulative law (t1, t2, t3) = (P00, P00 + P10, P00 + P10 + P01) of
+    a pulse's raw clicks, P10 meaning detector 0 alone, for the detector-hit
+    probabilities ``probs`` of one basis.
 
     Given a pulse's mean lambda_eff, arm i receives Poisson(lambda_eff *
     p_i) photons independently of the other arm, and efficiency thins
-    that to Poisson(lambda_eff * p_i * eta_i). So each raw click is one
-    Bernoulli draw with q_i = 1 - exp(-lambda_eff * p_i * eta_i) (1 - d),
-    exact in distribution without drawing a photon number. Fixed draw
-    order per panel: detector-0 uniforms, then detector-1 uniforms.
-    lambda_eff comes from the source stream, bases from the basis stream.
+    that to Poisson(lambda_eff * a_i), a_i = p_i * eta_i. So arm i stays
+    dark with probability keep * exp(-a_i lambda_eff), keep = 1 - d, and
+    averaging over lambda_eff with M(t) = E exp(-t lambda_eff) gives
+    P00 = keep^2 M(a0 + a1) and P(arm i dark) = keep M(a_i).
+    """
+    keep = 1.0 - det.dark_click_prob
+    a0, a1 = probs[0] * det.eta0, probs[1] * det.eta1
+    p00 = keep * keep * source.laplace(a0 + a1)
+    t2 = keep * source.laplace(a1)  # detector 1 dark
+    return p00, t2, t2 + keep * source.laplace(a0) - p00
+
+
+def _outcomes(u: np.ndarray, law: tuple[float, float, float]) -> np.ndarray:
+    """Outcome codes 0-3 of uniforms ``u`` under a cumulative law."""
+    t1, t2, t3 = law
+    out = (u >= t1).view(np.uint8)
+    out += u >= t2
+    out += u >= t3
+    return out
+
+
+def _raw_clicks_panel(
+    panel: int,
+    config: MeasurementConfig,
+    seed: int,
+    law_z: tuple[float, float, float],
+    law_x: tuple[float, float, float],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw (pre-dead-time) click indicators and bases for one panel.
+
+    Each pulse's (click0, click1) pair is drawn at once from its basis's
+    outcome_law with one uniform of the detection stream, exact in
+    distribution without drawing a photon number or lambda_eff; bases
+    come from the basis stream.
     """
     n = rngstream.PANEL_PULSES
     basis = choose_basis_block(config.basis_seed, panel * n, n, config.prob_X)
-    lam = panel_lambda(source, seed, panel)
-    rng = rngstream.panel_generator(seed, rngstream.DOMAIN_DETECTION, panel)
-    is_x = basis.view(bool)
-    log_dark = math.log1p(-det.dark_click_prob)
-    raws = []
-    for arm, eta in enumerate((det.eta0, det.eta1)):
-        q = np.where(is_x, probs_x[arm] * eta, probs_z[arm] * eta)
-        q *= lam
-        np.subtract(log_dark, q, out=q)  # log of the no-click probability
-        np.negative(np.expm1(q, out=q), out=q)
-        raws.append(rng.random(n) < q)
-    return basis, raws[0], raws[1]
+    u = rngstream.panel_generator(seed, rngstream.DOMAIN_DETECTION, panel).random(n)
+    outcome = _outcomes(u, law_z)
+    x = np.flatnonzero(basis.view(bool))  # 10x faster than on uint8
+    outcome[x] = _outcomes(u[x], law_x)
+    return basis, (outcome & 1).view(bool), (outcome >> 1).view(bool)
 
 
 def _suppress_dead(raw: np.ndarray, window: int, warmup: np.ndarray) -> np.ndarray:
@@ -276,13 +293,15 @@ def simulate_range(
             f"{count} pulses do not fit in memory; simulate fewer pulses"
         ) from None
     state = polarization_from_waveplates(source.hwp_angle, source.qwp_angle)
-    probs_z = effective_projection_probs(state, BASIS_Z, config)
-    probs_x = effective_projection_probs(state, BASIS_X, config)
+    law_z, law_x = (
+        outcome_law(source, det, effective_projection_probs(state, b, config))
+        for b in (BASIS_Z, BASIS_X)
+    )
     period = 1.0 / source.pulse_rate_G
     window = max(0, math.ceil(det.dead_time / period) - 1)
 
     def draw(panel):
-        return _raw_clicks_panel(panel, source, det, config, seed, probs_z, probs_x)
+        return _raw_clicks_panel(panel, config, seed, law_z, law_x)
 
     # raw attempts of the `window` pulses before the current panel slice;
     # virtual pulses before index 0 never fire

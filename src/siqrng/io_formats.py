@@ -268,7 +268,6 @@ def _default_config() -> dict:
         "measure.phase_z_a": 0.0,
         "measure.phase_x_c": -_PHASE_QUARTER,
         "measure.phase_x_a": _PHASE_QUARTER,
-        "measure.basis_seed": 2,
         "security.theta": 0.001,
         "security.t_e": 100,
         "calibration.coefficient": 0.952,
@@ -394,7 +393,7 @@ class RunConfig:
                 self.values["measure.phase_x_c"],
                 self.values["measure.phase_x_a"],
             ),
-            basis_seed=self.values["measure.basis_seed"],
+            basis_seed=self.values["run.seed"],
         )
 
 

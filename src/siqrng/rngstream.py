@@ -15,7 +15,7 @@ import numpy as np
 PANEL_PULSES = 1 << 16
 
 #: Domain tags keeping independent streams out of each other's draws.
-DOMAIN_SOURCE = 0
+#: The values key the streams, so they stay fixed; 0 is unused.
 DOMAIN_DETECTION = 1
 DOMAIN_BASIS = 2
 

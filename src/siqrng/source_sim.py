@@ -1,12 +1,12 @@
-"""Photon-source model: per-pulse mean photon number and the waveplate
-state-preparation chain.
+"""Photon-source model: the law of the per-pulse mean photon number and
+the waveplate state-preparation chain.
 
 The source is deliberately simple — a Poisson mean photon number with
 an optional per-pulse Gaussian intensity fluctuation (sunlight), and a
 polarization state fixed by a half-wave plate and a quarter-wave plate
-acting on horizontally polarized input. The photon number itself is
-never drawn: the detector model thins the Poisson mean directly.
-Nothing downstream trusts any of it.
+acting on horizontally polarized input. Neither the photon number nor
+the mean is ever drawn: the detector model needs only the mean's
+Laplace transform. Nothing downstream trusts any of it.
 """
 from __future__ import annotations
 
@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rngstream
-
 #: Default relative intensity fluctuation for sunlight runs.
 SUNLIGHT_FLUCTUATION = 0.05
+
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,9 @@ class SourceParams:
 
     mean_photons_lambda is the pre-detection mean photon number per pulse;
     intensity_fluctuation_rel_std the relative std of a per-pulse Gaussian
-    intensity jitter (0 for a stable laser, 0.05 typical for sunlight).
+    intensity jitter (0 for a stable laser, 0.05 typical for sunlight):
+    a pulse's mean is lambda_eff = max(0, mu + sigma Z), Z ~ N(0, 1), with
+    mu = lambda and sigma = lambda * rel.
     """
 
     mean_photons_lambda: float = 14.4
@@ -62,6 +65,33 @@ class SourceParams:
             raise ValueError("fluctuation must be >= 0")
         if self.source_kind not in ("laser", "sunlight"):
             raise ValueError(f"unknown source kind {self.source_kind!r}")
+
+    def laplace(self, t: float) -> float:
+        """E exp(-t lambda_eff) for t >= 0: the probability that a pulse
+        thinned to Poisson(t lambda_eff) holds no photon.
+
+        For sigma > 0 the Gaussian integral above the clip at 0 gives
+        Phi(-mu/sigma) + exp(-t mu + (t sigma)^2 / 2) Phi(mu/sigma - t sigma).
+        That product tends to inf * 0 as t sigma grows (at lambda = 1e12),
+        so from x = t sigma - mu/sigma >= 8 on the second term is taken in
+        the equal form phi(mu/sigma) R(x), with the Mills ratio
+        R(x) = Phi(-x) / phi(x) from Laplace's continued fraction, which
+        40 terms converge to rounding there.
+        """
+        mu = self.mean_photons_lambda
+        sigma = mu * self.intensity_fluctuation_rel_std
+        if sigma == 0.0 or t == 0.0:
+            return math.exp(-t * mu)
+        a = mu / sigma
+        x = t * sigma - a
+        clip = math.erfc(a / _SQRT2) / 2.0  # P(lambda_eff = 0)
+        if x < 8.0:
+            tail = math.erfc(x / _SQRT2) / 2.0
+            return clip + math.exp((t * sigma) ** 2 / 2.0 - t * mu) * tail
+        f = x
+        for k in range(40, 0, -1):
+            f = x + k / f
+        return clip + math.exp(-a * a / 2.0) / (_SQRT_2PI * f)
 
     @classmethod
     def sunlight(cls, mean_photons_lambda: float = 11.6, **kw) -> "SourceParams":
@@ -108,20 +138,3 @@ def polarization_from_waveplates(
     vec = vec / np.linalg.norm(vec)
     return PolarizationState(amplitude_H=complex(vec[0]), amplitude_V=complex(vec[1]))
 
-
-def panel_lambda(params: SourceParams, seed: int, panel: int) -> float | np.ndarray:
-    """Mean photon number of each pulse in one panel.
-
-    A stable source returns its scalar lambda. A fluctuating one draws
-    lambda * (1 + rel * N(0, 1)) per pulse from the panel's source
-    stream, clipped at 0, so any panel is recomputable on its own.
-    """
-    lam = params.mean_photons_lambda
-    rel = params.intensity_fluctuation_rel_std
-    if lam == 0.0 or rel == 0.0:
-        return lam
-    rng = rngstream.panel_generator(seed, rngstream.DOMAIN_SOURCE, panel)
-    lam_eff = rng.standard_normal(rngstream.PANEL_PULSES)
-    lam_eff *= lam * rel
-    lam_eff += lam
-    return np.maximum(lam_eff, 0.0, out=lam_eff)

@@ -177,14 +177,16 @@ def test_acceptance_6_extractor_equivalence():
 
 
 def _pipeline_once(seed):
-    """One desk-scale run at the default operating point."""
+    """One desk-scale run at the default operating point; run.seed keys
+    the bases too, so each seed draws its own check sample."""
     cfg = io.RunConfig.defaults()
+    cfg.set("run.seed", str(seed))
     stream = ds.run_simulation(
         cfg.source_params(),
         cfg.detector_params(),
         cfg.measurement_config(),
         cfg["run.n_pulses"],
-        seed,
+        cfg["run.seed"],
     )
     summary = ds.tally(stream)
     imp = pm.MeasurementImperfection(

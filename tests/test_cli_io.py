@@ -189,6 +189,21 @@ def test_config_parsing_and_overrides():
     assert params.intensity_fluctuation_rel_std == 0.05
 
 
+def test_run_seed_keys_the_basis_choice(tmp_path):
+    # no separate basis seed: two run seeds draw different check samples
+    x_pulses = []
+    for seed in (1, 2):
+        events = str(tmp_path / f"events{seed}.sqeb")
+        assert run_cli(
+            "simulate", "--set", "run.n_pulses=400000",
+            "--set", f"run.seed={seed}", "--out", events,
+        ) == 0
+        x_pulses.append(np.count_nonzero(ec.basis(io.read_events(events))))
+    assert x_pulses[0] != x_pulses[1]
+    with pytest.raises(ConfigError):
+        io.RunConfig.from_text("measure.basis_seed = 2\n")
+
+
 def test_config_rejects_unknown_and_bad_values():
     with pytest.raises(ConfigError):
         io.RunConfig.from_text("bogus.key = 1\n")
@@ -409,7 +424,8 @@ def test_cli_import_leaves_out_scipy_stats():
 
 def test_cli_stages_without_hashing_leave_out_scipy(tmp_path):
     # only testsuite and pipeline import the scipy-backed battery; the
-    # hash runs on numpy.fft, so extract leaves scipy out too
+    # hash runs on numpy.fft, so extract leaves scipy out too, and the
+    # sunlight law runs on math alone
     events, tally_f = str(tmp_path / "events.sqeb"), str(tmp_path / "tally.txt")
     est_f, curve = str(tmp_path / "estimate.txt"), str(tmp_path / "curve.csv")
     seed_f, bits_f = str(tmp_path / "seed.bin"), str(tmp_path / "out.bits")
@@ -424,6 +440,8 @@ def scipy_modules():
 after_import = scipy_modules()
 codes = [
     main(["simulate", "--set", "run.n_pulses=400000", "--out", {events!r}]),
+    main(["simulate", "--set", "run.n_pulses=400000", "--set", "source.kind=sunlight",
+          "--out", {events!r}]),
     main(["tally", "--events", {events!r}, "--out", {tally_f!r}]),
     main(["estimate", "--tally", {tally_f!r}, "--out", {est_f!r}]),
     main(["extract", "--events", {events!r}, "--estimate", {est_f!r},
@@ -434,7 +452,7 @@ codes = [
 print(after_import, codes, scipy_modules())
 """
     last = run_python(code).splitlines()[-1]
-    assert last == "[] [0, 0, 0, 0, 0, 0] []"
+    assert last == "[] [0, 0, 0, 0, 0, 0, 0] []"
 
 
 def test_cli_key_value_stages_leave_out_numpy(tmp_path):

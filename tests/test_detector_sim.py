@@ -5,6 +5,7 @@ import math
 import threading
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -15,7 +16,6 @@ from siqrng.errors import EstimationAbort
 from siqrng.source_sim import (
     PolarizationState,
     SourceParams,
-    panel_lambda,
     polarization_from_waveplates,
 )
 
@@ -171,6 +171,80 @@ def test_dead_time_state_paralyzable_semantics():
     assert outs == [ds.OUTCOME_D0] * 6
 
 
+def oracle_law(lam, rel, d, a0, a1):
+    """(t1, t2, t3) by quadrature of the two-stage model: lambda_eff =
+    max(0, lam (1 + rel Z)) with Z ~ N(0, 1), then arm i clicks
+    independently with probability 1 - (1 - d) exp(-a_i lambda_eff)."""
+    fp = mpmath.fp
+
+    def cell(i, lam_eff):
+        k0, k1 = (1 - d) * math.exp(-a0 * lam_eff), (1 - d) * math.exp(-a1 * lam_eff)
+        return (k0 * k1, (1 - k0) * k1, k0 * (1 - k1))[i]
+
+    cells = [cell(i, lam) for i in range(3)]
+    if lam * rel > 0:
+        # the clip puts mass Phi(-1/rel) at lambda_eff = 0
+        z0 = -1.0 / rel
+        cells = [
+            fp.ncdf(z0) * cell(i, 0.0)
+            + fp.quad(lambda z: cell(i, lam * (1 + rel * z)) * fp.npdf(z), [z0, 0, 40])
+            for i in range(3)
+        ]
+    p00, p10, p01 = cells
+    return p00, p00 + p10, p00 + p10 + p01
+
+
+def test_outcome_law_matches_quadrature_oracle():
+    # a state off the check eigenstate, so both arms see light in both bases
+    state = polarization_from_waveplates(27.5, 0.0)
+    cfg = ds.MeasurementConfig()
+    for rel in (0.0, 0.05, 0.3, 1.0):
+        for lam in (0.0, 1e-3, 1.0, 11.6, 14.4, 1e3):
+            src = SourceParams(mean_photons_lambda=lam, intensity_fluctuation_rel_std=rel)
+            for dark_rate in (0.0, 5e4):
+                for eta in (0.0, 0.1, 1.0):
+                    det = ds.DetectorParams(eta0=eta, eta1=eta, dark_rate=dark_rate)
+                    for basis in (ds.BASIS_Z, ds.BASIS_X):
+                        p0, p1 = ds.effective_projection_probs(state, basis, cfg)
+                        got = ds.outcome_law(src, det, (p0, p1))
+                        want = oracle_law(
+                            lam, rel, det.dark_click_prob, p0 * eta, p1 * eta
+                        )
+                        assert got == pytest.approx(want, abs=1e-12, rel=0)
+
+
+def test_outcome_law_is_finite_and_ordered_at_huge_lambda():
+    # exp(-t mu + (t sigma)^2 / 2) Phi(mu/sigma - t sigma) is inf * 0 here
+    det = ds.DetectorParams()
+    for rel in (0.0, 0.05, 0.3, 1.0):
+        src = SourceParams(mean_photons_lambda=1e12, intensity_fluctuation_rel_std=rel)
+        for basis in (ds.BASIS_Z, ds.BASIS_X):
+            probs = ds.effective_projection_probs(PLUS, basis, ds.MeasurementConfig())
+            t1, t2, t3 = ds.outcome_law(src, det, probs)
+            assert all(math.isfinite(t) for t in (t1, t2, t3))
+            assert 0.0 <= t1 <= t2 <= t3 <= 1.0
+
+
+def test_outcome_counts_fit_the_law():
+    # per basis, the four outcome counts of 1e6 pulses against the law
+    state = polarization_from_waveplates(27.5, 0.0)
+    det = ds.DetectorParams(dark_rate=5e4, dead_time=0.0)
+    cfg = ds.MeasurementConfig(prob_X=0.5)
+    for src in (
+        SourceParams(mean_photons_lambda=11.6, hwp_angle=27.5),
+        SourceParams.sunlight(intensity_fluctuation_rel_std=0.3, hwp_angle=27.5),
+    ):
+        stream = ds.run_simulation(src, det, cfg, 1_000_000, seed=43)
+        for basis in (ds.BASIS_Z, ds.BASIS_X):
+            law = ds.outcome_law(
+                src, det, ds.effective_projection_probs(state, basis, cfg)
+            )
+            pmf = np.diff((0.0, *law, 1.0))
+            observed = np.bincount(ec.outcome(stream)[ec.basis(stream) == basis], minlength=4)
+            _, p = stats.chisquare(observed, pmf * observed.sum())
+            assert p > 1e-3
+
+
 # ---------------------------------------------------------------------------
 # full simulation
 
@@ -268,8 +342,8 @@ def assert_serial_equals_chunked(src, det, cfg, seed, sizes):
         pos = end
 
 
-# each covers a laser and a sunlight source, so the per-pulse lambda_eff
-# stream is checked across panel and chunk boundaries too
+# each covers a laser and a sunlight source, so both laws are checked
+# across panel and chunk boundaries too
 
 
 def test_serial_equals_chunked_default_params():
@@ -392,25 +466,22 @@ def test_determinism_across_runs():
 
 
 def test_domains_of_one_seed_draw_different_streams():
-    # with measure.basis_seed == run.seed, the basis, source and detection
-    # draws of a panel share entropy and differ only in the domain tag
+    # with basis_seed == seed, the basis and detection draws of a panel
+    # share entropy and differ only in the domain tag
     seed, panel, n = 7, 3, rngstream.PANEL_PULSES
-    firsts = {
-        rngstream.panel_generator(seed, domain, panel).random()
-        for domain in (
-            rngstream.DOMAIN_BASIS,
-            rngstream.DOMAIN_SOURCE,
-            rngstream.DOMAIN_DETECTION,
-        )
-    }
-    assert len(firsts) == 3
-    # and the basis and source draws come from their own domains' streams
     basis_u = rngstream.panel_generator(seed, rngstream.DOMAIN_BASIS, panel).random(n)
-    block = ds.choose_basis_block(seed, panel * n, n, 0.5)
-    assert np.array_equal(block, basis_u < 0.5)
-    src = SourceParams(1.0, intensity_fluctuation_rel_std=1.0)
-    z = rngstream.panel_generator(seed, rngstream.DOMAIN_SOURCE, panel).standard_normal(n)
-    assert np.array_equal(panel_lambda(src, seed, panel), np.maximum(1.0 + z, 0.0))
+    det_u = rngstream.panel_generator(seed, rngstream.DOMAIN_DETECTION, panel).random(n)
+    assert basis_u[0] != det_u[0]
+    # and each pulse's basis and outcome come from its own domain's uniform
+    src, det = SourceParams.sunlight(), ds.DetectorParams(dead_time=0.0)
+    cfg = ds.MeasurementConfig(prob_X=0.5, basis_seed=seed)
+    stream = ds.simulate_range(src, det, cfg, seed, panel * n, n)
+    basis = ec.basis(stream)
+    assert np.array_equal(basis, basis_u < 0.5)
+    for b in (ds.BASIS_Z, ds.BASIS_X):
+        law = ds.outcome_law(src, det, ds.effective_projection_probs(PLUS, b, cfg))
+        want = np.searchsorted(law, det_u, side="right")
+        assert np.array_equal(ec.outcome(stream)[basis == b], want[basis == b])
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,6 @@ def test_zero_lambda_never_emits():
         ss.SourceParams(mean_photons_lambda=0.0),
         ss.SourceParams.sunlight(mean_photons_lambda=0.0),
     ):
-        assert np.all(ss.panel_lambda(src, 1, 0) == 0.0)
         c0, c1 = z_clicks(src, 100_000, seed=1, det=det)
         assert not c0.any() and not c1.any()
 
@@ -176,17 +175,18 @@ def test_sunlight_jitter_correlates_arms():
 
 
 def test_stream_is_pure_function_of_seed_and_params():
+    det, cfg = ds.DetectorParams(), ds.MeasurementConfig(prob_X=0.5)
     p = ss.SourceParams.sunlight()
-    a = ss.panel_lambda(p, 9, 3)
-    assert np.array_equal(a, ss.panel_lambda(p, 9, 3))
-    assert not np.array_equal(a, ss.panel_lambda(p, 10, 3))
-    assert not np.array_equal(a, ss.panel_lambda(p, 9, 4))
-    # same normals, rescaled by the parameters
-    q = ss.SourceParams.sunlight(
-        mean_photons_lambda=2 * p.mean_photons_lambda
-    )
-    assert np.allclose(ss.panel_lambda(q, 9, 3), 2 * a, rtol=1e-12)
-    assert ss.panel_lambda(ss.SourceParams(mean_photons_lambda=14.4), 9, 3) == 14.4
+
+    def events(src, seed):
+        return ds.run_simulation(src, det, cfg, 100_000, seed)
+
+    a = events(p, 9)
+    assert a == events(p, 9)
+    assert a != events(p, 10)
+    # the jitter and the mean both enter the law, so both move the events
+    assert a != events(ss.SourceParams(mean_photons_lambda=p.mean_photons_lambda), 9)
+    assert a != events(ss.SourceParams.sunlight(2 * p.mean_photons_lambda), 9)
 
 
 def test_indexed_access_matches_bulk():
