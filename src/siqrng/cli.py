@@ -301,7 +301,8 @@ def _cmd_extract(args) -> int:
         raise FormatError(f"estimate file has a bad value: {exc}") from exc
     if not 0.0 <= epsilon_total <= 1.0:
         raise FormatError(f"estimate file has epsilon_total {epsilon_total!r}")
-    seed = io_formats.read_seed_file(args.seed_file)
+    # the hash reads n + m - 1 seed bits, with n = n_z checked in _extract
+    seed = io_formats.read_seed_file(args.seed_file, n_z + rates.whole_bits - 1)
     raw = detector_sim.raw_bits_from_events(io_formats.read_events(args.events))
     _extract(raw, n_z, rates, seed, epsilon_total, args.out)
     return EXIT_OK
@@ -413,11 +414,11 @@ def _cmd_pipeline(args) -> int:
     est = _estimate(summary, cfg, cfg["security.theta"], duration, est_path)
 
     seed_path = cfg["path.seed"]
+    # n_z counts exactly the raw bits that the hash takes in
+    need = summary.n_z + est.rates.whole_bits - 1
     if seed_path:
-        seed = io_formats.read_seed_file(seed_path)
+        seed = io_formats.read_seed_file(seed_path, need)
     else:
-        # n_z counts exactly the raw bits that the hash takes in
-        need = summary.n_z + est.rates.whole_bits - 1
         seed = io_formats.derived_seed_bytes(cfg["run.extractor_seed"], need)
     bits_path = os.path.join(outdir, cfg["path.output"])
     events = len(stream)

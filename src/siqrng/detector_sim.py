@@ -6,8 +6,9 @@ The simulation is organized in fixed pulse panels (see rngstream), so a
 run can be produced serially or in arbitrary index chunks with
 byte-identical results. Dead-time suppression is keyed to raw avalanche
 attempts within a bounded look-back window, which keeps chunk
-recomputation exact. Panels are drawn on a small thread pool and
-consumed in order, so the events do not depend on the worker count.
+recomputation exact. Panels are drawn on a small thread pool, each into
+its own slice of the code array, so the events do not depend on the
+worker count.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import rngstream
 from .errors import EstimationAbort, RunTooLargeError
+from .io_formats import PackedBits
 from .protocol_math import TallySummary
 from .source_sim import (
     PolarizationState,
@@ -198,8 +200,8 @@ def _raw_clicks_panel(
     seed: int,
     law_z: tuple[float, float, float],
     law_x: tuple[float, float, float],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw (pre-dead-time) click indicators and bases for one panel.
+) -> np.ndarray:
+    """Event codes of one panel's raw (pre-dead-time) clicks.
 
     Each pulse's (click0, click1) pair is drawn at once from its basis's
     outcome_law with one uniform of the detection stream, exact in
@@ -212,13 +214,15 @@ def _raw_clicks_panel(
     outcome = _outcomes(u, law_z)
     x = np.flatnonzero(basis.view(bool))  # 10x faster than on uint8
     outcome[x] = _outcomes(u[x], law_x)
-    return basis, (outcome & 1).view(bool), (outcome >> 1).view(bool)
+    outcome <<= 1
+    return np.bitwise_or(outcome, basis, out=outcome)
 
 
 def _suppress_dead(raw: np.ndarray, window: int, warmup: np.ndarray) -> np.ndarray:
     """Clicks surviving dead time: live unless a raw attempt occurred in
     the previous ``window`` pulses. ``warmup`` supplies exactly the
-    ``window`` raw indicators preceding the block.
+    ``window`` raw indicators preceding the block. The indicators may be
+    bools or the click bits of event codes, one detector per bit.
 
     Pulse i of the block sits at ext[i + window] of ext = warmup + raw,
     and its look-back is ext[i : i + window]. Each pass ORs ext with
@@ -229,8 +233,6 @@ def _suppress_dead(raw: np.ndarray, window: int, warmup: np.ndarray) -> np.ndarr
     """
     if window == 0:
         return raw
-    if len(warmup) != window:
-        raise ValueError("warmup must supply exactly `window` pulses")
     ext = np.concatenate([warmup, raw])
     span = 1
     while 2 * span <= window:
@@ -239,20 +241,6 @@ def _suppress_dead(raw: np.ndarray, window: int, warmup: np.ndarray) -> np.ndarr
     n = len(raw)
     dead = ext[:n] | ext[window - span : window - span + n]
     return raw & ~dead
-
-
-def _in_order(pool, draw, spans):
-    """Yield (span, draw(span's panel)) in span order, keeping at most
-    2 * WORKERS draws submitted ahead of the consumer."""
-    pending = collections.deque()
-    for span in spans:
-        pending.append((span, pool.submit(draw, span[0])))
-        if len(pending) == 2 * WORKERS:
-            done, future = pending.popleft()
-            yield done, future.result()
-    while pending:
-        done, future = pending.popleft()
-        yield done, future.result()
 
 
 def run_simulation(
@@ -277,17 +265,18 @@ def simulate_range(
     """Events for pulses [start, start+count), byte-identical to the same
     slice of a serial full run.
 
-    The code array is allocated up front and filled panel by panel;
-    a count too large to allocate raises RunTooLargeError before any
-    simulation work. Dead-time state is warmed up by recomputing the raw
-    attempts of the ``window`` pulses before ``start``. The panels' raw
-    clicks are drawn on WORKERS threads; dead time and the writes run
-    here, in panel order.
+    The code array, led by the ``window`` pulses before ``start``, is
+    allocated up front (RunTooLargeError if it cannot be). WORKERS
+    threads, at most 2 * WORKERS panels submitted, write each panel's raw
+    codes into its slice. Dead time then runs in place here in
+    panel-sized blocks, last to first, so each look-back is still raw.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
+    period = 1.0 / source.pulse_rate_G
+    window = max(0, math.ceil(det.dead_time / period) - 1)
     try:
-        codes = np.empty(count, dtype=np.uint8)
+        raw = np.empty(window + count, dtype=np.uint8)
     except MemoryError:
         raise RunTooLargeError(
             f"{count} pulses do not fit in memory; simulate fewer pulses"
@@ -297,38 +286,33 @@ def simulate_range(
         outcome_law(source, det, effective_projection_probs(state, b, config))
         for b in (BASIS_Z, BASIS_X)
     )
-    period = 1.0 / source.pulse_rate_G
-    window = max(0, math.ceil(det.dead_time / period) - 1)
+    base = start - window  # the pulse at raw[0]
+    raw[: max(0, -base)] = 0  # virtual pulses before index 0 never fire
 
-    def draw(panel):
-        return _raw_clicks_panel(panel, config, seed, law_z, law_x)
+    def draw(panel, lo, hi, t_lo, t_hi):
+        codes = _raw_clicks_panel(panel, config, seed, law_z, law_x)
+        raw[lo - base : hi - base] = codes[t_lo:t_hi]
 
-    # raw attempts of the `window` pulses before the current panel slice;
-    # virtual pulses before index 0 never fire
-    warm0 = warm1 = np.zeros(window, bool)
-    warm_lo = max(0, start - window)
-    spans = rngstream.panel_range(warm_lo, start + count - warm_lo)
+    warm_lo = max(0, base)
+    pending = collections.deque()
     pool = ThreadPoolExecutor(max_workers=WORKERS)
     try:
-        for (_, lo, hi, t_lo, t_hi), (b, raw0, raw1) in _in_order(
-            pool, draw, spans
-        ):
-            raw0, raw1 = raw0[t_lo:t_hi], raw1[t_lo:t_hi]
-            click0 = _suppress_dead(raw0, window, warm0)
-            click1 = _suppress_dead(raw1, window, warm1)
-            if window:
-                warm0 = np.concatenate([warm0, raw0])[-window:]
-                warm1 = np.concatenate([warm1, raw1])[-window:]
-            skip = max(0, start - lo)  # warm-up pulses at the front
-            if skip >= hi - lo:
-                continue
-            out = codes[lo + skip - start : hi - start]
-            np.left_shift(click1[skip:].view(np.uint8), 2, out=out)
-            out |= click0[skip:].view(np.uint8) << 1
-            out |= b[t_lo + skip : t_hi]
+        for span in rngstream.panel_range(warm_lo, start + count - warm_lo):
+            if len(pending) == 2 * WORKERS:
+                pending.popleft().result()
+            pending.append(pool.submit(draw, *span))
+        for future in pending:
+            future.result()
     finally:
         pool.shutdown(cancel_futures=True)
-    return EventStream(codes, start=start)
+    if window:
+        panel = rngstream.PANEL_PULSES
+        for lo in reversed(range(window, len(raw), panel)):
+            block = raw[lo : lo + panel]
+            clicks = _suppress_dead(block & 6, window, raw[lo - window : lo] & 6)
+            block &= 1
+            block |= clicks
+    return EventStream(raw[window:], start=start)
 
 
 def tally(events: EventStream) -> TallySummary:
@@ -362,14 +346,27 @@ def tally(events: EventStream) -> TallySummary:
     )
 
 
-def raw_bits_from_events(events: EventStream) -> np.ndarray:
+#: Events that raw_bits_from_events selects from at a time.
+RAW_BITS_CHUNK = 1 << 16
+
+
+def raw_bits_from_events(events: EventStream) -> PackedBits:
     """Generation-basis bit string: D0 -> 0, D1 -> 1, in pulse order.
 
-    Doubles and nulls never enter the string.
+    Doubles and nulls never enter the string. The singles are selected
+    a chunk of events at a time straight into packed bytes; the bits that
+    do not fill a byte are carried on to the next chunk.
     """
     codes = events.codes
-    keep = codes == (BASIS_Z | OUTCOME_D0 << 1)
-    keep |= codes == (BASIS_Z | OUTCOME_D1 << 1)
-    bits = np.compress(keep, codes)
-    bits >>= 2  # the detector-1 click bit: D0 -> 0, D1 -> 1
-    return bits
+    packed = np.empty(len(codes) // 8 + 1, dtype=np.uint8)
+    bits, done = np.empty(0, dtype=np.uint8), 0  # carried bits, bytes done
+    for lo in range(0, len(codes), RAW_BITS_CHUNK):
+        chunk = codes[lo : lo + RAW_BITS_CHUNK]
+        keep = chunk == (BASIS_Z | OUTCOME_D0 << 1)
+        keep |= chunk == (BASIS_Z | OUTCOME_D1 << 1)
+        bits = np.concatenate([bits, chunk[keep] >> 2])  # the detector-1 bit
+        whole = len(bits) // 8
+        packed[done : done + whole] = np.packbits(bits[: 8 * whole])
+        bits, done = bits[8 * whole :], done + whole
+    packed[done : done + (len(bits) > 0)] = np.packbits(bits)
+    return PackedBits(packed[: done + (len(bits) > 0)], 8 * done + len(bits))

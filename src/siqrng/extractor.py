@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvolutionPrecisionError, EstimationAbort, FormatError
+from .io_formats import PackedBits
 from .protocol_math import RateBreakdown
 
 #: Maximum tolerated distance of a convolution coefficient from its
@@ -71,7 +72,7 @@ class ToeplitzSpec:
         )
 
 
-def _fft_capacity_ok(seed: np.ndarray, x: np.ndarray, length: int) -> bool:
+def _fft_capacity_ok(seed: PackedBits, x: PackedBits, length: int) -> bool:
     """Conservative a-priori check that FFT round-off cannot reach 1/2.
 
     Round-off of a length-L real-FFT convolution is bounded by
@@ -81,8 +82,8 @@ def _fft_capacity_ok(seed: np.ndarray, x: np.ndarray, length: int) -> bool:
     twiddle factors are accurate to a few eps (exact integer exponents,
     a coarse times a fine factor), which C absorbs.
     """
-    norm = math.sqrt(float(np.count_nonzero(seed))) * math.sqrt(
-        float(np.count_nonzero(x))
+    norm = math.sqrt(float(np.bitwise_count(seed.data).sum())) * math.sqrt(
+        float(np.bitwise_count(x.data).sum())
     )
     err = 8.0 * np.finfo(np.float64).eps * math.log2(max(2, length)) * norm
     return err < ROUNDING_TOLERANCE
@@ -160,8 +161,10 @@ def _forward(bits, shape: tuple[int, int], twiddles, rows=None, rfft=None) -> np
     bins are their conjugates, since the input is real. Only the rows
     k1 in [lo, hi) = ``rows`` (all of them by default) are kept, twiddled
     and transformed along. The column steps run a block of columns at a
-    time, gathered straight from the bits: the grid's full rows as a
-    view, the last partial row padded, and the real FFT (``rfft``, by
+    time, unpacked straight from the PackedBits: grid row r starts at bit
+    r*N2, so the full rows r, r + P, ... with P = 8/gcd(N2, 8) start at
+    one bit phase, one strided byte view that one unpackbits call reads.
+    The last partial row is padded, and the real FFT (``rfft``, by
     default numpy.fft.rfft as it is at the call) pads each column to N1.
     The row steps run in place."""
     n1, n2 = shape
@@ -169,13 +172,21 @@ def _forward(bits, shape: tuple[int, int], twiddles, rows=None, rfft=None) -> np
     rfft = rfft or np.fft.rfft
     coarse, fine = (table[..., first:last] for table in twiddles)
     full, rest = divmod(len(bits), n2)
-    grid = bits[: full * n2].reshape(full, n2)
-    tail = np.zeros(n2, dtype=bits.dtype)
-    tail[:rest] = bits[full * n2 :]
+    period = 8 // math.gcd(n2, 8)
+    data, at = bits.data, full * n2
+    tail = np.zeros(n2, dtype=np.uint8)
+    tail[:rest] = np.unpackbits(data[at // 8 :], count=at % 8 + rest)[at % 8 :]
     spectrum = np.empty((last - first, n2), dtype=complex)
     for lo, hi in _column_blocks(n1, n2, len(fine)):
         columns = np.empty((hi - lo, full + (rest > 0)))
-        columns[:, :full] = grid[:, lo:hi].T
+        for row in range(min(period, full)):
+            byte, phase = divmod(row * n2 + lo, 8)
+            view = np.ndarray(
+                ((full - row - 1) // period + 1, (phase + hi - lo + 7) // 8),
+                np.uint8, data, byte, (period * n2 // 8, 1),
+            )
+            unpacked = np.unpackbits(view, axis=1)[:, phase : phase + hi - lo]
+            columns[:, row:full:period] = unpacked.T
         if rest:
             columns[:, full] = tail[lo:hi]
         block = rfft(columns, n1, axis=1)[:, first:last]
@@ -185,7 +196,14 @@ def _forward(bits, shape: tuple[int, int], twiddles, rows=None, rfft=None) -> np
 
 
 def toeplitz_fast(spec: ToeplitzSpec, bits) -> np.ndarray:
-    """FFT-convolution product, bit-identical to the dense matrix product.
+    """_hash of a 0/1 seed and input, which are packed on entry."""
+    x = PackedBits.pack(_as_bits(bits, spec.input_len_n, "input"))
+    return _hash(PackedBits.pack(spec.seed_bits), x, spec.output_len_m)
+
+
+def _hash(seed: PackedBits, x: PackedBits, m: int) -> np.ndarray:
+    """FFT-convolution product of n + m - 1 packed seed bits and n packed
+    input bits as m 0/1 bits, bit-identical to the dense matrix product.
 
     The Toeplitz product is the slice [n-1, n-1+m) of the integer
     convolution c = seed * input. It is computed as one cyclic
@@ -209,9 +227,7 @@ def toeplitz_fast(spec: ToeplitzSpec, bits) -> np.ndarray:
     of an integer. An input too large for the a-priori capacity check
     (about 7e12 bits) is refused with ConvolutionPrecisionError.
     """
-    x = _as_bits(bits, spec.input_len_n, "input")
-    seed = spec.seed_bits
-    n, m = spec.input_len_n, spec.output_len_m
+    n = len(x)
     n1, n2 = shape = _four_step_shape(n + m - 1)
     if not _fft_capacity_ok(seed, x, n1 * n2):
         raise ConvolutionPrecisionError(
@@ -254,24 +270,27 @@ class ExtractionResult:
     bits: np.ndarray
 
 
-def seed_bits_from_bytes(data: bytes, count: int) -> np.ndarray:
+def seed_from_bytes(data: bytes, count: int) -> PackedBits:
     """First ``count`` bits of a seed byte string, most significant bit
-    first. Shorter data is an error; seeds are never stretched."""
+    first, in a copy of its first (count + 7) // 8 bytes with the bits past
+    ``count`` cleared. Shorter data is an error; seeds are never stretched."""
     need = (count + 7) // 8
     if len(data) < need:
         raise FormatError(
             f"seed provides {len(data)} bytes, {need} required for {count} bits"
         )
-    return np.unpackbits(
-        np.frombuffer(data[:need], dtype=np.uint8), count=count
-    )
+    packed = np.frombuffer(data, dtype=np.uint8, count=need).copy()
+    packed[-1] &= 0xFF << -count % 8 & 0xFF
+    return PackedBits(packed, count)
 
 
 def extract(bits, rate: RateBreakdown, seed: bytes) -> ExtractionResult:
-    """Hash the raw bits down to floor(R_final) certified bits.
+    """Hash the raw bits, PackedBits or a 0/1 array, down to
+    floor(R_final) certified bits.
 
     ``seed`` is the operator-provided seed material; it must cover
-    n + m - 1 bits. Aborts when no positive whole bit count is certified.
+    n + m - 1 bits, and only those are read. Aborts when no positive
+    whole bit count is certified.
     """
     m = rate.whole_bits
     if m <= 0:
@@ -282,6 +301,6 @@ def extract(bits, rate: RateBreakdown, seed: bytes) -> ExtractionResult:
     n = len(bits)
     if m > n:
         raise ValueError(f"certified {m} bits exceed the {n} raw bits")
-    seed_bits = seed_bits_from_bytes(seed, n + m - 1)
-    spec = ToeplitzSpec(input_len_n=n, output_len_m=m, seed_bits=seed_bits)
-    return ExtractionResult(bits=toeplitz_fast(spec, bits))
+    if not isinstance(bits, PackedBits):
+        bits = PackedBits.pack(_as_bits(bits))
+    return ExtractionResult(bits=_hash(seed_from_bytes(seed, n + m - 1), bits, m))

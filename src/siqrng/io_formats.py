@@ -145,6 +145,24 @@ def read_events(path: str) -> EventStream:
 # Certified bits files
 
 
+@dataclass(frozen=True, eq=False)
+class PackedBits:
+    """``count`` bits packed most significant bit first into ``data``, a
+    uint8 array of (count + 7) // 8 bytes whose bits past ``count`` are
+    zero: the layout of certified-bits and hash-seed files."""
+
+    data: np.ndarray
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
+
+    @classmethod
+    def pack(cls, bits: np.ndarray) -> PackedBits:
+        import numpy as np
+        return cls(np.packbits(bits), len(bits))
+
+
 def write_bits(path: str, bits: np.ndarray, epsilon_total: float) -> None:
     """Certified bits packed MSB-first, zero-padded; `.len` sidecar with
     the decimal bit count and the failure probability."""
@@ -182,9 +200,10 @@ def read_bits(path: str) -> tuple[np.ndarray, float | None]:
     return bits, epsilon
 
 
-def read_seed_file(path: str) -> bytes:
+def read_seed_file(path: str, nbits: int) -> bytes:
+    """The bytes that hold a seed file's first ``nbits`` bits, or fewer."""
     with open(path, "rb") as f:
-        return f.read()
+        return f.read(max(0, nbits + 7) // 8)
 
 
 # ---------------------------------------------------------------------------

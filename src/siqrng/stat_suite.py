@@ -8,11 +8,11 @@ The spectral test reads the first n' = scipy.fft.prev_fast_len(n) bits,
 the largest 2*3*5-smooth length that fits, so its DFT is fast whatever
 n's factors (n' >= 1000 whenever n >= 1000, and n'/n > 0.976 from the
 battery's 10^6-bit minimum up); the other seven read all n bits. The
-DFT runs in the hash's four-step form (extractor._forward) and holds
-one half-spectrum. Tests that define several p-values report their
-primary one so each test contributes exactly one row. This battery is a
-sanity harness; the security statement is the certified length, not
-these p-values.
+DFT runs in the hash's four-step form (extractor._forward) on the
+packed n' bits and holds one half-spectrum. Tests that define several
+p-values report their primary one so each test contributes exactly one
+row. This battery is a sanity harness; the security statement is the
+certified length, not these p-values.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from scipy.special import erfc, gammaincc, ndtr
 
 from .errors import InsufficientBitsError
 from .extractor import _forward, _four_step_shape, _twiddles
+from .io_formats import PackedBits
 
 #: Aggregate precondition for run_battery.
 BATTERY_MIN_BITS = 1_000_000
@@ -247,7 +248,8 @@ def _below_threshold(b: np.ndarray, threshold: float) -> int:
     also stand for the partners, of the same magnitude."""
     n = len(b)
     n1, n2 = shape = _four_step_shape(n)
-    spectrum = _forward(b, shape, _twiddles(n1, n2), rfft=scipy.fft.rfft)
+    bits = PackedBits.pack(b)
+    spectrum = _forward(bits, shape, _twiddles(n1, n2), rfft=scipy.fft.rfft)
     spectrum[0, 0] -= n / 2
     half = n // 2
     below = 0

@@ -566,6 +566,42 @@ def test_cli_io_errors_are_exit_four(tmp_path):
         assert bits_f.exists() == sidecar.exists() == (code == 0)
 
 
+def test_extract_reads_only_the_seed_bits_it_hashes(tmp_path):
+    # the hash takes the first n + m - 1 seed bits: set bits past them, at
+    # the end of their last byte or in bytes after it, change no output
+    # bit, and a seed one byte short of them is a bad input (exit 4)
+    events = str(tmp_path / "events.sqeb")
+    stream = random_stream(4000)
+    io.write_events(events, stream)
+    n_z = len(ds.raw_bits_from_events(stream))
+    m = 100 + (3 - n_z - 99) % 8  # n + m - 1 ends 3 bits into a byte
+    need = n_z + m - 1
+    assert need % 8 == 3
+    est_f = tmp_path / "estimate.txt"
+    est_f.write_text(io.dump_keyvals({
+        "r0": str(m + 2.0), "r1": str(m + 1.0), "r_final": str(m + 0.5),
+        "rescale_factor": "1.0", "entropy_cost": "0.5", "coefficient": "0.952",
+        "epsilon_total": "1e-9", "n_z": str(n_z),
+    }))
+    seed = bytearray(RNG.bytes((need + 7) // 8))
+    seed[-1] &= 0xE0
+    dirty = bytearray(seed)
+    dirty[-1] |= 0x1F
+    outputs = []
+    for data in (bytes(seed), bytes(dirty) + b"\xff" * 50, bytes(seed[:-1])):
+        seed_f, bits_f = tmp_path / "seed.bin", tmp_path / "out.bits"
+        seed_f.write_bytes(data)
+        bits_f.unlink(missing_ok=True)
+        outputs.append(run_cli(
+            "extract", "--events", events, "--estimate", str(est_f),
+            "--seed-file", str(seed_f), "--out", str(bits_f),
+        ))
+        outputs.append(bits_f.read_bytes() if bits_f.exists() else None)
+    assert outputs[0] == outputs[2] == 0 and outputs[4] == 4
+    assert outputs[1] is not None and outputs[1] == outputs[3]
+    assert outputs[5] is None
+
+
 def test_cli_suite_failure_is_exit_three(tmp_path, capsys):
     bits_f = str(tmp_path / "alt.bits")
     io.write_bits(

@@ -3,7 +3,7 @@ click statistics against closed forms, tally against a reference
 counter, and chunk-exact determinism."""
 import math
 import threading
-import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -386,28 +386,26 @@ def test_worker_count_does_not_change_events(monkeypatch):
         assert streams[0] == streams[1]
 
 
-def test_panels_in_flight_stay_bounded(monkeypatch):
-    # a panel is consumed once both of its dead-time calls have run on the
-    # calling thread; a draw may only start once its panel is submitted.
-    # The consumer sleeps, so draws that were not held back would run ahead.
-    draw, suppress = ds._raw_clicks_panel, ds._suppress_dead
-    suppressed, in_flight = [0], []
-
-    def counting_suppress(*args):
-        time.sleep(0.005)
-        suppressed[0] += 1
-        return suppress(*args)
-
-    def recording_draw(panel, *args):
-        in_flight.append(panel - suppressed[0] // 2 + 1)
-        return draw(panel, *args)
-
+def test_simulation_holds_the_codes_and_a_few_panels(monkeypatch):
+    # each worker writes its panel's codes into the code array, so the
+    # peak is that array and the temporaries of the panels being drawn
+    # (a panel's uniforms are 8 bytes a pulse), with or without dead time
     monkeypatch.setattr(ds, "WORKERS", 2)
-    monkeypatch.setattr(ds, "_suppress_dead", counting_suppress)
-    monkeypatch.setattr(ds, "_raw_clicks_panel", recording_draw)
-    src, det, cfg = default_setup()
-    ds.run_simulation(src, det, cfg, 16 * 65_536, seed=37)
-    assert len(in_flight) == 16 and max(in_flight) <= 2 * 2
+    panel_bytes = 8 * rngstream.PANEL_PULSES
+    cfg = ds.MeasurementConfig(prob_X=0.1)
+    for dead_time in (50e-9, 600e-9):
+        det = ds.DetectorParams(dead_time=dead_time)
+        tracemalloc.start()
+        try:
+            events = ds.simulate_range(
+                SourceParams.sunlight(), det, cfg, 37, 70_001, 64 * 65_536
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < events.codes.nbytes + 2 * 2 * panel_bytes, (
+            (peak - events.codes.nbytes) / panel_bytes
+        )
 
 
 def test_worker_error_propagates_and_pool_shuts_down(monkeypatch):
@@ -570,7 +568,8 @@ def test_raw_bits_mapping():
         (ds.BASIS_Z, ds.OUTCOME_D1),
     ]
     bits = ds.raw_bits_from_events(build_stream(records))
-    assert bits.tolist() == [0, 1, 1]
+    assert len(bits) == 3
+    assert bits.data.tolist() == [0b01100000]
 
 
 def test_raw_bits_match_mask_reference():
@@ -586,8 +585,42 @@ def test_raw_bits_match_mask_reference():
         keep = is_z & single
         want = (outcome[keep] == ds.OUTCOME_D1).astype(np.uint8)
         got = ds.raw_bits_from_events(ec.stream(basis, outcome))
-        assert got.dtype == np.uint8
-        assert np.array_equal(got, want)
+        assert len(got) == len(want)
+        assert np.array_equal(got.data, np.packbits(want))
+
+
+def test_raw_bits_carry_across_chunks(monkeypatch):
+    # the bits of each chunk that do not fill a byte go on to the next:
+    # chunks of 1, 7, 8 and 13 events put every carry length in play
+    rng = np.random.default_rng(33)
+    codes = rng.integers(0, 8, 3001).astype(np.uint8)
+    stream = ds.EventStream(codes)
+    keep = (codes == 2) | (codes == 4)  # Z singles
+    want = np.packbits(codes[keep] >> 2)
+    for chunk in (1, 7, 8, 13, 3001, 5000):
+        monkeypatch.setattr(ds, "RAW_BITS_CHUNK", chunk)
+        got = ds.raw_bits_from_events(stream)
+        assert len(got) == np.count_nonzero(keep)
+        assert np.array_equal(got.data, want), chunk
+
+
+def test_raw_bits_peak_allocation_is_under_a_quarter_byte_per_event():
+    # the packed bits take at most an eighth of a byte per event and a
+    # chunk's selection is bounded; a one-byte-per-event mask or an
+    # 8-byte index took 1 to 8 bytes per event
+    rng = np.random.default_rng(34)
+    codes = rng.choice(
+        np.array([2, 4, 6, 0, 3], np.uint8), 4_000_000, p=[0.25, 0.25, 0.26, 0.23, 0.01]
+    )
+    stream = ds.EventStream(codes)
+    tracemalloc.start()
+    try:
+        bits = ds.raw_bits_from_events(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(bits) == np.count_nonzero((codes == 2) | (codes == 4))
+    assert peak < 0.25 * len(codes), peak / len(codes)
 
 
 def test_detector_params_validation():

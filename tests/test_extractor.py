@@ -9,6 +9,7 @@ import scipy.fft
 
 from siqrng import extractor as ex
 from siqrng.errors import ConvolutionPrecisionError, EstimationAbort, FormatError
+from siqrng.io_formats import PackedBits
 from siqrng.protocol_math import RateBreakdown
 
 from toeplitz_oracle import toeplitz_naive
@@ -224,7 +225,7 @@ def test_four_step_forward_equals_rfft(shape):
     size = n1 * n2
     bits = np.random.default_rng(size).integers(0, 2, size - 3, dtype=np.uint8)
     twiddles = ex._twiddles(n1, n2)
-    got = ex._forward(bits, shape, twiddles)
+    got = ex._forward(PackedBits.pack(bits), shape, twiddles)
     half = scipy.fft.rfft(bits.astype(np.float64), size)
     k = np.arange(n1 // 2 + 1)[:, None] + n1 * np.arange(n2)
     mirrored = k > size // 2
@@ -234,8 +235,33 @@ def test_four_step_forward_equals_rfft(shape):
     assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
     # a band of bin rows is those rows of the whole half-spectrum
     rows = (n1 // 4, n1 // 2 + 1)
-    band = ex._forward(bits, shape, twiddles, rows)
+    band = ex._forward(PackedBits.pack(bits), shape, twiddles, rows)
     assert np.array_equal(band, got[rows[0] : rows[1]])
+
+
+@pytest.mark.parametrize("n2", [40, 41, 42, 43, 44, 45, 46, 47])
+def test_packed_gather_equals_rfft(n2, monkeypatch):
+    # grid rows fall into 8 / gcd(N2, 8) bit-phase classes, so every
+    # residue of N2 mod 8 takes its own strided views; bit counts end on
+    # a byte and a row, mid-byte, mid-row, and short of one full row.
+    # Blocks one twiddle step wide put column blocks at every bit phase.
+    n1 = 12
+    size = n1 * n2
+    twiddles = ex._twiddles(n1, n2)
+    monkeypatch.setattr(ex, "BLOCK_BYTES", 16 * (n1 // 2 + 1))
+    assert len(ex._column_blocks(n1, n2, len(twiddles[1]))) > 1
+    rng = np.random.default_rng(n2)
+    k = np.arange(n1 // 2 + 1)[:, None] + n1 * np.arange(n2)
+    mirrored = k > size // 2
+    for count in {size, size - 8, size - 5, 3 * n2 + 7, n2 - 1, 8 * 23}:
+        bits = rng.integers(0, 2, count, dtype=np.uint8)
+        got = ex._forward(PackedBits.pack(bits), (n1, n2), twiddles)
+        half = np.fft.rfft(bits.astype(np.float64), size)
+        want = half[np.where(mirrored, size - k, k)]
+        want[mirrored] = want[mirrored].conj()
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), count
+        band = ex._forward(PackedBits.pack(bits), (n1, n2), twiddles, (2, 5))
+        assert np.array_equal(band, got[2:5]), count
 
 
 def test_transforms_run_on_the_calling_thread(monkeypatch):
@@ -405,7 +431,8 @@ def test_extract_floors_fractional_bits():
     result = ex.extract(block, flat_rate(17.9), seed)
     assert len(result.bits) == 17
     # the hash takes the first n + m - 1 = 116 bits of the seed
-    spec = ex.ToeplitzSpec(100, 17, ex.seed_bits_from_bytes(seed, 116))
+    seed_bits = np.unpackbits(np.frombuffer(seed, np.uint8), count=116)
+    spec = ex.ToeplitzSpec(100, 17, seed_bits)
     assert np.array_equal(result.bits, toeplitz_naive(spec, block))
 
 
@@ -444,7 +471,34 @@ def test_extract_length_scales_with_reference_run():
 
 
 def test_seed_bits_msb_first():
-    bits = ex.seed_bits_from_bytes(b"\x80\x01", 16)
-    assert bits.tolist() == [1] + [0] * 14 + [1]
+    seed = ex.seed_from_bytes(b"\x80\x01", 16)
+    assert len(seed) == 16
+    assert np.unpackbits(seed.data).tolist() == [1] + [0] * 14 + [1]
     with pytest.raises(FormatError):
-        ex.seed_bits_from_bytes(b"\x80", 16)
+        ex.seed_from_bytes(b"\x80", 16)
+    # only the bytes that hold the bits are taken, with the bits past
+    # the count cleared
+    assert ex.seed_from_bytes(b"\xff\xff\xff", 12).data.tolist() == [0xFF, 0xF0]
+
+
+def test_extract_peak_allocation_holds_no_unpacked_seed():
+    # the seed's half-spectrum and a band of the input's take 1.5x, the
+    # twiddle tables and a column block's temporaries come on top, and
+    # the packed seed takes (n + m - 1) / 8 bytes; the seed unpacked at
+    # one byte per bit took n + m - 1 bytes more
+    rng = np.random.default_rng(18)
+    n, m = 1 << 20, 1 << 19
+    x = PackedBits.pack(rng.integers(0, 2, n, dtype=np.uint8))
+    seed = rng.bytes((n + m - 1) // 8 + 1)
+    n1, n2 = ex._four_step_shape(n + m - 1)
+    half_spectrum = (n1 // 2 + 1) * n2 * 16
+    fixed = sum(t.nbytes for t in ex._twiddles(n1, n2)) + 4 * ex.BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        result = ex.extract(x, flat_rate(float(m)), seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.bits) == m
+    over = peak - 1.5 * half_spectrum - fixed
+    assert over < (n + m - 1) / 4, over / (n + m - 1)

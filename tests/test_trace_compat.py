@@ -1,7 +1,9 @@
 """The benchmark's traced run, in small: perfbench's tracer wrapped around
 ``extract`` and ``testsuite`` must record every span its ingest workload
 requires, each nested inside its parent, and a ``scipy.fft.rfft`` span
-inside the spectral test.
+inside the spectral test. The spans' bit counts, which the tracer takes
+from ``len()`` of the raw bits and of the certified bits, must be the
+workload's n_z and certified length.
 
 perfbench is imported read-only from the repository root; its workload
 writes the inputs (a smaller SQEB file, the hash seed and the estimate),
@@ -18,11 +20,11 @@ import siqrng
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 CHILD = """
-import json, sys
+import json, os, sys
 sys.path.insert(0, {perfbench!r})
-from siqrng import cli
+from siqrng import cli, io_formats
 from tracer import Tracer
-from workloads import IngestExtract
+from workloads import BASIS_Z, D0, D1, IngestExtract
 
 class SmallIngest(IngestExtract):
     pulses = 3_000_000  # about 1.36e6 certified bits, above the battery's 1e6
@@ -34,8 +36,13 @@ setup = [cli.main(argv) for argv in wl.prepare(d)]
 tracer = Tracer("compat")
 tracer.install()
 codes = [cli.main(argv) for argv in wl.plan(d, d)]
+with open(os.path.join(d, "estimate.txt")) as f:
+    est = io_formats.parse_keyvals(f.read())
+counts = wl.outcome_counts()
 print(json.dumps({{"setup": setup, "codes": codes, "spans": tracer.spans,
-                  "required": list(IngestExtract.spans)}}))
+                  "required": list(IngestExtract.spans),
+                  "n_z": counts[BASIS_Z, D0] + counts[BASIS_Z, D1],
+                  "m": int(est["bits"])}}))
 """
 
 
@@ -69,3 +76,9 @@ def test_traced_ingest_records_every_required_span(tmp_path):
         span["name"] == "scipy.fft.rfft" and span["parent"] in spectral
         for span in spans
     )
+    # perfbench's per-layer bit counts come from these attributes
+    (raw,) = [s for s in spans if s["name"] == "detector_sim.raw_bits_from_events"]
+    (extract,) = [s for s in spans if s["name"] == "extractor.extract"]
+    assert result["m"] > 1_000_000
+    assert raw["bits"] == extract["n"] == result["n_z"]
+    assert extract["m"] == result["m"]
