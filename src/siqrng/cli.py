@@ -25,10 +25,9 @@ from .errors import (
     SiqrngError,
     SuiteFailure,
 )
-from .io_formats import RunConfig
+from .io_formats import PackedBits, RunConfig
 
 if TYPE_CHECKING:
-    import numpy as np
     from .detector_sim import EventStream
 
 EXIT_OK = 0
@@ -373,7 +372,7 @@ def _check_gate(alpha: float, max_failures: int) -> None:
         raise ConfigError(f"suite max_failures must be >= 0, got {max_failures}")
 
 
-def _battery(bits: np.ndarray, alpha: float, max_failures: int, out: str | None):
+def _battery(bits: PackedBits, alpha: float, max_failures: int, out: str | None):
     from . import stat_suite  # loads scipy; only the battery needs it
 
     reports = stat_suite.run_battery(bits, alpha=alpha)
@@ -401,6 +400,9 @@ def _cmd_pipeline(args) -> int:
     cfg = _load_config(args)
     duration = cfg.duration  # checked before any work
     _check_gate(cfg["suite.alpha"], cfg["suite.max_failures"])
+    seed_path = cfg["path.seed"]
+    if not seed_path:
+        raise ConfigError("pipeline needs path.seed, the hash seed file")
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
 
@@ -413,13 +415,9 @@ def _cmd_pipeline(args) -> int:
     est_path = os.path.join(outdir, "estimate.txt")
     est = _estimate(summary, cfg, cfg["security.theta"], duration, est_path)
 
-    seed_path = cfg["path.seed"]
     # n_z counts exactly the raw bits that the hash takes in
     need = summary.n_z + est.rates.whole_bits - 1
-    if seed_path:
-        seed = io_formats.read_seed_file(seed_path, need)
-    else:
-        seed = io_formats.derived_seed_bytes(cfg["run.extractor_seed"], need)
+    seed = io_formats.read_seed_file(seed_path, need)
     bits_path = os.path.join(outdir, cfg["path.output"])
     events = len(stream)
     raw = detector_sim.raw_bits_from_events(stream)

@@ -356,7 +356,8 @@ def raw_bits_from_events(events: EventStream) -> PackedBits:
 
     Doubles and nulls never enter the string. The singles are selected
     a chunk of events at a time straight into packed bytes; the bits that
-    do not fill a byte are carried on to the next chunk.
+    do not fill a byte are carried on to the next chunk. The buffer, sized
+    for one bit per event, is then shrunk in place to the bits selected.
     """
     codes = events.codes
     packed = np.empty(len(codes) // 8 + 1, dtype=np.uint8)
@@ -370,4 +371,5 @@ def raw_bits_from_events(events: EventStream) -> PackedBits:
         packed[done : done + whole] = np.packbits(bits[: 8 * whole])
         bits, done = bits[8 * whole :], done + whole
     packed[done : done + (len(bits) > 0)] = np.packbits(bits)
-    return PackedBits(packed[: done + (len(bits) > 0)], 8 * done + len(bits))
+    packed.resize(done + (len(bits) > 0), refcheck=False)  # no view is left
+    return PackedBits(packed, 8 * done + len(bits))

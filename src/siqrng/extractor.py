@@ -7,8 +7,11 @@ slice of the integer convolution seed * input reduced mod 2. The hash
 computes that convolution with FFTs in four-step form at every size
 (Bailey, "FFTs in external or hierarchical memory", J. Supercomputing 4,
 1990) and verifies — never assumes — that every used coefficient rounds
-to an exact integer. The battery's spectral test (stat_suite) runs its
-DFT on the same four-step forward transform.
+to an exact integer. The seed, the raw bits and the certified bits are
+all io_formats.PackedBits: the hash reads its inputs packed and returns
+its output packed, with the bits past m zero, as write_bits stores it.
+The battery's spectral test (stat_suite) runs its DFT on the same
+four-step forward transform.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvolutionPrecisionError, EstimationAbort, FormatError
+from .errors import ConvolutionPrecisionError, EstimationAbort
 from .io_formats import PackedBits
 from .protocol_math import RateBreakdown
 
@@ -35,41 +38,6 @@ ROUNDING_TOLERANCE = 0.25
 #: from 1 MiB on. At the benchmark's shape one twiddle step already
 #: exceeds 256 KiB (BENCH_numpy_hash.json).
 BLOCK_BYTES = 1 << 18
-
-
-def _as_bits(x, length: int | None = None, name: str = "bits") -> np.ndarray:
-    arr = np.asarray(x, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    if arr.size and arr.max() > 1:
-        raise ValueError(f"{name} must contain only 0/1 values")
-    if length is not None and len(arr) != length:
-        raise ValueError(f"{name} must have length {length}, got {len(arr)}")
-    return arr
-
-
-@dataclass(frozen=True)
-class ToeplitzSpec:
-    """Shape and seed of one Toeplitz hash instance."""
-
-    input_len_n: int
-    output_len_m: int
-    seed_bits: np.ndarray
-
-    def __post_init__(self):
-        if self.input_len_n <= 0 or self.output_len_m <= 0:
-            raise ValueError("lengths must be positive")
-        if self.output_len_m > self.input_len_n:
-            raise ValueError("output length cannot exceed input length")
-        object.__setattr__(
-            self,
-            "seed_bits",
-            _as_bits(
-                self.seed_bits,
-                self.input_len_n + self.output_len_m - 1,
-                "seed_bits",
-            ),
-        )
 
 
 def _fft_capacity_ok(seed: PackedBits, x: PackedBits, length: int) -> bool:
@@ -195,15 +163,9 @@ def _forward(bits, shape: tuple[int, int], twiddles, rows=None, rfft=None) -> np
     return np.fft.fft(spectrum, axis=1, out=spectrum)
 
 
-def toeplitz_fast(spec: ToeplitzSpec, bits) -> np.ndarray:
-    """_hash of a 0/1 seed and input, which are packed on entry."""
-    x = PackedBits.pack(_as_bits(bits, spec.input_len_n, "input"))
-    return _hash(PackedBits.pack(spec.seed_bits), x, spec.output_len_m)
-
-
-def _hash(seed: PackedBits, x: PackedBits, m: int) -> np.ndarray:
+def _hash(seed: PackedBits, x: PackedBits, m: int) -> PackedBits:
     """FFT-convolution product of n + m - 1 packed seed bits and n packed
-    input bits as m 0/1 bits, bit-identical to the dense matrix product.
+    input bits as m packed bits, bit-identical to the dense matrix product.
 
     The Toeplitz product is the slice [n-1, n-1+m) of the integer
     convolution c = seed * input. It is computed as one cyclic
@@ -260,33 +222,18 @@ def _hash(seed: PackedBits, x: PackedBits, m: int) -> np.ndarray:
         whole &= 1
         parity[:, lo:hi] = whole
     start = n - 1 - first * n2
-    return parity.reshape(-1)[start : start + m]
+    return PackedBits(np.packbits(parity.reshape(-1)[start : start + m]), m)
 
 
 @dataclass(frozen=True)
 class ExtractionResult:
     """Certified output bits."""
 
-    bits: np.ndarray
+    bits: PackedBits
 
 
-def seed_from_bytes(data: bytes, count: int) -> PackedBits:
-    """First ``count`` bits of a seed byte string, most significant bit
-    first, in a copy of its first (count + 7) // 8 bytes with the bits past
-    ``count`` cleared. Shorter data is an error; seeds are never stretched."""
-    need = (count + 7) // 8
-    if len(data) < need:
-        raise FormatError(
-            f"seed provides {len(data)} bytes, {need} required for {count} bits"
-        )
-    packed = np.frombuffer(data, dtype=np.uint8, count=need).copy()
-    packed[-1] &= 0xFF << -count % 8 & 0xFF
-    return PackedBits(packed, count)
-
-
-def extract(bits, rate: RateBreakdown, seed: bytes) -> ExtractionResult:
-    """Hash the raw bits, PackedBits or a 0/1 array, down to
-    floor(R_final) certified bits.
+def extract(bits: PackedBits, rate: RateBreakdown, seed: bytes) -> ExtractionResult:
+    """Hash the raw bits down to floor(R_final) certified bits.
 
     ``seed`` is the operator-provided seed material; it must cover
     n + m - 1 bits, and only those are read. Aborts when no positive
@@ -301,6 +248,4 @@ def extract(bits, rate: RateBreakdown, seed: bytes) -> ExtractionResult:
     n = len(bits)
     if m > n:
         raise ValueError(f"certified {m} bits exceed the {n} raw bits")
-    if not isinstance(bits, PackedBits):
-        bits = PackedBits.pack(_as_bits(bits))
-    return ExtractionResult(bits=_hash(seed_from_bytes(seed, n + m - 1), bits, m))
+    return ExtractionResult(bits=_hash(PackedBits.prefix(seed, n + m - 1), bits, m))

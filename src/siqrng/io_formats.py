@@ -149,7 +149,8 @@ def read_events(path: str) -> EventStream:
 class PackedBits:
     """``count`` bits packed most significant bit first into ``data``, a
     uint8 array of (count + 7) // 8 bytes whose bits past ``count`` are
-    zero: the layout of certified-bits and hash-seed files."""
+    zero: the layout of raw, hash-seed and certified bits, from the
+    events through the hash to the battery."""
 
     data: np.ndarray
     count: int
@@ -158,24 +159,33 @@ class PackedBits:
         return self.count
 
     @classmethod
-    def pack(cls, bits: np.ndarray) -> PackedBits:
+    def prefix(cls, data, count: int) -> PackedBits:
+        """The first ``count`` bits of ``data`` (bytes or a uint8 array),
+        most significant bit first, in a copy of its first (count + 7) // 8
+        bytes with the bits past ``count`` cleared. Shorter data is an
+        error; bits are never stretched."""
         import numpy as np
-        return cls(np.packbits(bits), len(bits))
+        need = (count + 7) // 8
+        if len(data) < need:
+            raise FormatError(
+                f"{len(data)} bytes given, {need} required for {count} bits"
+            )
+        packed = np.frombuffer(data, dtype=np.uint8, count=need).copy()
+        packed[need - 1 :] &= 0xFF << -count % 8 & 0xFF
+        return cls(packed, count)
 
 
-def write_bits(path: str, bits: np.ndarray, epsilon_total: float) -> None:
-    """Certified bits packed MSB-first, zero-padded; `.len` sidecar with
-    the decimal bit count and the failure probability."""
-    import numpy as np
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8))
-    atomic_write_bytes(path, packed)
+def write_bits(path: str, bits: PackedBits, epsilon_total: float) -> None:
+    """Certified bits as they are packed; `.len` sidecar with the decimal
+    bit count and the failure probability."""
+    atomic_write_bytes(path, bits.data)
     atomic_write_text(path + ".len", f"{len(bits)}\n{epsilon_total:.6e}\n")
 
 
-def read_bits(path: str) -> tuple[np.ndarray, float | None]:
+def read_bits(path: str) -> tuple[PackedBits, float | None]:
     """Bits of a certified file; the sidecar, when present, fixes the
-    exact bit count and supplies epsilon."""
-    import numpy as np
+    exact bit count and supplies epsilon. Set bits past the count in the
+    last byte are cleared, as PackedBits requires."""
     with open(path, "rb") as f:
         data = f.read()
     sidecar = path + ".len"
@@ -196,8 +206,7 @@ def read_bits(path: str) -> tuple[np.ndarray, float | None]:
             raise FormatError(
                 f"sidecar bit count {count} does not match {len(data)} bytes"
             )
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count)
-    return bits, epsilon
+    return PackedBits.prefix(data, count), epsilon
 
 
 def read_seed_file(path: str, nbits: int) -> bytes:
@@ -300,7 +309,6 @@ def _default_config() -> dict:
         "run.n_pulses": 10_000_000,
         "run.seed": 1,
         "run.duration": None,  # None -> n_pulses / pulse_rate
-        "run.extractor_seed": 20190919,
         "path.events": "events.sqeb",
         "path.seed": "",
         "path.output": "certified.bits",
@@ -424,12 +432,3 @@ def check_duration(seconds: float, name: str) -> float:
         )
     return float(seconds)
 
-
-def derived_seed_bytes(extractor_seed: int, nbits: int) -> bytes:
-    """Deterministic seed material for simulation runs without an
-    operator seed file; hardware deployments must supply a real file."""
-    import numpy as np
-    gen = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=extractor_seed))
-    )
-    return gen.bytes((nbits + 7) // 8)

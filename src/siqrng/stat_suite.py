@@ -7,12 +7,15 @@ p-value), approximate entropy (m = 2), and the discrete-spectral test.
 The spectral test reads the first n' = scipy.fft.prev_fast_len(n) bits,
 the largest 2*3*5-smooth length that fits, so its DFT is fast whatever
 n's factors (n' >= 1000 whenever n >= 1000, and n'/n > 0.976 from the
-battery's 10^6-bit minimum up); the other seven read all n bits. The
-DFT runs in the hash's four-step form (extractor._forward) on the
-packed n' bits and holds one half-spectrum. Tests that define several
-p-values report their primary one so each test contributes exactly one
-row. This battery is a sanity harness; the security statement is the
-certified length, not these p-values.
+battery's 10^6-bit minimum up); the other seven read all n bits. Every
+test takes the bits as io_formats.PackedBits, whose bits past the count
+are zero: monobit and block frequency count set bits in whole bytes (a
+128-bit block is 16 bytes), the spectral DFT runs in the hash's
+four-step form (extractor._forward) on the packed n' bits and holds one
+half-spectrum, and the other five unpack their input once. Tests that
+define several p-values report their primary one so each test
+contributes exactly one row. This battery is a sanity harness; the
+security statement is the certified length, not these p-values.
 """
 from __future__ import annotations
 
@@ -41,42 +44,36 @@ class TestReport:
         return f"{self.test_name},{self.p_value:.6g},{int(self.passed)}"
 
 
-def _bits(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.uint8)
-    if arr.ndim != 1 or (arr.size and arr.max() > 1):
-        raise ValueError("bits must be a 1-d 0/1 array")
-    return arr
-
-
-def _require(bits: np.ndarray, minimum: int, name: str) -> None:
+def _require(bits: PackedBits, minimum: int, name: str) -> None:
     if len(bits) < minimum:
         raise InsufficientBitsError(
             f"{name} needs >= {minimum} bits, got {len(bits)}"
         )
 
 
-def monobit(bits) -> float:
+def monobit(bits: PackedBits) -> float:
     """Frequency of ones against one half."""
-    b = _bits(bits)
-    _require(b, 100, "monobit")
-    s = abs(2.0 * int(np.count_nonzero(b)) - len(b))
-    return float(erfc(s / math.sqrt(len(b)) / math.sqrt(2.0)))
+    _require(bits, 100, "monobit")
+    s = abs(2.0 * int(np.bitwise_count(bits.data).sum()) - len(bits))
+    return float(erfc(s / math.sqrt(len(bits)) / math.sqrt(2.0)))
 
 
-def block_frequency(bits, block: int = 128) -> float:
-    """Ones fraction per block against one half (chi-square)."""
-    b = _bits(bits)
-    _require(b, block, "block_frequency")
-    nblocks = len(b) // block
-    pi = b[: nblocks * block].reshape(nblocks, block).mean(axis=1)
+def block_frequency(bits: PackedBits) -> float:
+    """Ones fraction per 128-bit block, 16 bytes, against one half
+    (chi-square)."""
+    block = 128
+    _require(bits, block, "block_frequency")
+    nblocks = len(bits) // block
+    ones = np.bitwise_count(bits.data[: nblocks * 16]).reshape(nblocks, 16)
+    pi = ones.sum(axis=1) / block
     chi2 = 4.0 * block * float(np.sum((pi - 0.5) ** 2))
     return float(gammaincc(nblocks / 2.0, chi2 / 2.0))
 
 
-def runs(bits) -> float:
+def runs(bits: PackedBits) -> float:
     """Total number of runs against its expectation."""
-    b = _bits(bits)
-    _require(b, 100, "runs")
+    _require(bits, 100, "runs")
+    b = np.unpackbits(bits.data, count=len(bits))
     n = len(b)
     pi = float(np.count_nonzero(b)) / n
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
@@ -124,11 +121,11 @@ def _longest_run_per_block(blocks: np.ndarray) -> np.ndarray:
     return best
 
 
-def longest_run(bits) -> float:
+def longest_run(bits: PackedBits) -> float:
     """Longest run of ones per block against the reference category
     distribution; the block size follows the input length."""
-    b = _bits(bits)
-    _require(b, 128, "longest_run")
+    _require(bits, 128, "longest_run")
+    b = np.unpackbits(bits.data, count=len(bits))
     n = len(b)
     for m_block, min_n, bounds, probs in _LONGEST_RUN_TABLES:
         if n >= min_n:
@@ -150,12 +147,11 @@ def longest_run(bits) -> float:
     return float(gammaincc(k / 2.0, chi2 / 2.0))
 
 
-def cumulative_sums(bits) -> float:
+def cumulative_sums(bits: PackedBits) -> float:
     """Maximum excursion of the forward +/-1 partial sums."""
-    b = _bits(bits)
-    _require(b, 100, "cumulative_sums")
-    n = len(b)
-    steps = b.astype(np.int8)
+    _require(bits, 100, "cumulative_sums")
+    n = len(bits)
+    steps = np.unpackbits(bits.data, count=n).view(np.int8)
     steps *= 2
     steps -= 1
     # every partial sum lies in [-n, n]
@@ -210,20 +206,20 @@ def _marginal(counts: np.ndarray) -> np.ndarray:
     return counts.reshape(-1, 2).sum(axis=1)
 
 
-def serial(bits, m: int = 2) -> float:
+def serial(bits: PackedBits, m: int = 2) -> float:
     """Uniformity of overlapping m-grams (first p-value of the pair)."""
-    b = _bits(bits)
-    _require(b, 1 << (m + 2), "serial")
+    _require(bits, 1 << (m + 2), "serial")
+    b = np.unpackbits(bits.data, count=len(bits))
     n = len(b)
     counts = _pattern_counts(b, m)
     delta1 = _psi_sq(counts, n) - _psi_sq(_marginal(counts), n)
     return float(gammaincc(2 ** (m - 2), delta1 / 2.0))
 
 
-def approximate_entropy(bits, m: int = 2) -> float:
+def approximate_entropy(bits: PackedBits, m: int = 2) -> float:
     """Match of the m-gram entropy rate against ln 2."""
-    b = _bits(bits)
-    _require(b, 1 << (m + 3), "approximate_entropy")
+    _require(bits, 1 << (m + 3), "approximate_entropy")
+    b = np.unpackbits(bits.data, count=len(bits))
     n = len(b)
 
     def phi(counts: np.ndarray) -> float:
@@ -236,9 +232,10 @@ def approximate_entropy(bits, m: int = 2) -> float:
     return float(gammaincc(2 ** (m - 1), chi2 / 2.0))
 
 
-def _below_threshold(b: np.ndarray, threshold: float) -> int:
-    """How many bins k in [0, n/2) of the DFT of the +/-1 sequence 2b - 1
-    have a magnitude below threshold, for a 2*3*5-smooth n = len(b).
+def _below_threshold(bits: PackedBits, threshold: float) -> int:
+    """How many bins k in [0, n/2) of the DFT of the +/-1 sequence 2b - 1,
+    b the bits, have a magnitude below threshold, for a 2*3*5-smooth
+    n = len(bits).
 
     The DFT is the hash's four-step transform at N1*N2 = n, with
     scipy.fft.rfft down the columns, of b itself: DFT(2b - 1) =
@@ -246,9 +243,8 @@ def _below_threshold(b: np.ndarray, threshold: float) -> int:
     is k = k1 + N1*k2. Rows 0 and N1/2 hold both k and its conjugate
     partner n - k; a row with 0 < k1 < N1/2 holds k alone, and its bins
     also stand for the partners, of the same magnitude."""
-    n = len(b)
+    n = len(bits)
     n1, n2 = shape = _four_step_shape(n)
-    bits = PackedBits.pack(b)
     spectrum = _forward(bits, shape, _twiddles(n1, n2), rfft=scipy.fft.rfft)
     spectrum[0, 0] -= n / 2
     half = n // 2
@@ -261,16 +257,15 @@ def _below_threshold(b: np.ndarray, threshold: float) -> int:
     return below
 
 
-def spectral(bits) -> float:
+def spectral(bits: PackedBits) -> float:
     """Discrete-Fourier peak count below the 95% threshold, on the first
     n' = prev_fast_len(n) bits, the largest 2*3*5-smooth length that
     fits, so the DFT is fast whatever n's factors."""
-    b = _bits(bits)
-    _require(b, 1000, "spectral")
-    n = scipy.fft.prev_fast_len(len(b), real=True)
+    _require(bits, 1000, "spectral")
+    n = scipy.fft.prev_fast_len(len(bits), real=True)
     threshold = math.sqrt(math.log(1.0 / 0.05) * n)
     n0 = 0.95 * n / 2.0
-    n1 = _below_threshold(b[:n], threshold)
+    n1 = _below_threshold(PackedBits.prefix(bits.data, n), threshold)
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
     return float(erfc(abs(d) / math.sqrt(2.0)))
 
@@ -288,19 +283,18 @@ BATTERY = (
 )
 
 
-def run_battery(bits, alpha: float) -> list[TestReport]:
+def run_battery(bits: PackedBits, alpha: float) -> list[TestReport]:
     """Run the eight-test battery in BATTERY order on the calling thread;
     requires at least 10^6 bits. Individual tests remain callable on
     shorter inputs subject to their own minima.
     """
-    b = _bits(bits)
-    if len(b) < BATTERY_MIN_BITS:
+    if len(bits) < BATTERY_MIN_BITS:
         raise InsufficientBitsError(
-            f"battery needs >= {BATTERY_MIN_BITS} bits, got {len(b)}"
+            f"battery needs >= {BATTERY_MIN_BITS} bits, got {len(bits)}"
         )
     reports = []
     for name, fn in BATTERY:  # looked up per call: a tracer may wrap the tests
-        p = fn(b)
+        p = fn(bits)
         reports.append(TestReport(test_name=name, p_value=p, passed=p >= alpha))
     return reports
 

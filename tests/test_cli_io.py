@@ -17,6 +17,7 @@ from siqrng.errors import ConfigError, FormatError
 from siqrng.protocol_math import TallySummary
 
 import event_codes as ec
+from toeplitz_oracle import pack, unpack
 
 RNG = np.random.default_rng(77)
 
@@ -139,9 +140,9 @@ def test_write_events_memory(tmp_path):
 def test_bits_file_round_trip(tmp_path):
     bits = RNG.integers(0, 2, 1003).astype(np.uint8)
     path = str(tmp_path / "out.bits")
-    io.write_bits(path, bits, 1.25e-15)
+    io.write_bits(path, pack(bits), 1.25e-15)
     back, eps = io.read_bits(path)
-    assert np.array_equal(back, bits)
+    assert np.array_equal(unpack(back), bits)
     assert eps == pytest.approx(1.25e-15)
     with open(path + ".len") as f:
         assert f.read() == "1003\n1.250000e-15\n"
@@ -150,12 +151,34 @@ def test_bits_file_round_trip(tmp_path):
 
 def test_bits_sidecar_validation(tmp_path):
     path = str(tmp_path / "out.bits")
-    io.write_bits(path, np.ones(16, dtype=np.uint8), 0.5)
+    io.write_bits(path, pack(np.ones(16, dtype=np.uint8)), 0.5)
     # a count that needs more or fewer bytes than the file holds is stale
     for count in ("9999", "-8", "8"):
         io.atomic_write_text(path + ".len", f"{count}\n0.5\n")
         with pytest.raises(FormatError):
             io.read_bits(path)
+
+
+def test_read_bits_clears_padding_bits(tmp_path):
+    # set bits past the count in the last byte are not certified bits:
+    # read_bits clears them, so the battery reports on the same bits
+    bits = np.random.default_rng(78).integers(0, 2, 1_000_003).astype(np.uint8)
+    clean, dirty = tmp_path / "clean.bits", tmp_path / "dirty.bits"
+    for path in (clean, dirty):
+        io.write_bits(str(path), pack(bits), 1e-9)
+    assert clean.read_bytes()[-1] & 0x1F == 0  # 1 000 003 bits end 3 into a byte
+    data = bytearray(clean.read_bytes())
+    data[-1] |= 0x1F
+    dirty.write_bytes(bytes(data))
+    back, _ = io.read_bits(str(dirty))
+    assert len(back) == len(bits)
+    assert back.data.tobytes() == clean.read_bytes()
+    reports = []
+    for path in (clean, dirty):
+        report = tmp_path / f"{path.stem}.csv"
+        assert run_cli("testsuite", "--bits", str(path), "--out", str(report)) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +257,13 @@ def test_tally_text_round_trip():
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def seed_file(tmp_path):
+    """An operator hash seed file that covers runs of 2.4e6 pulses."""
+    path = tmp_path / "seed.bin"
+    path.write_bytes(np.random.default_rng(5).bytes(600_000))
+    return path
 
 
 def test_cli_chain_and_exit_codes(tmp_path):
@@ -318,7 +348,7 @@ def test_cli_epsilon_total_of_one_is_exit_two(tmp_path, capsys):
     assert run_cli(
         "pipeline", "--set", "security.t_e=0", "--set", "run.n_pulses=2400000",
         "--set", "run.seed=3", "--set", "run.duration=0.6",
-        "--outdir", str(outdir),
+        "--set", f"path.seed={seed_file(tmp_path)}", "--outdir", str(outdir),
     ) == 2
     kv = io.parse_keyvals((outdir / "estimate.txt").read_text())
     assert float(kv["epsilon_total"]) == 1.0 and int(kv["bits"]) > 0
@@ -327,8 +357,19 @@ def test_cli_epsilon_total_of_one_is_exit_two(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_cli_usage_errors_are_exit_one(tmp_path):
+def test_cli_usage_errors_are_exit_one(tmp_path, capsys):
     assert run_cli("simulate", "--set", "bogus=1", "--out", str(tmp_path / "x")) == 1
+    # pipeline hashes with the operator's seed file only
+    seed = ("--set", f"path.seed={seed_file(tmp_path)}")
+    outdir = tmp_path / "run"
+    capsys.readouterr()
+    assert run_cli("pipeline", "--outdir", str(outdir)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: pipeline needs path.seed, the hash seed file\n"
+    assert not outdir.exists()
+    assert run_cli("pipeline", "--set", "run.extractor_seed=1", *seed,
+                   "--outdir", str(outdir)) == 1
+    assert not outdir.exists()
     assert run_cli("estimate") == 1
     assert run_cli("nonsense") == 1
     assert run_cli(
@@ -347,13 +388,14 @@ def test_cli_usage_errors_are_exit_one(tmp_path):
         setting = f"run.duration={duration}"
         assert run_cli(*counts, "--set", setting, "--out", str(est)) == 1
         outdir = tmp_path / "run"
-        assert run_cli("pipeline", "--set", setting, "--outdir", str(outdir)) == 1
+        argv = ("pipeline", "--set", setting, *seed, "--outdir", str(outdir))
+        assert run_cli(*argv) == 1
         assert not outdir.exists()
     assert run_cli(*counts, "--set", "run.n_pulses=0", "--out", str(est)) == 1
     assert not est.exists()
     # a battery gate with alpha outside (0, 1) or max_failures < 0 is refused
     bits_f = str(tmp_path / "good.bits")
-    io.write_bits(bits_f, RNG.integers(0, 2, 1_000_000).astype(np.uint8), 1e-9)
+    io.write_bits(bits_f, pack(RNG.integers(0, 2, 1_000_000)), 1e-9)
     report = tmp_path / "battery.csv"
     gates = (
         ("--alpha", "-1"), ("--alpha", "0"), ("--alpha", "1"), ("--alpha", "2"),
@@ -364,7 +406,8 @@ def test_cli_usage_errors_are_exit_one(tmp_path):
         assert not report.exists()
         key = "suite." + flag[2:].replace("-", "_")
         outdir = tmp_path / "run"
-        assert run_cli("pipeline", "--set", f"{key}={value}", "--outdir", str(outdir)) == 1
+        gate = ("--set", f"{key}={value}")
+        assert run_cli("pipeline", *gate, *seed, "--outdir", str(outdir)) == 1
         assert not outdir.exists()
 
 
@@ -377,7 +420,9 @@ def test_cli_oversized_run_is_exit_one(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
     outdir = tmp_path / "run"
-    assert run_cli("pipeline", "--set", huge, "--outdir", str(outdir)) == 1
+    seed = f"path.seed={seed_file(tmp_path)}"
+    argv = ("pipeline", "--set", huge, "--set", seed, "--outdir", str(outdir))
+    assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert os.listdir(outdir) == []
@@ -605,7 +650,7 @@ def test_extract_reads_only_the_seed_bits_it_hashes(tmp_path):
 def test_cli_suite_failure_is_exit_three(tmp_path, capsys):
     bits_f = str(tmp_path / "alt.bits")
     io.write_bits(
-        bits_f, np.tile(np.array([0, 1], np.uint8), 500_000), 1e-9
+        bits_f, pack(np.tile(np.array([0, 1], np.uint8), 500_000)), 1e-9
     )
     assert run_cli("testsuite", "--bits", bits_f) == 3
 
@@ -640,6 +685,7 @@ def test_pipeline_deterministic(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "run.n_pulses = 2400000\nrun.seed = 3\nrun.duration = 0.6\n"
+        f"path.seed = {seed_file(tmp_path)}\n"
     )
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert run_cli("pipeline", "--config", str(cfg), "--outdir", out1) == 0
@@ -665,7 +711,8 @@ def test_pipeline_below_battery_minimum_skips_battery(tmp_path, capsys):
     (outdir / "battery.csv").write_text("stale report\n")
     assert run_cli(
         "pipeline", "--set", "detector.eta1=0.2", "--set", "run.n_pulses=2400000",
-        "--set", "run.seed=3", "--set", "run.duration=0.6", "--outdir", str(outdir),
+        "--set", "run.seed=3", "--set", "run.duration=0.6",
+        "--set", f"path.seed={seed_file(tmp_path)}", "--outdir", str(outdir),
     ) == 0
     captured = capsys.readouterr()
     skipped = [
@@ -687,8 +734,7 @@ def test_pipeline_below_battery_minimum_skips_battery(tmp_path, capsys):
 
 
 def test_pipeline_matches_subcommand_chain(tmp_path, capsys):
-    seed_f = tmp_path / "seed.bin"
-    seed_f.write_bytes(np.random.default_rng(5).bytes(600_000))
+    seed_f = seed_file(tmp_path)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "run.n_pulses = 2400000\nrun.seed = 3\nrun.duration = 0.6\n"

@@ -616,11 +616,15 @@ def test_raw_bits_peak_allocation_is_under_a_quarter_byte_per_event():
     tracemalloc.start()
     try:
         bits = ds.raw_bits_from_events(stream)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(bits) == np.count_nonzero((codes == 2) | (codes == 4))
     assert peak < 0.25 * len(codes), peak / len(codes)
+    # the bits own exactly their bytes; the buffer sized for one bit per
+    # event is not kept behind them
+    assert bits.data.base is None and bits.data.nbytes == (len(bits) + 7) // 8
+    assert held < bits.data.nbytes + 4096, held - bits.data.nbytes
 
 
 def test_detector_params_validation():

@@ -7,12 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft
-from scipy.special import erfc, ndtr
+from scipy.special import erfc, gammaincc, ndtr
 
 from siqrng import stat_suite as st
 from siqrng.errors import InsufficientBitsError
 
-ALTERNATING = np.tile(np.array([0, 1], dtype=np.uint8), 500_000)
+from toeplitz_oracle import pack
+
+ALTERNATING = pack(np.tile(np.array([0, 1], dtype=np.uint8), 500_000))
 
 
 def test_alternating_monobit_exact_one():
@@ -24,7 +26,7 @@ def test_alternating_fails_runs():
 
 
 def test_all_zeros_fails_monobit():
-    assert st.monobit(np.zeros(10**6, dtype=np.uint8)) < 1e-10
+    assert st.monobit(pack(np.zeros(10**6, dtype=np.uint8))) < 1e-10
 
 
 def test_battery_on_alternating():
@@ -47,7 +49,7 @@ def test_each_test_passes_on_null_input():
         bits = np.random.default_rng(seed + 1000).integers(
             0, 2, 1_000_000, dtype=np.uint8
         )
-        for r in st.run_battery(bits, alpha=0.01):
+        for r in st.run_battery(pack(bits), alpha=0.01):
             if not r.passed:
                 fails[r.test_name] += 1
     for name, k in fails.items():
@@ -60,7 +62,7 @@ def test_p_values_uniform_under_null():
     rng = np.random.default_rng(11)
     pvals = {name: np.empty(trials) for name, _ in st.BATTERY}
     for t in range(trials):
-        b = rng.integers(0, 2, nbits, dtype=np.uint8)
+        b = pack(rng.integers(0, 2, nbits, dtype=np.uint8))
         for name, fn in st.BATTERY:
             pvals[name][t] = fn(b)
     critical = 1.627762 / np.sqrt(trials)  # 1% asymptotic KS
@@ -76,8 +78,8 @@ def test_p_values_uniform_under_null():
 
 def test_deterministic_p_values():
     bits = np.random.default_rng(42).integers(0, 2, 1_000_000, dtype=np.uint8)
-    a = st.run_battery(bits, alpha=0.01)
-    b = st.run_battery(bits.copy(), alpha=0.01)
+    a = st.run_battery(pack(bits), alpha=0.01)
+    b = st.run_battery(pack(bits.copy()), alpha=0.01)
     assert [(r.test_name, r.p_value) for r in a] == [
         (r.test_name, r.p_value) for r in b
     ]
@@ -89,7 +91,7 @@ def test_battery_matches_tests_called_in_turn():
     # reads a prefix.
     rng = np.random.default_rng(21)
     for n in (1_000_000, 2 * 500_009):
-        bits = rng.integers(0, 2, n, dtype=np.uint8)
+        bits = pack(rng.integers(0, 2, n, dtype=np.uint8))
         reports = st.run_battery(bits, alpha=0.01)
         assert [r.test_name for r in reports] == [name for name, _ in st.BATTERY]
         assert [r.p_value for r in reports] == [fn(bits) for _, fn in st.BATTERY]
@@ -110,7 +112,7 @@ def test_battery_error_propagates_and_leaves_no_thread(monkeypatch, failing_test
     )
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"{failing_test} failed"):
-        st.run_battery(np.ones(1_000_000, dtype=np.uint8), alpha=0.01)
+        st.run_battery(pack(np.ones(1_000_000, dtype=np.uint8)), alpha=0.01)
     assert threading.active_count() == before
 
 
@@ -142,11 +144,33 @@ def test_cumulative_sums_matches_float_form():
             np.zeros(n, dtype=np.uint8),
             (np.arange(n) % 2).astype(np.uint8),
         ):
-            assert st.cumulative_sums(b) == reference_cumulative_sums(b)
+            assert st.cumulative_sums(pack(b)) == reference_cumulative_sums(b)
+
+
+def test_byte_counts_equal_the_0_1_forms():
+    # monobit and block_frequency count set bits in whole bytes; the
+    # 0/1 forms count ones and average 128-bit blocks. Lengths end
+    # mid-byte and mid-block, so padding bits and a partial block are
+    # in play.
+    rng = np.random.default_rng(9)
+    for n in (128, 1000, 1003, 128 * 97 + 77, 250_001):
+        for b in (
+            rng.integers(0, 2, n, dtype=np.uint8),
+            (rng.random(n) < 0.52).astype(np.uint8),
+            np.ones(n, dtype=np.uint8),
+        ):
+            s = abs(2.0 * int(np.count_nonzero(b)) - n)
+            want = float(erfc(s / math.sqrt(n) / math.sqrt(2.0)))
+            assert st.monobit(pack(b)) == want
+            nblocks = n // 128
+            pi = b[: nblocks * 128].reshape(nblocks, 128).mean(axis=1)
+            chi2 = 4.0 * 128 * float(np.sum((pi - 0.5) ** 2))
+            want = float(gammaincc(nblocks / 2.0, chi2 / 2.0))
+            assert st.block_frequency(pack(b)) == want
 
 
 def test_individual_minimums():
-    short = np.ones(8, dtype=np.uint8)
+    short = pack(np.ones(8, dtype=np.uint8))
     for name, fn in st.BATTERY:
         with pytest.raises(InsufficientBitsError):
             fn(short)
@@ -154,20 +178,20 @@ def test_individual_minimums():
 
 def test_battery_minimum():
     with pytest.raises(InsufficientBitsError):
-        st.run_battery(np.ones(999_999, dtype=np.uint8), alpha=0.01)
+        st.run_battery(pack(np.ones(999_999, dtype=np.uint8)), alpha=0.01)
 
 
 def test_longest_run_regimes():
     rng = np.random.default_rng(1)
     # each length regime picks its block size and still yields a p-value
     for n in (200, 10_000, 800_000):
-        p = st.longest_run(rng.integers(0, 2, n, dtype=np.uint8))
+        p = st.longest_run(pack(rng.integers(0, 2, n, dtype=np.uint8)))
         assert 0.0 <= p <= 1.0
 
 
 def test_csv_format():
     bits = np.random.default_rng(2).integers(0, 2, 1_000_000, dtype=np.uint8)
-    text = st.battery_csv(st.run_battery(bits, alpha=0.01))
+    text = st.battery_csv(st.run_battery(pack(bits), alpha=0.01))
     lines = text.strip().split("\n")
     assert lines[0] == "test,p_value,pass"
     assert len(lines) == 9
@@ -224,7 +248,7 @@ def test_spectral_is_real_fft_form_on_smooth_prefix():
             (np.arange(n) % 7 < 3).astype(np.uint8),
         )
         for b in inputs:
-            assert st.spectral(b) == reference_spectral(b[:prefix])[2]
+            assert st.spectral(pack(b)) == reference_spectral(b[:prefix])[2]
 
 
 @pytest.mark.parametrize(
@@ -252,12 +276,12 @@ def test_spectral_count_equals_real_fft_count(n):
         for scale in (0.5, 1.0, 1.5):
             threshold = scale * math.sqrt(math.log(1.0 / 0.05) * n)
             want = int(np.count_nonzero(mags < threshold))
-            assert st._below_threshold(b, threshold) == want, (scale, want)
+            assert st._below_threshold(pack(b), threshold) == want, (scale, want)
 
 
 def test_spectral_peak_allocation_is_one_half_spectrum():
     n = 10**6
-    b = np.random.default_rng(5).integers(0, 2, n, dtype=np.uint8)
+    b = pack(np.random.default_rng(5).integers(0, 2, n, dtype=np.uint8))
     n1, n2 = st._four_step_shape(n)
     half_spectrum = (n1 // 2 + 1) * n2 * 16
     tracemalloc.start()
