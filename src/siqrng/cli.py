@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, BinaryIO
 
 # the only matrix products are 2x2, so an OpenBLAS thread pool would only
 # idle and spin on the other CPUs; set before anything imports numpy
@@ -301,7 +301,8 @@ def _cmd_extract(args) -> int:
     if not 0.0 <= epsilon_total <= 1.0:
         raise FormatError(f"estimate file has epsilon_total {epsilon_total!r}")
     # the hash reads n + m - 1 seed bits, with n = n_z checked in _extract
-    seed = io_formats.read_seed_file(args.seed_file, n_z + rates.whole_bits - 1)
+    with open(args.seed_file, "rb") as seed_file:
+        seed = io_formats.read_seed_file(seed_file, n_z + rates.whole_bits - 1)
     raw = detector_sim.raw_bits_from_events(io_formats.read_events(args.events))
     _extract(raw, n_z, rates, seed, epsilon_total, args.out)
     return EXIT_OK
@@ -396,13 +397,20 @@ def _cmd_testsuite(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    from . import detector_sim
     cfg = _load_config(args)
     duration = cfg.duration  # checked before any work
     _check_gate(cfg["suite.alpha"], cfg["suite.max_failures"])
     seed_path = cfg["path.seed"]
     if not seed_path:
         raise ConfigError("pipeline needs path.seed, the hash seed file")
+    # a missing or unreadable seed file stops the run before it writes
+    # anything; its length is checked once n + m - 1 is known
+    with open(seed_path, "rb") as seed_file:
+        return _pipeline(args, cfg, duration, seed_file)
+
+
+def _pipeline(args, cfg: RunConfig, duration: float, seed_file: BinaryIO) -> int:
+    from . import detector_sim
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
 
@@ -417,7 +425,7 @@ def _cmd_pipeline(args) -> int:
 
     # n_z counts exactly the raw bits that the hash takes in
     need = summary.n_z + est.rates.whole_bits - 1
-    seed = io_formats.read_seed_file(seed_path, need)
+    seed = io_formats.read_seed_file(seed_file, need)
     bits_path = os.path.join(outdir, cfg["path.output"])
     events = len(stream)
     raw = detector_sim.raw_bits_from_events(stream)

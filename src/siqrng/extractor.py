@@ -29,10 +29,10 @@ from .protocol_math import RateBreakdown
 ROUNDING_TOLERANCE = 0.25
 
 #: Bytes of the bins of one block of grid columns (at least one twiddle
-#: step wide). The column transforms, twiddles and rounding run a block
-#: at a time, so the hash holds about one block besides the seed's
-#: half-spectrum and a band of the input's, and the spectral test
-#: (stat_suite) one block besides its half-spectrum. Blocks are
+#: step wide). The column transforms, twiddles and rounding of _forward
+#: and of the inverse run a block at a time, so they hold about one block
+#: besides the half-spectrum, and the input's table lookups take
+#: BLOCK_BYTES of indices at a time. Blocks are
 #: transposed in and out, which slows once a block leaves the cache: a
 #: 1e5-point hash takes 6.2-6.7 ms with blocks of 64-256 KiB and 8.4 ms
 #: from 1 MiB on. At the benchmark's shape one twiddle step already
@@ -48,7 +48,12 @@ def _fft_capacity_ok(seed: PackedBits, x: PackedBits, length: int) -> bool:
     four-step form keeps that O(eps log L) growth: its short transforms
     along each axis add log2(N1) + log2(N2) = log2(L) levels, and its
     twiddle factors are accurate to a few eps (exact integer exponents,
-    a coarse times a fine factor), which C absorbs.
+    a coarse times a fine factor), which C absorbs. So does the input's
+    radix-R lookup stage (_multiply_bands): its table entries are sums of
+    at most R <= 16 unit phasors, each within a few eps, and with the
+    phasor of exact integer exponent that follows they are one radix-R
+    step of a length-N1 column transform, whose length-N1/R transforms
+    add the other log2(N1/R) levels.
     """
     norm = math.sqrt(float(np.bitwise_count(seed.data).sum())) * math.sqrt(
         float(np.bitwise_count(x.data).sum())
@@ -121,30 +126,29 @@ def _twiddle(block: np.ndarray, coarse: np.ndarray, fine: np.ndarray, lo: int) -
     steps *= fine
 
 
-def _forward(bits, shape: tuple[int, int], twiddles, rows=None, rfft=None) -> np.ndarray:
+def _forward(bits, shape: tuple[int, int], twiddles, rfft=None) -> np.ndarray:
     """Bins of the DFT of bits zero-padded to N = N1*N2, in four steps
     over the row-major (N1, N2) grid j = j1*N2 + j2: real FFTs of length
     N1 down the columns, the twiddles, and FFTs of length N2 along the
     rows. Bin k1 + N1*k2 lands at [k1, k2] for k1 = 0..N1//2; the other
-    bins are their conjugates, since the input is real. Only the rows
-    k1 in [lo, hi) = ``rows`` (all of them by default) are kept, twiddled
-    and transformed along. The column steps run a block of columns at a
-    time, unpacked straight from the PackedBits: grid row r starts at bit
-    r*N2, so the full rows r, r + P, ... with P = 8/gcd(N2, 8) start at
-    one bit phase, one strided byte view that one unpackbits call reads.
-    The last partial row is padded, and the real FFT (``rfft``, by
-    default numpy.fft.rfft as it is at the call) pads each column to N1.
-    The row steps run in place."""
+    bins are their conjugates, since the input is real. The column steps
+    run a block of columns at a time, unpacked straight from the
+    PackedBits: grid row r starts at bit r*N2, so the full rows r, r + P,
+    ... with P = 8/gcd(N2, 8) start at one bit phase, one strided byte
+    view that one unpackbits call reads. The last partial row is padded,
+    and the real FFT (``rfft``, by default numpy.fft.rfft as it is at the
+    call) pads each column to N1. The row steps run in place. The hash
+    forms its seed's spectrum here and its input's in residue-class bands
+    (_multiply_bands); the spectral test (stat_suite) forms its own here."""
     n1, n2 = shape
-    first, last = rows or (0, n1 // 2 + 1)
     rfft = rfft or np.fft.rfft
-    coarse, fine = (table[..., first:last] for table in twiddles)
+    coarse, fine = twiddles
     full, rest = divmod(len(bits), n2)
     period = 8 // math.gcd(n2, 8)
     data, at = bits.data, full * n2
     tail = np.zeros(n2, dtype=np.uint8)
     tail[:rest] = np.unpackbits(data[at // 8 :], count=at % 8 + rest)[at % 8 :]
-    spectrum = np.empty((last - first, n2), dtype=complex)
+    spectrum = np.empty((n1 // 2 + 1, n2), dtype=complex)
     for lo, hi in _column_blocks(n1, n2, len(fine)):
         columns = np.empty((hi - lo, full + (rest > 0)))
         for row in range(min(period, full)):
@@ -157,10 +161,117 @@ def _forward(bits, shape: tuple[int, int], twiddles, rows=None, rfft=None) -> np
             columns[:, row:full:period] = unpacked.T
         if rest:
             columns[:, full] = tail[lo:hi]
-        block = rfft(columns, n1, axis=1)[:, first:last]
+        block = rfft(columns, n1, axis=1)
         _twiddle(block, coarse, fine, lo)
         spectrum[:, lo:hi] = block.T
     return np.fft.fft(spectrum, axis=1, out=spectrum)
+
+
+def _residue(n1: int, n2: int) -> int:
+    """R, the number of residue classes k1 mod R of the input's bands
+    (_multiply_bands): the largest divisor of N1 up to 16 whose bands,
+    N1/R*N2 complex bins, take at least BLOCK_BYTES, or 1. Smaller bands
+    save no memory worth a class's fixed cost of a dozen numpy calls."""
+    fits = (r for r in range(2, 17) if n1 % r == 0 and n1 // r * n2 * 16 >= BLOCK_BYTES)
+    return max(fits, default=1)
+
+
+def _patterns(bits, shape: tuple[int, int], residue: int) -> np.ndarray:
+    """The (L, N2) uint16 pattern index of bits on the (N1, N2) grid,
+    L = N1/R: bit b of [a, j2] is the bit at grid point (a + b*L, j2).
+    Segment b, the grid rows [b*L, (b+1)*L), is one contiguous bit range,
+    which one unpackbits call reads; bits past len(bits) are zero."""
+    n1, n2 = shape
+    size = n1 // residue * n2
+    index = np.zeros(size, dtype=np.uint16)
+    for b in range(residue):
+        start = b * size
+        count = min(size, len(bits) - start)
+        if count <= 0:
+            break
+        byte, phase = divmod(start, 8)
+        segment = np.unpackbits(
+            bits.data[byte : (start + count + 7) // 8], count=phase + count
+        )[phase:]
+        index[:count] |= np.left_shift(segment, b, dtype=np.uint16)
+    return index.reshape(n1 // residue, n2)
+
+
+def _phasors(residue: int, r: int) -> np.ndarray:
+    """sum_b bit_b(p) * exp(-2 pi i b r / R) for every R-bit pattern p,
+    each a sum of at most R unit phasors."""
+    table = np.empty(1 << residue, dtype=complex)
+    table[0] = 0
+    for b in range(residue):
+        phasor = np.exp(-2j * math.pi * (b * r % residue) / residue)
+        np.add(table[: 1 << b], phasor, out=table[1 << b : 2 << b])
+    return table
+
+
+def _lookup(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = table[index], BLOCK_BYTES of the intp indices that take
+    converts the index to at a time; mode="clip" (the indices are in
+    range) writes straight into out, where the default buffers it."""
+    index, flat, chunk = index.reshape(-1), out.reshape(-1), BLOCK_BYTES // 8
+    for lo in range(0, flat.size, chunk):
+        part = slice(lo, lo + chunk)
+        np.take(table, index[part], out=flat[part], mode="clip")
+    return out
+
+
+def _multiply_bands(spectrum: np.ndarray, bits, shape, twiddles, residue: int) -> None:
+    """Multiply the four-step half-spectrum of bits (_forward's layout)
+    into ``spectrum``, in place, one residue-class band at a time.
+
+    With R = ``residue`` (a divisor of N1 up to 16), L = N1/R and the
+    grid rows j1 = a + b*L, the column bins k1 = r + R*k' of class r are
+    the length-L DFT over a of
+    y_r[a] = exp(-2 pi i a r / N1) * sum_b x[a + b*L] * exp(-2 pi i b r / R)
+    (Sorensen and Burrus, IEEE Trans. Signal Process. 41, 1184 (1993)).
+    The inner sum is one lookup of the pattern index (_patterns) into a
+    table of 2^R phasor sums. The columns are real, so column bin N1 - k1
+    is the conjugate of bin k1: the bins of class r past N1/2, reversed
+    and conjugated, are the bins of class R - r up to N1/2, and one
+    complex FFT of length L fills the half-spectrum rows of both. Class 0
+    is real and takes a real FFT. Each band, (L, N2) complex, about 2/R
+    of a half-spectrum, is twiddled, transformed along its rows and
+    multiplied into the strided rows spectrum[r::R] and spectrum[R-r::R];
+    the column transforms run once in all."""
+    n1, n2 = shape
+    length = n1 // residue
+    index = _patterns(bits, shape, residue)
+    coarse, fine = twiddles
+
+    def twiddle(rows: np.ndarray, k1: int) -> None:  # bin rows k1, k1 + R, ...
+        steps = rows.reshape(len(rows), n2 // len(fine), len(fine))
+        steps *= coarse[:, 0, k1::residue].T[:, :, None]
+        steps *= fine[:, k1::residue].T[:, None, :]
+
+    real = _lookup(_phasors(residue, 0).real, index, np.empty((length, n2)))
+    band = np.fft.rfft(real, axis=0)
+    del real
+    twiddle(band, 0)
+    rows = spectrum[::residue]
+    rows *= np.fft.fft(band, axis=1, out=band)
+    del band  # before the next band is allocated
+    band = np.empty((length, n2), dtype=complex)
+    phase = -2j * math.pi / n1 * np.arange(length)
+    for r in range(1, residue // 2 + 1):
+        _lookup(_phasors(residue, r), index, band)
+        band *= np.exp(phase * r)[:, None]
+        np.fft.fft(band, axis=0, out=band)
+        upper = spectrum[r::residue]
+        used = band[: len(upper)]
+        twiddle(used, r)
+        if 2 * r < residue:  # the other rows, reversed: class R - r
+            lower = spectrum[residue - r :: residue]
+            mirror = band[len(upper) :][::-1]
+            np.conjugate(mirror, out=mirror)
+            twiddle(mirror, residue - r)
+            used = band
+        upper *= np.fft.fft(used, axis=1, out=used)[: len(upper)]
+        if 2 * r < residue:
+            lower *= mirror
 
 
 def _hash(seed: PackedBits, x: PackedBits, m: int) -> PackedBits:
@@ -172,18 +283,18 @@ def _hash(seed: PackedBits, x: PackedBits, m: int) -> PackedBits:
     convolution at the smallest fast length N >= n+m-1, laid out as an
     (N1, N2) grid (_four_step_shape): from index n-1 on, the wrapped
     coefficients c[k+N] lie past the linear length 2n+m-2, so nothing
-    wraps onto the slice. Both forward transforms and the inverse run in
-    four-step form at every size (_forward; the inverse takes the same
-    steps backwards with conjugate twiddles), and the inverse's
-    row-major grid is c in natural order. The hash holds the seed's
-    half-spectrum, half of the input's and one block of columns: the
-    input's spectrum is formed in two bands of bin rows, each multiplied
-    into the seed's as it is done, so the input's column steps run
-    twice; the inverse column transforms, the rounding and the parity
-    run block by block, on the grid rows that hold the slice. Every
-    transform runs on the calling thread alone: split over threads, a
-    batch waits for its slowest share, so where the CPUs are shared with
-    other work the hash's time would depend on that work.
+    wraps onto the slice. All three transforms run in four-step form at
+    every size, and the inverse's row-major grid is c in natural order:
+    the seed's half-spectrum by _forward, the input's in residue-class
+    bands multiplied into it as each is done (_multiply_bands), and the
+    inverse by the same steps backwards with conjugate twiddles. The hash
+    holds the seed's half-spectrum, one band of about 2/R of another and
+    the input's pattern index; the input's column transforms run once.
+    The inverse column transforms, the rounding and the parity run block
+    by block, on the grid rows that hold the slice. Every transform runs
+    on the calling thread alone: split over threads, a batch waits for
+    its slowest share, so where the CPUs are shared with other work the
+    hash's time would depend on that work.
 
     Every used coefficient is verified to sit within ROUNDING_TOLERANCE
     of an integer. An input too large for the a-priori capacity check
@@ -197,10 +308,7 @@ def _hash(seed: PackedBits, x: PackedBits, m: int) -> PackedBits:
         )
     coarse, fine = twiddles = _twiddles(n1, n2)
     spectrum = _forward(seed, shape, twiddles)
-    bins = n1 // 2 + 1
-    for rows in ((0, bins // 2), (bins // 2, bins)):
-        if rows[0] < rows[1]:  # N1 = 1 leaves the first band empty
-            spectrum[slice(*rows)] *= _forward(x, shape, twiddles, rows)
+    _multiply_bands(spectrum, x, shape, twiddles, _residue(n1, n2))
     np.fft.ifft(spectrum, axis=1, out=spectrum)
     coarse, fine = coarse.conj(), fine.conj()
     # grid rows first..last-1 hold the slice [n-1, n-1+m)

@@ -13,7 +13,7 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, BinaryIO
 
 from .errors import ConfigError, FormatError
 from .protocol_math import TallySummary
@@ -209,10 +209,10 @@ def read_bits(path: str) -> tuple[PackedBits, float | None]:
     return PackedBits.prefix(data, count), epsilon
 
 
-def read_seed_file(path: str, nbits: int) -> bytes:
-    """The bytes that hold a seed file's first ``nbits`` bits, or fewer."""
-    with open(path, "rb") as f:
-        return f.read(max(0, nbits + 7) // 8)
+def read_seed_file(f: BinaryIO, nbits: int) -> bytes:
+    """The bytes that hold an open seed file's first ``nbits`` bits, or
+    fewer."""
+    return f.read(max(0, nbits + 7) // 8)
 
 
 # ---------------------------------------------------------------------------

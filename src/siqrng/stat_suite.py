@@ -33,6 +33,11 @@ from .io_formats import PackedBits
 #: Aggregate precondition for run_battery.
 BATTERY_MIN_BITS = 1_000_000
 
+#: m-gram indices per bincount call in serial and approximate_entropy:
+#: bincount casts its input to intp, 8 bytes an index, which for the
+#: whole index at 9e6 bits was the battery's largest allocation (72 MB).
+PATTERN_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class TestReport:
@@ -181,17 +186,22 @@ def cumulative_sums(bits: PackedBits) -> float:
 
 
 def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
-    """Cyclic overlapping m-gram counts, length 2^m."""
+    """Cyclic overlapping m-gram counts, length 2^m, for m < len(b). The
+    index holds one byte per bit for m <= 8, and bincount, which casts
+    it to intp, takes PATTERN_CHUNK of it at a time."""
     n = len(b)
     if m == 0:
         return np.array([n], dtype=np.int64)
-    # the m-gram starting at i reads ext[i : i+m], wrapping past the end
-    ext = np.concatenate([b, b[: m - 1]])
-    idx = ext[:n].astype(np.min_scalar_type((1 << m) - 1))
+    # the m-gram starting at i reads b[i], ..., b[i+m-1], wrapping past the end
+    idx = b.astype(np.min_scalar_type((1 << m) - 1))
     for k in range(1, m):
         idx <<= 1
-        idx |= ext[k : k + n]
-    return np.bincount(idx, minlength=1 << m)
+        idx[: n - k] |= b[k:]
+        idx[n - k :] |= b[:k]
+    counts = np.zeros(1 << m, dtype=np.int64)
+    for lo in range(0, n, PATTERN_CHUNK):
+        counts += np.bincount(idx[lo : lo + PATTERN_CHUNK], minlength=1 << m)
+    return counts
 
 
 def _psi_sq(counts: np.ndarray, n: int) -> float:

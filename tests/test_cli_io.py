@@ -411,6 +411,22 @@ def test_cli_usage_errors_are_exit_one(tmp_path, capsys):
         assert not outdir.exists()
 
 
+def test_pipeline_unreadable_seed_is_exit_four_before_any_work(tmp_path, capsys):
+    # the seed file is opened before the outdir is made and before any
+    # simulation: a missing file, or a directory, writes nothing
+    argv = ("pipeline", "--set", "run.n_pulses=2400000", "--set", "run.duration=0.6")
+    outdir = tmp_path / "run"
+    missing = ("--set", f"path.seed={tmp_path / 'missing.bin'}")
+    assert run_cli(*argv, *missing, "--outdir", str(outdir)) == 4
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert not outdir.exists()
+    outdir.mkdir()
+    directory = ("--set", f"path.seed={tmp_path}")
+    assert run_cli(*argv, *directory, "--outdir", str(outdir)) == 4
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert os.listdir(outdir) == []  # no events.sqeb, tally.txt or estimate.txt
+
+
 def test_cli_oversized_run_is_exit_one(tmp_path, capsys):
     # 1e15 pulses exceed any address space: refused before any work
     huge = f"run.n_pulses={10**15}"

@@ -185,10 +185,8 @@ def test_fast_equals_naive_at_tight_four_step_length():
     # the slice allows: one sample shorter wraps c[2n+m-3] onto the first
     # output. The dense oracle checks the small totals, whose shapes
     # include N1 = 1, odd N1 and even N1; the full-length reference
-    # checks the large ones. The input's spectrum is formed in the bin
-    # rows [0, K/2) and [K/2, K), K = N1//2 + 1: K = 1 (N <= 8) leaves
-    # the first band empty, K = 2 gives one row each and an odd K
-    # unequal bands.
+    # checks the large ones, whose input spectra are formed in residue
+    # bands (R > 1), odd and even R among them.
     rng = np.random.default_rng(14)
     small = (4, 6, 16, 18, 25, 27, 30, 81, 100, 120, 243, 1000, 2025, 4096)
     large = (1 << 16, 72_900, 118_098)
@@ -210,8 +208,53 @@ def test_fast_equals_naive_at_tight_four_step_length():
     assert 1 in column_lengths
     assert any(n1 % 2 for n1 in column_lengths - {1})
     assert any(n1 % 2 == 0 for n1 in column_lengths)
-    rows = {n1 // 2 + 1 for n1 in column_lengths}
-    assert {1, 2} <= rows and any(k % 2 for k in rows - {1})
+    residues = {ex._residue(*ex._four_step_shape(total)) for total in large}
+    assert any(r % 2 for r in residues) and any(r % 2 == 0 for r in residues - {1})
+
+
+def assert_bands_equal_forward(bits, shape, twiddles, forward):
+    """The residue-class bands, for every R that divides N1 up to 16,
+    multiplied into ones, reproduce _forward's half-spectrum of the same
+    bits to 1e-12 of its largest bin."""
+    scale = max(1.0, np.abs(forward).max())
+    for residue in [r for r in range(1, 17) if shape[0] % r == 0]:
+        got = np.ones_like(forward)
+        ex._multiply_bands(got, bits, shape, twiddles, residue)
+        assert np.abs(got - forward).max() <= 1e-12 * scale, (shape, residue)
+
+
+def test_residue_is_the_largest_divisor_with_a_band_of_a_block():
+    # the benchmark's and the default pipeline's grids take the largest
+    # divisor of N1 up to 16; a band under BLOCK_BYTES saves nothing
+    assert ex._residue(2187, 8748) == 9  # ingest_extract
+    assert ex._residue(1600, 6075) == 16  # the default pipeline
+    assert ex._residue(768, 2048) == 16
+    assert ex._residue(1, 1 << 20) == 1
+    for n1 in range(1, 200):
+        for n2 in (1, 64, 1000, 1 << 14):
+            r = ex._residue(n1, n2)
+            band = n1 // r * n2 * 16
+            assert n1 % r == 0 and r <= 16 and (r == 1 or band >= ex.BLOCK_BYTES)
+            assert not any(
+                n1 % d == 0 and n1 // d * n2 * 16 >= ex.BLOCK_BYTES
+                for d in range(r + 1, 17)
+            )
+
+
+@pytest.mark.parametrize("n1", range(1, 65))
+def test_residue_bands_equal_forward(n1):
+    # every N1 up to 64 with every R it admits: odd and even R, L = N1/R
+    # odd and even, R = N1 (L = 1) and R = 1; N2 odd and even, with bit
+    # counts that fill the grid, end mid-byte, stop inside a segment of
+    # L grid rows, and hold one bit
+    rng = np.random.default_rng(n1)
+    for n2 in (7, 12):
+        shape, size = (n1, n2), n1 * n2
+        twiddles = ex._twiddles(n1, n2)
+        for count in sorted({size, size - 5, n1 // 2 * n2 + 3, 1}):
+            bits = pack(rng.integers(0, 2, count, dtype=np.uint8))
+            forward = ex._forward(bits, shape, twiddles)
+            assert_bands_equal_forward(bits, shape, twiddles, forward)
 
 
 @pytest.mark.parametrize(
@@ -233,10 +276,7 @@ def test_four_step_forward_equals_rfft(shape):
     want[mirrored] = want[mirrored].conj()
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
-    # a band of bin rows is those rows of the whole half-spectrum
-    rows = (n1 // 4, n1 // 2 + 1)
-    band = ex._forward(pack(bits), shape, twiddles, rows)
-    assert np.array_equal(band, got[rows[0] : rows[1]])
+    assert_bands_equal_forward(pack(bits), shape, twiddles, got)
 
 
 @pytest.mark.parametrize("n2", [40, 41, 42, 43, 44, 45, 46, 47])
@@ -260,8 +300,7 @@ def test_packed_gather_equals_rfft(n2, monkeypatch):
         want = half[np.where(mirrored, size - k, k)]
         want[mirrored] = want[mirrored].conj()
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), count
-        band = ex._forward(pack(bits), (n1, n2), twiddles, (2, 5))
-        assert np.array_equal(band, got[2:5]), count
+        assert_bands_equal_forward(pack(bits), (n1, n2), twiddles, got)
 
 
 def test_transforms_run_on_the_calling_thread(monkeypatch):
@@ -342,21 +381,30 @@ def test_rounding_is_checked_in_every_column_block(where, monkeypatch):
 
 
 def test_peak_allocation_is_one_spectrum_a_band_and_a_block():
-    # the seed's half-spectrum and a band of the input's take 1.5x; two
-    # whole half-spectra took it to 2.2x and whole-grid transforms to 3.0x
+    # the seed's half-spectrum and one residue band of the input's, 2/R
+    # of another, take 1 + 2/R; a further 1/R covers the pattern index,
+    # and the twiddle tables, the 2^R-entry phasor table and a column
+    # block's temporaries come on top. Two contiguous bands of bin rows
+    # took 1.6x at this shape, two whole half-spectra 2.2x and
+    # whole-grid transforms 3.0x
     rng = np.random.default_rng(17)
     n, m = 1 << 20, 1 << 19
     spec = ToeplitzSpec(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
     x = rng.integers(0, 2, n, dtype=np.uint8)
     n1, n2 = ex._four_step_shape(n + m - 1)
+    residue = ex._residue(n1, n2)
+    assert residue >= 8
     half_spectrum = (n1 // 2 + 1) * n2 * 16
+    fixed = sum(t.nbytes for t in ex._twiddles(n1, n2)) + 4 * ex.BLOCK_BYTES
+    fixed += 16 << residue
     tracemalloc.start()
     try:
         toeplitz_fast(spec, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.7 * half_spectrum, peak / half_spectrum
+    over = peak - (1 + 3 / residue) * half_spectrum - fixed
+    assert over < 0, (peak / half_spectrum, over)
 
 
 def test_large_instance_spot_window():

@@ -315,3 +315,19 @@ def test_pattern_counts_match_rotation_reference():
                 assert np.array_equal(
                     st._marginal(got), reference_pattern_counts(b, m - 1)
                 )
+
+
+@pytest.mark.parametrize("test", [st.serial, st.approximate_entropy])
+def test_pattern_tests_hold_two_bytes_per_bit(test):
+    # the unpacked bits and the m-gram index take a byte a bit each, and
+    # bincount one PATTERN_CHUNK of intp; bincount of the whole index
+    # took 11 bytes a bit
+    n = 1 << 22
+    bits = pack(np.random.default_rng(6).integers(0, 2, n, dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        test(bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n + 8 * st.PATTERN_CHUNK + (1 << 16), peak / n
