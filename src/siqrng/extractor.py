@@ -6,10 +6,11 @@ so row i reads the seed slice [i, i+n) reversed and the product equals a
 slice of the integer convolution seed * input reduced mod 2. The hash
 computes that convolution with FFTs in four-step form at every size
 (Bailey, "FFTs in external or hierarchical memory", J. Supercomputing 4,
-1990) and verifies — never assumes — that every used coefficient rounds
-to an exact integer. The seed, the raw bits and the certified bits are
-all io_formats.PackedBits: the hash reads its inputs packed and returns
-its output packed, with the bits past m zero, as write_bits stores it.
+1990), one residue class of bins at a time, and verifies — never
+assumes — that every used coefficient rounds to an exact integer. The
+seed, the raw bits and the certified bits are all io_formats.PackedBits:
+the hash reads its inputs packed and returns its output packed, with the
+bits past m zero, as write_bits stores it.
 The battery's spectral test (stat_suite) runs its DFT on the same
 four-step forward transform.
 """
@@ -28,15 +29,14 @@ from .protocol_math import RateBreakdown
 #: nearest integer before the result is considered unverifiable.
 ROUNDING_TOLERANCE = 0.25
 
-#: Bytes of the bins of one block of grid columns (at least one twiddle
-#: step wide). The column transforms, twiddles and rounding of _forward
-#: and of the inverse run a block at a time, so they hold about one block
-#: besides the half-spectrum, and the input's table lookups take
-#: BLOCK_BYTES of indices at a time. Blocks are
-#: transposed in and out, which slows once a block leaves the cache: a
-#: 1e5-point hash takes 6.2-6.7 ms with blocks of 64-256 KiB and 8.4 ms
-#: from 1 MiB on. At the benchmark's shape one twiddle step already
-#: exceeds 256 KiB (BENCH_numpy_hash.json).
+#: Bytes of the temporaries that the transforms take a block at a time.
+#: _forward's column transforms and twiddles run on blocks of grid
+#: columns (at least one twiddle step wide), transposed in and out, which
+#: slowed once a block left the cache (a 1e5-point hash took 6.2-6.7 ms
+#: with blocks of 64-256 KiB and 8.4 ms from 1 MiB on;
+#: BENCH_numpy_hash.json). The hash's table lookups, its accumulation
+#: and its rounding take BLOCK_BYTES at a time, and a residue band
+#: (_residue) takes at least BLOCK_BYTES.
 BLOCK_BYTES = 1 << 18
 
 
@@ -48,12 +48,20 @@ def _fft_capacity_ok(seed: PackedBits, x: PackedBits, length: int) -> bool:
     four-step form keeps that O(eps log L) growth: its short transforms
     along each axis add log2(N1) + log2(N2) = log2(L) levels, and its
     twiddle factors are accurate to a few eps (exact integer exponents,
-    a coarse times a fine factor), which C absorbs. So does the input's
-    radix-R lookup stage (_multiply_bands): its table entries are sums of
-    at most R <= 16 unit phasors, each within a few eps, and with the
-    phasor of exact integer exponent that follows they are one radix-R
-    step of a length-N1 column transform, whose length-N1/R transforms
-    add the other log2(N1/R) levels.
+    a product of up to four factors), which C absorbs. So does the
+    radix-R lookup stage of both inputs' bands (_band): its table
+    entries are sums of at most R <= 16 unit phasors, each within a few
+    eps, and with the phasor of exact integer exponent that follows they
+    are one radix-R step of a length-N1 column transform, whose
+    length-N1/R transforms add the other log2(N1/R) levels. The inverse
+    takes the same radix-R step backwards (_convolve): after length-N1/R
+    column inverses, each coefficient accumulates R/2 + 1 terms, one per
+    class r <= R/2, each the real part of a band's value rotated by a unit
+    phasor of exact integer exponent r*j1 mod N1 (within a few eps) and
+    weighted by 1/R or 2/R. Summed in turn, those terms grow the
+    round-off by at most R/2 + 1 <= 9 roundings where a radix-2 stage
+    would take log2(R) <= 4 levels; C absorbs that, as it absorbs the
+    forward lookup's sums of R phasors.
     """
     norm = math.sqrt(float(np.bitwise_count(seed.data).sum())) * math.sqrt(
         float(np.bitwise_count(x.data).sum())
@@ -90,6 +98,14 @@ def _four_step_shape(total: int) -> tuple[int, int]:
     return n1, size // n1
 
 
+def _root_divisor(n: int) -> int:
+    """The largest divisor of n up to its square root."""
+    block = math.isqrt(n)
+    while n % block:
+        block -= 1
+    return block
+
+
 def _twiddles(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
     """The four-step twiddle exp(-2 pi i k1 j2 / N1 N2) of the bins
     k1 = 0..N1//2 as a coarse and a fine factor, laid out for a column
@@ -99,9 +115,7 @@ def _twiddles(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
     are exact integers below N1 N2 and each product is off by a few eps
     (bin 0's factor is exactly 1); the full table would be as large as
     a spectrum."""
-    block = math.isqrt(n2)
-    while n2 % block:
-        block -= 1
+    block = _root_divisor(n2)
     w = -2j * math.pi / (n1 * n2)
     k1 = np.arange(n1 // 2 + 1)
     coarse = np.exp(np.arange(0, n2, block)[:, None, None] * k1 * w)
@@ -137,9 +151,9 @@ def _forward(bits, shape: tuple[int, int], twiddles, rfft=None) -> np.ndarray:
     ... with P = 8/gcd(N2, 8) start at one bit phase, one strided byte
     view that one unpackbits call reads. The last partial row is padded,
     and the real FFT (``rfft``, by default numpy.fft.rfft as it is at the
-    call) pads each column to N1. The row steps run in place. The hash
-    forms its seed's spectrum here and its input's in residue-class bands
-    (_multiply_bands); the spectral test (stat_suite) forms its own here."""
+    call) pads each column to N1. The row steps run in place. The spectral
+    test (stat_suite) forms its spectrum here; the hash forms its bins in
+    residue-class bands (_band), which the tests check against this."""
     n1, n2 = shape
     rfft = rfft or np.fft.rfft
     coarse, fine = twiddles
@@ -168,10 +182,10 @@ def _forward(bits, shape: tuple[int, int], twiddles, rfft=None) -> np.ndarray:
 
 
 def _residue(n1: int, n2: int) -> int:
-    """R, the number of residue classes k1 mod R of the input's bands
-    (_multiply_bands): the largest divisor of N1 up to 16 whose bands,
-    N1/R*N2 complex bins, take at least BLOCK_BYTES, or 1. Smaller bands
-    save no memory worth a class's fixed cost of a dozen numpy calls."""
+    """R, the number of residue classes k1 mod R of the hash's bands
+    (_band): the largest divisor of N1 up to 16 whose bands, N1/R*N2
+    complex bins, take at least BLOCK_BYTES, or 1. Smaller bands save no
+    memory worth a class's fixed cost of a few dozen numpy calls."""
     fits = (r for r in range(2, 17) if n1 % r == 0 and n1 // r * n2 * 16 >= BLOCK_BYTES)
     return max(fits, default=1)
 
@@ -193,7 +207,7 @@ def _patterns(bits, shape: tuple[int, int], residue: int) -> np.ndarray:
         segment = np.unpackbits(
             bits.data[byte : (start + count + 7) // 8], count=phase + count
         )[phase:]
-        index[:count] |= np.left_shift(segment, b, dtype=np.uint16)
+        index[:count] |= np.left_shift(segment, b, dtype=np.uint16) if b else segment
     return index.reshape(n1 // residue, n2)
 
 
@@ -219,59 +233,163 @@ def _lookup(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
-def _multiply_bands(spectrum: np.ndarray, bits, shape, twiddles, residue: int) -> None:
-    """Multiply the four-step half-spectrum of bits (_forward's layout)
-    into ``spectrum``, in place, one residue-class band at a time.
+def _band_twiddles(shape, residue: int) -> tuple:
+    """Tables of the four-step twiddles exp(-2 pi i k1 j2 / N) of the band
+    rows k1 = k + R*i (_twiddle_rows), i < L (N1/2 + 1 for R = 1, where
+    class 0's real band is all). With i = g*C + l, each factors into
+    exp(-2 pi i k j2 / N), formed per band, high[g, j2] with the exponent
+    R*C*g*j2 and low[l, j2] with R*l*j2. Every exponent is an exact
+    integer reduced mod N, so each factor is accurate to a few eps. C is
+    isqrt(L), which keeps the tables small, or all L rows where they take
+    at most BLOCK_BYTES, so that a small band is twiddled in one step;
+    the rows, N2 long, broadcast whole."""
+    n1, n2 = shape
+    size = n1 * n2
+    length = n1 // residue if residue > 1 else n1 // 2 + 1  # class 0 alone
+    step = max(math.isqrt(length), min(length, BLOCK_BYTES // (16 * n2)), 1)
+    groups, block = -(-length // step), _root_divisor(n2)
+    e = residue * np.concatenate([step * np.arange(groups), np.arange(step)])[:, None]
+    w = -2j * math.pi / size
+    # j2 = a*block + b: a coarse times a fine factor
+    coarse = np.exp(w * (e * np.arange(0, n2, block) % size))
+    fine = np.exp(w * (e * np.arange(block) % size))
+    table = (coarse[:, :, None] * fine[:, None, :]).reshape(len(e), n2)
+    return table[:groups], table[groups:], -1
+
+
+def _twiddle_rows(rows: np.ndarray, shape, tables, k: int) -> None:
+    """Multiply row i of a band, bin k1 = k + R*i of every column, by its
+    twiddle from ``tables`` (_band_twiddles, or their conjugates with
+    the sign +1), in place. high[0] is all ones, a factor skipped for
+    class 0."""
+    high, low, sign = tables
+    size = shape[0] * shape[1]
+    if k:
+        turns = k * np.arange(shape[1]) % size
+        high = high * np.exp(sign * 2j * math.pi / size * turns)
+    step = len(low)
+    for g, lo in enumerate(range(0, len(rows), step)):
+        part = rows[lo : lo + step]
+        if g or k:
+            part *= high[g]
+        part *= low[: len(part)]
+
+
+def _band(index: np.ndarray, shape, tables, residue: int, r: int, out=None):
+    """The four-step bins of residue class r, the column bins
+    k1 = r + R*k' transformed along the rows, of the bits whose pattern
+    index (_patterns) is ``index``; ``out``, an (L, N2) complex array,
+    takes the band of a class r > 0.
 
     With R = ``residue`` (a divisor of N1 up to 16), L = N1/R and the
     grid rows j1 = a + b*L, the column bins k1 = r + R*k' of class r are
     the length-L DFT over a of
     y_r[a] = exp(-2 pi i a r / N1) * sum_b x[a + b*L] * exp(-2 pi i b r / R)
     (Sorensen and Burrus, IEEE Trans. Signal Process. 41, 1184 (1993)).
-    The inner sum is one lookup of the pattern index (_patterns) into a
-    table of 2^R phasor sums. The columns are real, so column bin N1 - k1
-    is the conjugate of bin k1: the bins of class r past N1/2, reversed
-    and conjugated, are the bins of class R - r up to N1/2, and one
-    complex FFT of length L fills the half-spectrum rows of both. Class 0
-    is real and takes a real FFT. Each band, (L, N2) complex, about 2/R
-    of a half-spectrum, is twiddled, transformed along its rows and
-    multiplied into the strided rows spectrum[r::R] and spectrum[R-r::R];
-    the column transforms run once in all."""
+    The inner sum is one lookup of the pattern index into a table of 2^R
+    phasor sums. Row k' of the band is bin row k1 of the four-step
+    spectrum, twiddled (``tables``, _band_twiddles) and transformed
+    along the row. The columns are real, so column bin N1 - k1 is the
+    conjugate of bin k1: class 0 takes a real FFT and keeps its
+    L//2 + 1 rows k1 <= N1/2, and for 2r = R only the first U rows, the
+    bins k1 <= N1/2, are twiddled and transformed; _unband recovers the
+    others."""
+    n1 = shape[0]
+    if r == 0:
+        real = _lookup(_phasors(residue, 0).real, index, np.empty(index.shape))
+        band = np.fft.rfft(real, axis=0)
+        del real
+    else:
+        band = _lookup(_phasors(residue, r), index, out)
+        band *= np.exp(-2j * math.pi / n1 * r * np.arange(len(band)))[:, None]
+        np.fft.fft(band, axis=0, out=band)
+    used = band[: _rows_used(shape, residue, r)]
+    _twiddle_rows(used, shape, tables, r)
+    np.fft.fft(used, axis=1, out=used)
+    return band
+
+
+def _rows_used(shape, residue: int, r: int) -> int:
+    """The rows of class r's band that _band forms: all L, but the
+    U = ceil(L/2) bins k1 <= N1/2 for 2r = R."""
+    length = shape[0] // residue
+    return -(-length // 2) if 2 * r == residue else length
+
+
+def _unband(band: np.ndarray, shape, tables, residue: int, r: int) -> np.ndarray:
+    """z_r[a, j2], the length-L inverse column DFT over k' of class r's
+    column bins, from the band of a product in _band's layout: the row
+    inverse, the conjugate twiddles (``tables``) and the column inverse.
+    For 2r = R the column bins past row U are the conjugates of the
+    first ones, reversed: bin N1 - k1 of class R/2 sits in row L-1-k'.
+    Class 0's z is real (irfft); the others' is computed in place. The
+    two inverses scale by 1/N2 and 1/L."""
+    length = shape[0] // residue
+    used = band[: _rows_used(shape, residue, r)]
+    np.fft.ifft(used, axis=1, out=used)
+    _twiddle_rows(used, shape, tables, r)
+    if r == 0:
+        return np.fft.irfft(band, length, axis=0)
+    if len(used) < length:
+        np.conjugate(band[: length - len(used)][::-1], out=band[len(used) :])
+    return np.fft.ifft(band, axis=0, out=band)
+
+
+def _convolve(seed, x, shape, residue: int, rows: tuple[int, int]) -> np.ndarray:
+    """Grid rows [first, last) of the cyclic convolution of the packed
+    bits seed and x at length N = N1*N2, in the row-major (N1, N2) grid
+    j = j1*N2 + j2, unrounded: the forward transforms and the inverse
+    run one residue class at a time.
+
+    For each class r <= R/2 both inputs' bands are formed (_band),
+    multiplied, and taken back to z_r (_unband). Summing the length-N1
+    inverse column DFT by classes gives
+    c[j1] = 1/R * sum_r exp(2 pi i r j1 / N1) * z_r[j1 mod L],
+    and since c is real, class R - r's term is the conjugate of class
+    r's: c[j1] = 1/R * sum_{r <= R/2} w_r Re(exp(2 pi i r j1 / N1) z_r[...])
+    with w_r = 1 for r = 0 and r = R/2 and 2 otherwise (Bailey's
+    four-step inverse taken a band at a time). Each term is added into
+    an accumulator of the used grid rows alone, BLOCK_BYTES of it at a
+    time, with the phasor's exponent r*j1 mod N1 an exact integer. So
+    the convolution holds the accumulator, 8 bytes per point, two
+    (L, N2) complex bands, each 2/R of a half-spectrum, and the two
+    (L, N2) uint16 pattern indices; no spectrum is ever whole. For
+    R = 1 the accumulator is class 0's z itself."""
     n1, n2 = shape
     length = n1 // residue
-    index = _patterns(bits, shape, residue)
-    coarse, fine = twiddles
-
-    def twiddle(rows: np.ndarray, k1: int) -> None:  # bin rows k1, k1 + R, ...
-        steps = rows.reshape(len(rows), n2 // len(fine), len(fine))
-        steps *= coarse[:, 0, k1::residue].T[:, :, None]
-        steps *= fine[:, k1::residue].T[:, None, :]
-
-    real = _lookup(_phasors(residue, 0).real, index, np.empty((length, n2)))
-    band = np.fft.rfft(real, axis=0)
-    del real
-    twiddle(band, 0)
-    rows = spectrum[::residue]
-    rows *= np.fft.fft(band, axis=1, out=band)
-    del band  # before the next band is allocated
-    band = np.empty((length, n2), dtype=complex)
-    phase = -2j * math.pi / n1 * np.arange(length)
+    first, last = rows
+    forward = _band_twiddles(shape, residue)
+    inverse = forward[0].conj(), forward[1].conj(), 1
+    indices = _patterns(seed, shape, residue), _patterns(x, shape, residue)
+    band = _band(indices[0], shape, forward, residue, 0)
+    band *= _band(indices[1], shape, forward, residue, 0)
+    z = _unband(band, shape, inverse, residue, 0)
+    del band
+    if residue == 1:
+        return z[first:last]
+    # the grid rows [lo, hi) of a block read the z rows from lo mod L on
+    step, blocks, lo = max(1, BLOCK_BYTES // (16 * n2)), [], first
+    while lo < last:
+        hi = min(last, lo + step, lo - lo % length + length)
+        blocks.append((slice(lo - first, hi - first), slice(lo % length, lo % length + hi - lo)))
+        lo = hi
+    acc = np.empty((last - first, n2))
+    for span, at in blocks:
+        np.multiply(z[at], 1 / residue, out=acc[span])
+    del z
+    bands = np.empty((2, length, n2), dtype=complex)
+    part = np.empty((step, n2), dtype=complex)
     for r in range(1, residue // 2 + 1):
-        _lookup(_phasors(residue, r), index, band)
-        band *= np.exp(phase * r)[:, None]
-        np.fft.fft(band, axis=0, out=band)
-        upper = spectrum[r::residue]
-        used = band[: len(upper)]
-        twiddle(used, r)
-        if 2 * r < residue:  # the other rows, reversed: class R - r
-            lower = spectrum[residue - r :: residue]
-            mirror = band[len(upper) :][::-1]
-            np.conjugate(mirror, out=mirror)
-            twiddle(mirror, residue - r)
-            used = band
-        upper *= np.fft.fft(used, axis=1, out=used)[: len(upper)]
-        if 2 * r < residue:
-            lower *= mirror
+        z = _band(indices[0], shape, forward, residue, r, bands[0])
+        used = _rows_used(shape, residue, r)
+        z[:used] *= _band(indices[1], shape, forward, residue, r, bands[1])[:used]
+        _unband(z, shape, inverse, residue, r)
+        weight = (1 if 2 * r == residue else 2) / residue
+        phasor = weight * np.exp(2j * math.pi / n1 * (r * np.arange(first, last) % n1))
+        for span, at in blocks:
+            turned = np.multiply(z[at], phasor[span, None], out=part[: at.stop - at.start])
+            acc[span] += turned.real
+    return acc
 
 
 def _hash(seed: PackedBits, x: PackedBits, m: int) -> PackedBits:
@@ -283,17 +401,15 @@ def _hash(seed: PackedBits, x: PackedBits, m: int) -> PackedBits:
     convolution at the smallest fast length N >= n+m-1, laid out as an
     (N1, N2) grid (_four_step_shape): from index n-1 on, the wrapped
     coefficients c[k+N] lie past the linear length 2n+m-2, so nothing
-    wraps onto the slice. All three transforms run in four-step form at
-    every size, and the inverse's row-major grid is c in natural order:
-    the seed's half-spectrum by _forward, the input's in residue-class
-    bands multiplied into it as each is done (_multiply_bands), and the
-    inverse by the same steps backwards with conjugate twiddles. The hash
-    holds the seed's half-spectrum, one band of about 2/R of another and
-    the input's pattern index; the input's column transforms run once.
-    The inverse column transforms, the rounding and the parity run block
-    by block, on the grid rows that hold the slice. Every transform runs
-    on the calling thread alone: split over threads, a batch waits for
-    its slowest share, so where the CPUs are shared with other work the
+    wraps onto the slice. The transforms run in four-step form, both
+    inputs' forward ones and the inverse one residue-class band at a
+    time (_convolve), into an accumulator of the grid rows that hold the
+    slice: the hash holds 8 bytes per used coefficient, two bands of
+    about 2/R of a half-spectrum each and the two pattern indices. The
+    rounding and the parity then run BLOCK_BYTES of the accumulator at a
+    time, straight into packed bytes. Every transform runs on the
+    calling thread alone: split over threads, a batch waits for its
+    slowest share, so where the CPUs are shared with other work the
     hash's time would depend on that work.
 
     Every used coefficient is verified to sit within ROUNDING_TOLERANCE
@@ -306,31 +422,25 @@ def _hash(seed: PackedBits, x: PackedBits, m: int) -> PackedBits:
         raise ConvolutionPrecisionError(
             f"FFT length {n1 * n2} exceeds the verified-exact capacity"
         )
-    coarse, fine = twiddles = _twiddles(n1, n2)
-    spectrum = _forward(seed, shape, twiddles)
-    _multiply_bands(spectrum, x, shape, twiddles, _residue(n1, n2))
-    np.fft.ifft(spectrum, axis=1, out=spectrum)
-    coarse, fine = coarse.conj(), fine.conj()
     # grid rows first..last-1 hold the slice [n-1, n-1+m)
     first, last = (n - 1) // n2, (n + m - 2) // n2 + 1
-    parity = np.empty((last - first, n2), dtype=np.uint8)
-    for lo, hi in _column_blocks(n1, n2, len(fine)):
-        block = np.ascontiguousarray(spectrum[:, lo:hi].T)
-        _twiddle(block, coarse, fine, lo)
-        conv = np.fft.irfft(block, n1, axis=1)[:, first:last]
-        conv = np.ascontiguousarray(conv.T)  # grid rows, contiguous
-        rounded = np.rint(conv)
-        conv -= rounded
-        dev = float(np.abs(conv, out=conv).max())
+    conv = _convolve(seed, x, shape, _residue(n1, n2), (first, last)).reshape(-1)
+    conv = conv[n - 1 - first * n2 :][:m]
+    out = np.empty(-(-m // 8), dtype=np.uint8)
+    step = BLOCK_BYTES // 8  # coefficients, whole output bytes
+    for lo in range(0, m, step):
+        block = conv[lo : lo + step]
+        rounded = np.rint(block)
+        block -= rounded
+        dev = float(np.abs(block, out=block).max())
         if dev >= ROUNDING_TOLERANCE:
             raise ConvolutionPrecisionError(
                 f"convolution coefficient off an integer by {dev:.3g}"
             )
         whole = rounded.astype(np.int64)
         whole &= 1
-        parity[:, lo:hi] = whole
-    start = n - 1 - first * n2
-    return PackedBits(np.packbits(parity.reshape(-1)[start : start + m]), m)
+        out[lo // 8 : (lo + step) // 8] = np.packbits(whole)
+    return PackedBits(out, m)
 
 
 @dataclass(frozen=True)

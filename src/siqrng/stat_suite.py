@@ -10,9 +10,11 @@ n's factors (n' >= 1000 whenever n >= 1000, and n'/n > 0.976 from the
 battery's 10^6-bit minimum up); the other seven read all n bits. Every
 test takes the bits as io_formats.PackedBits, whose bits past the count
 are zero: monobit and block frequency count set bits in whole bytes (a
-128-bit block is 16 bytes), the spectral DFT runs in the hash's
+128-bit block is 16 bytes), longest run counts on the packed blocks
+(10^4, 128 and 8 bits are whole bytes), cumulative sums unpacks
+WALK_CHUNK bits at a time, the spectral DFT runs in the hash's
 four-step form (extractor._forward) on the packed n' bits and holds one
-half-spectrum, and the other five unpack their input once. Tests that
+half-spectrum, and the other three unpack their input once. Tests that
 define several p-values report their primary one so each test
 contributes exactly one row. This battery is a sanity harness; the
 security statement is the certified length, not these p-values.
@@ -32,6 +34,10 @@ from .io_formats import PackedBits
 
 #: Aggregate precondition for run_battery.
 BATTERY_MIN_BITS = 1_000_000
+
+#: Bits per chunk of cumulative_sums' walk: a byte a bit unpacked and an
+#: int32 partial sum a bit, where the whole walk took 5 bytes a bit.
+WALK_CHUNK = 1 << 16
 
 #: m-gram indices per bincount call in serial and approximate_entropy:
 #: bincount casts its input to intp, 8 bytes an index, which for the
@@ -112,32 +118,39 @@ _LONGEST_RUN_TABLES = (
 )
 
 
-def _longest_run_per_block(blocks: np.ndarray) -> np.ndarray:
-    """Longest run of ones in each row of a 0/1 matrix.
-
-    Column sweep with a resetting counter: vectorized over blocks.
-    """
-    nblocks, m = blocks.shape
-    current = np.zeros(nblocks, dtype=np.int64)
-    best = np.zeros(nblocks, dtype=np.int64)
-    for j in range(m):
-        current = (current + 1) * blocks[:, j]
-        np.maximum(best, current, out=best)
-    return best
+def _longest_runs(blocks: np.ndarray, cap: int) -> np.ndarray:
+    """Longest run of ones, capped at ``cap``, in each row of packed
+    bits. Round k ANDs each row's bits with themselves shifted by one
+    bit, within the row, so a bit stays set where a run of k + 1 ones
+    starts; the rows with a bit left after round k hold a run longer
+    than k."""
+    runs = blocks.copy()
+    longest = np.zeros(len(runs), dtype=np.int64)
+    shifted = np.empty_like(runs)
+    for _ in range(cap):
+        alive = runs.any(axis=1)
+        if not alive.any():
+            break
+        longest += alive
+        np.left_shift(runs, 1, out=shifted)
+        shifted[:, :-1] |= runs[:, 1:] >> 7
+        runs &= shifted
+    return longest
 
 
 def longest_run(bits: PackedBits) -> float:
     """Longest run of ones per block against the reference category
-    distribution; the block size follows the input length."""
+    distribution; the block size follows the input length. Every block
+    size is a whole number of bytes, and the packed blocks are counted
+    as they are, up to the last category's lower bound (_longest_runs)."""
     _require(bits, 128, "longest_run")
-    b = np.unpackbits(bits.data, count=len(bits))
-    n = len(b)
+    n = len(bits)
     for m_block, min_n, bounds, probs in _LONGEST_RUN_TABLES:
         if n >= min_n:
             break
     nblocks = n // m_block
-    blocks = b[: nblocks * m_block].reshape(nblocks, m_block)
-    longest = _longest_run_per_block(blocks)
+    blocks = bits.data[: nblocks * m_block // 8].reshape(nblocks, m_block // 8)
+    longest = _longest_runs(blocks, bounds[-1] + 1)
     edges = (-1,) + bounds + (10 ** 9,)
     counts = np.array(
         [
@@ -153,16 +166,23 @@ def longest_run(bits: PackedBits) -> float:
 
 
 def cumulative_sums(bits: PackedBits) -> float:
-    """Maximum excursion of the forward +/-1 partial sums."""
+    """Maximum excursion of the forward +/-1 partial sums, WALK_CHUNK
+    bits at a time, carrying the running sum and its extremes."""
     _require(bits, 100, "cumulative_sums")
     n = len(bits)
-    steps = np.unpackbits(bits.data, count=n).view(np.int8)
-    steps *= 2
-    steps -= 1
     # every partial sum lies in [-n, n]
-    walk = np.cumsum(steps, dtype=np.int32 if n < 2**31 else np.int64)
-    del steps
-    z = float(max(int(walk.max()), -int(walk.min())))
+    walk = np.empty(WALK_CHUNK, dtype=np.int32 if n < 2**31 else np.int64)
+    position = high = low = 0
+    for lo in range(0, n, WALK_CHUNK):
+        part = walk[: min(WALK_CHUNK, n - lo)]
+        part[:] = np.unpackbits(bits.data[lo // 8 :], count=len(part))
+        part *= 2
+        part -= 1
+        np.cumsum(part, out=part)
+        part += position
+        high, low = max(high, int(part.max())), min(low, int(part.min()))
+        position = int(part[-1])
+    z = float(max(high, -low))
     if z == 0.0:
         return 0.0
     sqrt_n = math.sqrt(n)

@@ -212,15 +212,39 @@ def test_fast_equals_naive_at_tight_four_step_length():
     assert any(r % 2 for r in residues) and any(r % 2 == 0 for r in residues - {1})
 
 
-def assert_bands_equal_forward(bits, shape, twiddles, forward):
-    """The residue-class bands, for every R that divides N1 up to 16,
-    multiplied into ones, reproduce _forward's half-spectrum of the same
-    bits to 1e-12 of its largest bin."""
+def assert_bands_equal_forward(bits, shape, forward):
+    """Every residue-class band, for every R that divides N1 up to 16,
+    holds the four-step bins of _forward's spectrum of the same bits to
+    1e-12 of its largest bin: row k' of class r is bin row
+    k1 = r + R*k', and a row past N1/2 the conjugate of row N1 - k1,
+    bin N2 - 1 - k2, since bin k1 + N1*k2 pairs with N - k1 - N1*k2."""
+    n1, n2 = shape
     scale = max(1.0, np.abs(forward).max())
-    for residue in [r for r in range(1, 17) if shape[0] % r == 0]:
-        got = np.ones_like(forward)
-        ex._multiply_bands(got, bits, shape, twiddles, residue)
-        assert np.abs(got - forward).max() <= 1e-12 * scale, (shape, residue)
+    for residue in [r for r in range(1, 17) if n1 % r == 0]:
+        length = n1 // residue
+        index = ex._patterns(bits, shape, residue)
+        tables = ex._band_twiddles(shape, residue)
+        for r in range(residue // 2 + 1):
+            out = np.empty((length, n2), dtype=complex)
+            band = ex._band(index, shape, tables, residue, r, out)
+            used = len(band) if r == 0 else ex._rows_used(shape, residue, r)
+            k1 = r + residue * np.arange(used)
+            want = np.where(
+                (k1 <= n1 // 2)[:, None],
+                forward[np.minimum(k1, n1 // 2)],
+                forward[np.minimum(n1 - k1, n1 // 2)][:, ::-1].conj(),
+            )
+            got = band[:used]
+            assert np.abs(got - want).max() <= 1e-12 * scale, (shape, residue, r)
+
+
+def cyclic_convolution(a, b, shape):
+    """The length-N1*N2 cyclic convolution of two 0/1 arrays by one
+    full-length real FFT, as the row-major (N1, N2) grid."""
+    size = shape[0] * shape[1]
+    spectrum = np.fft.rfft(a.astype(np.float64), size)
+    spectrum *= np.fft.rfft(b.astype(np.float64), size)
+    return np.fft.irfft(spectrum, size).reshape(shape)
 
 
 def test_residue_is_the_largest_divisor_with_a_band_of_a_block():
@@ -254,7 +278,28 @@ def test_residue_bands_equal_forward(n1):
         for count in sorted({size, size - 5, n1 // 2 * n2 + 3, 1}):
             bits = pack(rng.integers(0, 2, count, dtype=np.uint8))
             forward = ex._forward(bits, shape, twiddles)
-            assert_bands_equal_forward(bits, shape, twiddles, forward)
+            assert_bands_equal_forward(bits, shape, forward)
+
+
+@pytest.mark.parametrize("n1", range(1, 65))
+def test_banded_inverse_equals_cyclic_convolution(n1):
+    # every N1 up to 64 with every R it admits, N2 odd and even, and
+    # the used grid rows at the start, in the middle, at the end and
+    # all of the grid, against one full-length FFT convolution; the
+    # inputs fill the grid or end mid-byte
+    rng = np.random.default_rng(100 + n1)
+    for n2 in (7, 12):
+        shape, size = (n1, n2), n1 * n2
+        a = rng.integers(0, 2, size, dtype=np.uint8)
+        b = rng.integers(0, 2, max(1, size - 5), dtype=np.uint8)
+        want = cyclic_convolution(a, b, shape)
+        half = max(1, n1 // 2)
+        spans = {(0, half), (n1 // 3, n1 // 3 + half), (n1 - half, n1), (0, n1)}
+        for residue in [r for r in range(1, 17) if n1 % r == 0]:
+            for first, last in spans:
+                got = ex._convolve(pack(a), pack(b), shape, residue, (first, last))
+                assert got.shape == (last - first, n2)
+                assert np.abs(got - want[first:last]).max() < 1e-9, (n2, residue, first)
 
 
 @pytest.mark.parametrize(
@@ -276,7 +321,7 @@ def test_four_step_forward_equals_rfft(shape):
     want[mirrored] = want[mirrored].conj()
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
-    assert_bands_equal_forward(pack(bits), shape, twiddles, got)
+    assert_bands_equal_forward(pack(bits), shape, got)
 
 
 @pytest.mark.parametrize("n2", [40, 41, 42, 43, 44, 45, 46, 47])
@@ -300,7 +345,7 @@ def test_packed_gather_equals_rfft(n2, monkeypatch):
         want = half[np.where(mirrored, size - k, k)]
         want[mirrored] = want[mirrored].conj()
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), count
-        assert_bands_equal_forward(pack(bits), (n1, n2), twiddles, got)
+        assert_bands_equal_forward(pack(bits), (n1, n2), got)
 
 
 def test_transforms_run_on_the_calling_thread(monkeypatch):
@@ -347,64 +392,69 @@ def test_worker_error_leaves_the_hash_and_no_thread(transform, monkeypatch):
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
-def test_rounding_is_checked_in_every_column_block(where, monkeypatch):
-    # 0.3 added to one used coefficient of one column block, after the
-    # inverse column transform, must stop the hash
+def test_rounding_is_checked_in_every_accumulator_block(where, monkeypatch):
+    # 0.3 added to one used coefficient of the first, a middle or the last
+    # block of the accumulator that the rounding takes at a time must
+    # stop the hash
     rng = np.random.default_rng(16)
     n = m = 1 << 16
     spec = ToeplitzSpec(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
     x = rng.integers(0, 2, n, dtype=np.uint8)
     n1, n2 = ex._four_step_shape(n + m - 1)
-    monkeypatch.setattr(ex, "BLOCK_BYTES", 16 * (n1 // 2 + 1))  # one step wide
-    blocks = ex._column_blocks(n1, n2, len(ex._twiddles(n1, n2)[1]))
-    assert len(blocks) >= 3
-    target = {"first": 0, "middle": len(blocks) // 2, "last": len(blocks) - 1}[where]
-    lo, hi = blocks[target]
-    row = (n - 1 + m // 2) // n2
-    assert n - 1 <= row * n2 + lo < n - 1 + m
-    calls = []
-    real = np.fft.irfft
+    monkeypatch.setattr(ex, "BLOCK_BYTES", 1 << 14)
+    step = ex.BLOCK_BYTES // 8  # coefficients a block
+    blocks = -(-m // step)
+    assert blocks >= 3 and ex._residue(n1, n2) > 1
+    at = {"first": step // 2, "middle": blocks // 2 * step + 5, "last": m - 1}[where]
+    first = (n - 1) // n2
+    real = ex._convolve
 
-    def off_by_three_tenths(*args, **kwargs):
-        # a block's columns come out as rows, each indexed by grid row
-        out = real(*args, **kwargs)
-        if len(calls) == target:
-            assert out.shape == (hi - lo, n1)
-            out[0, row] += 0.3
-        calls.append(len(out))
-        return out
+    def off_by_three_tenths(*args):
+        acc = real(*args)
+        acc.reshape(-1)[n - 1 - first * n2 + at] += 0.3
+        return acc
 
-    monkeypatch.setattr(np.fft, "irfft", off_by_three_tenths)
+    monkeypatch.setattr(ex, "_convolve", off_by_three_tenths)
     with pytest.raises(ConvolutionPrecisionError, match="off an integer by 0.3"):
         toeplitz_fast(spec, x)
-    assert len(calls) == target + 1
+
+
+def hash_peak_bound(n: int, m: int) -> int:
+    """What the hash of n input bits to m may allocate: the accumulator
+    of the used grid rows, 8 bytes a coefficient, two residue bands of
+    (L, N2) complex and the two uint16 pattern indices, with the twiddle
+    tables, the 2^R-entry phasor table and four blocks of temporaries on
+    top."""
+    n1, n2 = shape = ex._four_step_shape(n + m - 1)
+    residue = ex._residue(n1, n2)
+    first, last = (n - 1) // n2, (n + m - 2) // n2 + 1
+    band = n1 // residue * n2 * 16
+    tables = 2 * sum(t.nbytes for t in ex._band_twiddles(shape, residue)[:2])
+    bound = 8 * (last - first) * n2 + 2 * band + 2 * band // 8 + tables
+    return bound + (16 << residue) + 4 * ex.BLOCK_BYTES
 
 
 def test_peak_allocation_is_one_spectrum_a_band_and_a_block():
-    # the seed's half-spectrum and one residue band of the input's, 2/R
-    # of another, take 1 + 2/R; a further 1/R covers the pattern index,
-    # and the twiddle tables, the 2^R-entry phasor table and a column
-    # block's temporaries come on top. Two contiguous bands of bin rows
-    # took 1.6x at this shape, two whole half-spectra 2.2x and
-    # whole-grid transforms 3.0x
+    # hash_peak_bound, with the packed inputs on top: 0.87 of a
+    # half-spectrum at this shape, and no spectrum is ever whole. The
+    # seed's half-spectrum with one input band took 1.30 half-spectra,
+    # two contiguous bands of bin rows 1.6, two whole half-spectra 2.2
+    # and whole-grid transforms 3.0
     rng = np.random.default_rng(17)
     n, m = 1 << 20, 1 << 19
     spec = ToeplitzSpec(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
     x = rng.integers(0, 2, n, dtype=np.uint8)
     n1, n2 = ex._four_step_shape(n + m - 1)
-    residue = ex._residue(n1, n2)
-    assert residue >= 8
-    half_spectrum = (n1 // 2 + 1) * n2 * 16
-    fixed = sum(t.nbytes for t in ex._twiddles(n1, n2)) + 4 * ex.BLOCK_BYTES
-    fixed += 16 << residue
+    assert ex._residue(n1, n2) >= 8
+    bound = hash_peak_bound(n, m) + (2 * n + m) // 8  # the packed inputs
+    assert bound < (n1 // 2 + 1) * n2 * 16  # less than one half-spectrum
     tracemalloc.start()
     try:
         toeplitz_fast(spec, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    over = peak - (1 + 3 / residue) * half_spectrum - fixed
-    assert over < 0, (peak / half_spectrum, over)
+    assert peak < bound, (peak, bound)
 
 
 def test_large_instance_spot_window():
@@ -532,17 +582,13 @@ def test_seed_bits_msb_first():
 
 
 def test_extract_peak_allocation_holds_no_unpacked_seed():
-    # the seed's half-spectrum and a band of the input's take 1.5x, the
-    # twiddle tables and a column block's temporaries come on top, and
-    # the packed seed takes (n + m - 1) / 8 bytes; the seed unpacked at
-    # one byte per bit took n + m - 1 bytes more
+    # the hash's own allocations (hash_peak_bound) and the packed seed,
+    # (n + m - 1) / 8 bytes, with less than that again to spare; the
+    # seed unpacked at one byte per bit took n + m - 1 bytes more
     rng = np.random.default_rng(18)
     n, m = 1 << 20, 1 << 19
     x = pack(rng.integers(0, 2, n, dtype=np.uint8))
     seed = rng.bytes((n + m - 1) // 8 + 1)
-    n1, n2 = ex._four_step_shape(n + m - 1)
-    half_spectrum = (n1 // 2 + 1) * n2 * 16
-    fixed = sum(t.nbytes for t in ex._twiddles(n1, n2)) + 4 * ex.BLOCK_BYTES
     tracemalloc.start()
     try:
         result = ex.extract(x, flat_rate(float(m)), seed)
@@ -550,5 +596,5 @@ def test_extract_peak_allocation_holds_no_unpacked_seed():
     finally:
         tracemalloc.stop()
     assert len(result.bits) == m
-    over = peak - 1.5 * half_spectrum - fixed
+    over = peak - hash_peak_bound(n, m)
     assert over < (n + m - 1) / 4, over / (n + m - 1)

@@ -147,6 +147,79 @@ def test_cumulative_sums_matches_float_form():
             assert st.cumulative_sums(pack(b)) == reference_cumulative_sums(b)
 
 
+@pytest.mark.parametrize("chunk", [8, 64, 1000])
+def test_cumulative_sums_chunks_carry_the_walk(chunk, monkeypatch):
+    # chunks of a few bits, ending mid-input and on its last bit, carry
+    # the running sum and its extremes from one chunk to the next
+    monkeypatch.setattr(st, "WALK_CHUNK", chunk)
+    rng = np.random.default_rng(10)
+    for n in (100, 1003, 40 * chunk + 3):
+        for b in (
+            rng.integers(0, 2, n, dtype=np.uint8),
+            (rng.random(n) < 0.4).astype(np.uint8),
+            np.ones(n, dtype=np.uint8),
+            np.zeros(n, dtype=np.uint8),
+        ):
+            assert st.cumulative_sums(pack(b)) == reference_cumulative_sums(b)
+
+
+def longest_run_per_block(blocks):
+    """Longest run of ones in each row of a 0/1 matrix: a column sweep
+    with a resetting counter, vectorized over the rows."""
+    nblocks, m = blocks.shape
+    current = np.zeros(nblocks, dtype=np.int64)
+    best = np.zeros(nblocks, dtype=np.int64)
+    for j in range(m):
+        current = (current + 1) * blocks[:, j]
+        np.maximum(best, current, out=best)
+    return best
+
+
+def reference_longest_run(b):
+    """The longest-run test on 0/1 bits by the column sweep."""
+    n = len(b)
+    for m_block, min_n, bounds, probs in st._LONGEST_RUN_TABLES:
+        if n >= min_n:
+            break
+    nblocks = n // m_block
+    longest = longest_run_per_block(b[: nblocks * m_block].reshape(nblocks, m_block))
+    edges = (-1,) + bounds + (10**9,)
+    counts = np.array(
+        [np.count_nonzero((longest > lo) & (longest <= hi)) for lo, hi in zip(edges[:-1], edges[1:])],
+        dtype=np.float64,
+    )
+    expected = nblocks * np.asarray(probs)
+    chi2 = float(np.sum((counts - expected) ** 2 / expected))
+    return float(gammaincc((len(probs) - 1) / 2.0, chi2 / 2.0))
+
+
+@pytest.mark.parametrize("m_block", [8, 128, 10_000])
+def test_longest_runs_equal_the_column_sweep(m_block):
+    # random blocks, all ones, all zeros, and runs of every length up to
+    # past the cap that start in one block and end in the next
+    rng = np.random.default_rng(m_block)
+    nblocks = 40
+    size = nblocks * m_block
+    runs = np.zeros(size, dtype=np.uint8)
+    for k, end in enumerate(range(m_block, size, m_block)):
+        runs[end - k % 20 - 1 : end + k // 2] = 1
+    for b in (
+        rng.integers(0, 2, size, dtype=np.uint8),
+        (rng.random(size) < 0.8).astype(np.uint8),
+        np.ones(size, dtype=np.uint8),
+        np.zeros(size, dtype=np.uint8),
+        runs,
+    ):
+        want = longest_run_per_block(b.reshape(nblocks, m_block))
+        blocks = np.packbits(b).reshape(nblocks, m_block // 8)
+        for cap in (1, 4, 9, 16, m_block + 1):
+            got = st._longest_runs(blocks, cap)
+            assert np.array_equal(got, np.minimum(want, cap)), cap
+    for n in (128, 1003, 6272, 6279, 750_000, 750_005):
+        for b in (rng.integers(0, 2, n, dtype=np.uint8), np.ones(n, dtype=np.uint8)):
+            assert st.longest_run(pack(b)) == reference_longest_run(b), n
+
+
 def test_byte_counts_equal_the_0_1_forms():
     # monobit and block_frequency count set bits in whole bytes; the
     # 0/1 forms count ones and average 128-bit blocks. Lengths end
@@ -331,3 +404,17 @@ def test_pattern_tests_hold_two_bytes_per_bit(test):
     finally:
         tracemalloc.stop()
     assert peak < 2 * n + 8 * st.PATTERN_CHUNK + (1 << 16), peak / n
+
+
+def test_cumulative_sums_holds_bounded_chunks():
+    # one WALK_CHUNK of unpacked bits and of int32 partial sums, whatever
+    # n; the whole walk took 5 bytes a bit
+    n = 1 << 22
+    bits = pack(np.random.default_rng(7).integers(0, 2, n, dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        st.cumulative_sums(bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * st.WALK_CHUNK + (1 << 16), peak
