@@ -11,8 +11,8 @@ assumes — that every used coefficient rounds to an exact integer. The
 seed, the raw bits and the certified bits are all io_formats.PackedBits:
 the hash reads its inputs packed and returns its output packed, with the
 bits past m zero, as write_bits stores it.
-The battery's spectral test (stat_suite) runs its DFT on the same
-four-step forward transform.
+The battery's spectral test (stat_suite) forms its DFT from the same
+residue-class bands (_band), one class at a time.
 """
 from __future__ import annotations
 
@@ -29,14 +29,15 @@ from .protocol_math import RateBreakdown
 #: nearest integer before the result is considered unverifiable.
 ROUNDING_TOLERANCE = 0.25
 
-#: Bytes of the temporaries that the transforms take a block at a time.
-#: _forward's column transforms and twiddles run on blocks of grid
-#: columns (at least one twiddle step wide), transposed in and out, which
-#: slowed once a block left the cache (a 1e5-point hash took 6.2-6.7 ms
-#: with blocks of 64-256 KiB and 8.4 ms from 1 MiB on;
-#: BENCH_numpy_hash.json). The hash's table lookups, its accumulation
-#: and its rounding take BLOCK_BYTES at a time, and a residue band
-#: (_residue) takes at least BLOCK_BYTES.
+#: Bytes of the temporaries that the hash takes a block at a time: the
+#: intp indices of its table lookups (_lookup), the accumulation of each
+#: class's term, and the rounding and parity; and the least size of a
+#: residue band (_residue). In process on 2 shared vCPUs (medians of two
+#: sessions) a 1e5-point hash took 2.5-3.0 ms at 256 KiB (R = 5),
+#: 5.3-6.2 ms at 64 KiB (R = 16, sixteen classes' fixed costs) and
+#: 3.5-4.2 ms from 1 MiB on (R = 1, a band of the whole half-spectrum);
+#: at 2e6 and 9e6 points the times moved by less than their run-to-run
+#: spread.
 BLOCK_BYTES = 1 << 18
 
 
@@ -104,81 +105,6 @@ def _root_divisor(n: int) -> int:
     while n % block:
         block -= 1
     return block
-
-
-def _twiddles(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
-    """The four-step twiddle exp(-2 pi i k1 j2 / N1 N2) of the bins
-    k1 = 0..N1//2 as a coarse and a fine factor, laid out for a column
-    block with the columns j2 as rows: with j2 = a*B + b and B the
-    largest divisor of N2 up to its square root, coarse[a, 0, k1] takes
-    the exponent k1*a*B and fine[b, k1] the exponent k1*b. Exponents
-    are exact integers below N1 N2 and each product is off by a few eps
-    (bin 0's factor is exactly 1); the full table would be as large as
-    a spectrum."""
-    block = _root_divisor(n2)
-    w = -2j * math.pi / (n1 * n2)
-    k1 = np.arange(n1 // 2 + 1)
-    coarse = np.exp(np.arange(0, n2, block)[:, None, None] * k1 * w)
-    fine = np.exp(np.arange(block)[:, None] * k1 * w)
-    return coarse, fine
-
-
-def _column_blocks(n1: int, n2: int, step: int) -> list[tuple[int, int]]:
-    """Column ranges [lo, hi) of the (N1, N2) grid, each a whole number of
-    twiddle steps B wide, so that the block's bins, an
-    (hi - lo, N1//2 + 1) complex array, take about BLOCK_BYTES."""
-    width = step * max(1, BLOCK_BYTES // (16 * (n1 // 2 + 1) * step))
-    return [(lo, min(lo + width, n2)) for lo in range(0, n2, width)]
-
-
-def _twiddle(block: np.ndarray, coarse: np.ndarray, fine: np.ndarray, lo: int) -> None:
-    """Multiply a column block, the grid columns lo, lo+1, ... as its
-    rows, by their twiddles, in place."""
-    step = len(fine)
-    steps = block.reshape(len(block) // step, step, -1)
-    steps *= coarse[lo // step : lo // step + len(steps)]
-    steps *= fine
-
-
-def _forward(bits, shape: tuple[int, int], twiddles, rfft=None) -> np.ndarray:
-    """Bins of the DFT of bits zero-padded to N = N1*N2, in four steps
-    over the row-major (N1, N2) grid j = j1*N2 + j2: real FFTs of length
-    N1 down the columns, the twiddles, and FFTs of length N2 along the
-    rows. Bin k1 + N1*k2 lands at [k1, k2] for k1 = 0..N1//2; the other
-    bins are their conjugates, since the input is real. The column steps
-    run a block of columns at a time, unpacked straight from the
-    PackedBits: grid row r starts at bit r*N2, so the full rows r, r + P,
-    ... with P = 8/gcd(N2, 8) start at one bit phase, one strided byte
-    view that one unpackbits call reads. The last partial row is padded,
-    and the real FFT (``rfft``, by default numpy.fft.rfft as it is at the
-    call) pads each column to N1. The row steps run in place. The spectral
-    test (stat_suite) forms its spectrum here; the hash forms its bins in
-    residue-class bands (_band), which the tests check against this."""
-    n1, n2 = shape
-    rfft = rfft or np.fft.rfft
-    coarse, fine = twiddles
-    full, rest = divmod(len(bits), n2)
-    period = 8 // math.gcd(n2, 8)
-    data, at = bits.data, full * n2
-    tail = np.zeros(n2, dtype=np.uint8)
-    tail[:rest] = np.unpackbits(data[at // 8 :], count=at % 8 + rest)[at % 8 :]
-    spectrum = np.empty((n1 // 2 + 1, n2), dtype=complex)
-    for lo, hi in _column_blocks(n1, n2, len(fine)):
-        columns = np.empty((hi - lo, full + (rest > 0)))
-        for row in range(min(period, full)):
-            byte, phase = divmod(row * n2 + lo, 8)
-            view = np.ndarray(
-                ((full - row - 1) // period + 1, (phase + hi - lo + 7) // 8),
-                np.uint8, data, byte, (period * n2 // 8, 1),
-            )
-            unpacked = np.unpackbits(view, axis=1)[:, phase : phase + hi - lo]
-            columns[:, row:full:period] = unpacked.T
-        if rest:
-            columns[:, full] = tail[lo:hi]
-        block = rfft(columns, n1, axis=1)
-        _twiddle(block, coarse, fine, lo)
-        spectrum[:, lo:hi] = block.T
-    return np.fft.fft(spectrum, axis=1, out=spectrum)
 
 
 def _residue(n1: int, n2: int) -> int:
@@ -275,11 +201,13 @@ def _twiddle_rows(rows: np.ndarray, shape, tables, k: int) -> None:
         part *= low[: len(part)]
 
 
-def _band(index: np.ndarray, shape, tables, residue: int, r: int, out=None):
+def _band(index: np.ndarray, shape, tables, residue: int, r: int, out=None, rfft=None):
     """The four-step bins of residue class r, the column bins
     k1 = r + R*k' transformed along the rows, of the bits whose pattern
     index (_patterns) is ``index``; ``out``, an (L, N2) complex array,
-    takes the band of a class r > 0.
+    takes the band of a class r > 0, and ``rfft`` (by default
+    numpy.fft.rfft as it is at the call) is class 0's real column
+    transform.
 
     With R = ``residue`` (a divisor of N1 up to 16), L = N1/R and the
     grid rows j1 = a + b*L, the column bins k1 = r + R*k' of class r are
@@ -297,7 +225,7 @@ def _band(index: np.ndarray, shape, tables, residue: int, r: int, out=None):
     n1 = shape[0]
     if r == 0:
         real = _lookup(_phasors(residue, 0).real, index, np.empty(index.shape))
-        band = np.fft.rfft(real, axis=0)
+        band = (rfft or np.fft.rfft)(real, axis=0)
         del real
     else:
         band = _lookup(_phasors(residue, r), index, out)

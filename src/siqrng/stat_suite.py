@@ -10,11 +10,12 @@ n's factors (n' >= 1000 whenever n >= 1000, and n'/n > 0.976 from the
 battery's 10^6-bit minimum up); the other seven read all n bits. Every
 test takes the bits as io_formats.PackedBits, whose bits past the count
 are zero: monobit and block frequency count set bits in whole bytes (a
-128-bit block is 16 bytes), longest run counts on the packed blocks
-(10^4, 128 and 8 bits are whole bytes), cumulative sums unpacks
-WALK_CHUNK bits at a time, the spectral DFT runs in the hash's
-four-step form (extractor._forward) on the packed n' bits and holds one
-half-spectrum, and the other three unpack their input once. Tests that
+128-bit block is 16 bytes), runs counts bit changes in and across whole
+bytes, longest run counts on the packed blocks (10^4, 128 and 8 bits are
+whole bytes), cumulative sums unpacks WALK_CHUNK bits at a time, the
+spectral DFT is formed from the packed n' bits one residue-class band of
+the hash's four-step transform at a time (extractor._band), and serial
+and approximate entropy unpack their input once. Tests that
 define several p-values report their primary one so each test
 contributes exactly one row. This battery is a sanity harness; the
 security statement is the certified length, not these p-values.
@@ -29,7 +30,9 @@ import scipy.fft
 from scipy.special import erfc, gammaincc, ndtr
 
 from .errors import InsufficientBitsError
-from .extractor import _forward, _four_step_shape, _twiddles
+from .extractor import (
+    _band, _band_twiddles, _four_step_shape, _patterns, _residue, _rows_used,
+)
 from .io_formats import PackedBits
 
 #: Aggregate precondition for run_battery.
@@ -82,14 +85,26 @@ def block_frequency(bits: PackedBits) -> float:
 
 
 def runs(bits: PackedBits) -> float:
-    """Total number of runs against its expectation."""
+    """Total number of runs against its expectation, counted on the packed
+    bytes: a run ends where a bit differs from the next one, inside a byte
+    (the seven low bits of x ^ x >> 1) or across two (the last bit of one
+    byte against the first of the next)."""
     _require(bits, 100, "runs")
-    b = np.unpackbits(bits.data, count=len(bits))
-    n = len(b)
-    pi = float(np.count_nonzero(b)) / n
+    x, n = bits.data, len(bits)
+    pi = float(np.bitwise_count(x).sum()) / n
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
         return 0.0
-    v = 1 + int(np.count_nonzero(np.diff(b.astype(np.int8))))
+    inside = np.right_shift(x, 1)
+    inside ^= x
+    inside &= 0x7F
+    v = 1 + int(np.bitwise_count(inside, out=inside).sum())
+    del inside
+    across = np.right_shift(x[1:], 7)
+    across ^= x[:-1]
+    across &= 1
+    v += int(np.count_nonzero(across))
+    if n % 8:  # the last bit against a zero padding bit
+        v -= int(x[-1]) >> (8 - n % 8) & 1
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
     return float(erfc(num / den))
@@ -267,23 +282,39 @@ def _below_threshold(bits: PackedBits, threshold: float) -> int:
     b the bits, have a magnitude below threshold, for a 2*3*5-smooth
     n = len(bits).
 
-    The DFT is the hash's four-step transform at N1*N2 = n, with
-    scipy.fft.rfft down the columns, of b itself: DFT(2b - 1) =
-    2 DFT(b) - n at k = 0 and 2 DFT(b) elsewhere. The stored bin [k1, k2]
-    is k = k1 + N1*k2. Rows 0 and N1/2 hold both k and its conjugate
-    partner n - k; a row with 0 < k1 < N1/2 holds k alone, and its bins
-    also stand for the partners, of the same magnitude."""
+    The DFT is the hash's four-step transform at N1*N2 = n, formed one
+    residue class at a time (extractor._band, with scipy.fft.rfft down
+    class 0's columns), of b itself: DFT(2b - 1) = 2 DFT(b) - n at k = 0
+    and 2 DFT(b) elsewhere. Row k' of class r's band holds the bins
+    k = k1 + N1*k2 with k1 = r + R*k', and the classes r <= R/2 hold one
+    row of each conjugate pair k1, N1 - k1. Rows 0 and N1/2, which fall
+    in class 0 or R/2 since R divides N1, hold both k and its partner
+    n - k; every other row holds k alone, and its bins also stand for
+    the partners, of the same magnitude."""
     n = len(bits)
     n1, n2 = shape = _four_step_shape(n)
-    spectrum = _forward(bits, shape, _twiddles(n1, n2), rfft=scipy.fft.rfft)
-    spectrum[0, 0] -= n / 2
+    residue = _residue(n1, n2)
+    index = _patterns(bits, shape, residue)
+    tables = _band_twiddles(shape, residue)
     half = n // 2
-    below = 0
-    for k1, row in enumerate(spectrum):
-        small = np.abs(row) < threshold / 2
-        below += int(np.count_nonzero(small[: -(-(half - k1) // n1)]))  # k < n/2
-        if 0 < 2 * k1 < n1:  # n - k < n/2
-            below += int(np.count_nonzero(small[(n - half - k1) // n1 + 1 :]))
+
+    def count(band: np.ndarray, r: int) -> int:
+        below = 0
+        for k1, row in zip(range(r, n1, residue), band[: _rows_used(shape, residue, r)]):
+            small = np.abs(row) < threshold / 2
+            below += int(np.count_nonzero(small[: -(-(half - k1) // n1)]))  # k < n/2
+            if 2 * k1 % n1:  # n - k < n/2
+                below += int(np.count_nonzero(small[(n - half - k1) // n1 + 1 :]))
+        return below
+
+    band = _band(index, shape, tables, residue, 0, rfft=scipy.fft.rfft)
+    band[0, 0] -= n / 2
+    below = count(band, 0)
+    del band  # before the other classes' band is allocated
+    if residue > 1:
+        out = np.empty(index.shape, dtype=complex)
+        for r in range(1, residue // 2 + 1):
+            below += count(_band(index, shape, tables, residue, r, out), r)
     return below
 
 

@@ -212,14 +212,15 @@ def test_fast_equals_naive_at_tight_four_step_length():
     assert any(r % 2 for r in residues) and any(r % 2 == 0 for r in residues - {1})
 
 
-def assert_bands_equal_forward(bits, shape, forward):
+def assert_bands_equal_forward(bits, shape, half):
     """Every residue-class band, for every R that divides N1 up to 16,
-    holds the four-step bins of _forward's spectrum of the same bits to
-    1e-12 of its largest bin: row k' of class r is bin row
-    k1 = r + R*k', and a row past N1/2 the conjugate of row N1 - k1,
-    bin N2 - 1 - k2, since bin k1 + N1*k2 pairs with N - k1 - N1*k2."""
+    holds the bins of the one-dimensional DFT of the same bits at length
+    N = N1*N2, of which ``half`` is the real FFT, to 1e-12 of its largest
+    bin: row k' of class r holds the bins k = k1 + N1*k2 with
+    k1 = r + R*k', and a bin past N/2 is the conjugate of bin N - k."""
     n1, n2 = shape
-    scale = max(1.0, np.abs(forward).max())
+    size = n1 * n2
+    scale = max(1.0, np.abs(half).max())
     for residue in [r for r in range(1, 17) if n1 % r == 0]:
         length = n1 // residue
         index = ex._patterns(bits, shape, residue)
@@ -228,12 +229,9 @@ def assert_bands_equal_forward(bits, shape, forward):
             out = np.empty((length, n2), dtype=complex)
             band = ex._band(index, shape, tables, residue, r, out)
             used = len(band) if r == 0 else ex._rows_used(shape, residue, r)
-            k1 = r + residue * np.arange(used)
-            want = np.where(
-                (k1 <= n1 // 2)[:, None],
-                forward[np.minimum(k1, n1 // 2)],
-                forward[np.minimum(n1 - k1, n1 // 2)][:, ::-1].conj(),
-            )
+            k = (r + residue * np.arange(used))[:, None] + n1 * np.arange(n2)
+            want = half[np.minimum(k, size - k)]
+            want[k > size // 2] = want[k > size // 2].conj()
             got = band[:used]
             assert np.abs(got - want).max() <= 1e-12 * scale, (shape, residue, r)
 
@@ -274,11 +272,10 @@ def test_residue_bands_equal_forward(n1):
     rng = np.random.default_rng(n1)
     for n2 in (7, 12):
         shape, size = (n1, n2), n1 * n2
-        twiddles = ex._twiddles(n1, n2)
         for count in sorted({size, size - 5, n1 // 2 * n2 + 3, 1}):
-            bits = pack(rng.integers(0, 2, count, dtype=np.uint8))
-            forward = ex._forward(bits, shape, twiddles)
-            assert_bands_equal_forward(bits, shape, forward)
+            bits = rng.integers(0, 2, count, dtype=np.uint8)
+            half = np.fft.rfft(bits.astype(np.float64), size)
+            assert_bands_equal_forward(pack(bits), shape, half)
 
 
 @pytest.mark.parametrize("n1", range(1, 65))
@@ -306,46 +303,31 @@ def test_banded_inverse_equals_cyclic_convolution(n1):
     "shape", [(2, 8), (32, 128), (9, 27), (135, 540), (1, 12), (12, 1)]
 )
 def test_four_step_forward_equals_rfft(shape):
-    # bin k1 + N1*k2 of the length-N1*N2 DFT sits at [k1, k2]; bins past
-    # N/2 are conjugates of the rfft's. (1, 12) is one row, (12, 1) one
-    # column.
+    # bin k1 + N1*k2 of the length-N1*N2 DFT sits in row k1 of its
+    # residue class's band; bins past N/2 are conjugates of the rfft's.
+    # (1, 12) is one row, (12, 1) one column.
     n1, n2 = shape
     size = n1 * n2
     bits = np.random.default_rng(size).integers(0, 2, size - 3, dtype=np.uint8)
-    twiddles = ex._twiddles(n1, n2)
-    got = ex._forward(pack(bits), shape, twiddles)
     half = scipy.fft.rfft(bits.astype(np.float64), size)
-    k = np.arange(n1 // 2 + 1)[:, None] + n1 * np.arange(n2)
-    mirrored = k > size // 2
-    want = half[np.where(mirrored, size - k, k)]
-    want[mirrored] = want[mirrored].conj()
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
-    assert_bands_equal_forward(pack(bits), shape, got)
+    assert_bands_equal_forward(pack(bits), shape, half)
 
 
 @pytest.mark.parametrize("n2", [40, 41, 42, 43, 44, 45, 46, 47])
 def test_packed_gather_equals_rfft(n2, monkeypatch):
-    # grid rows fall into 8 / gcd(N2, 8) bit-phase classes, so every
-    # residue of N2 mod 8 takes its own strided views; bit counts end on
-    # a byte and a row, mid-byte, mid-row, and short of one full row.
-    # Blocks one twiddle step wide put column blocks at every bit phase.
+    # segment b of the pattern index starts at bit b*L*N2, so every
+    # residue of N2 mod 8 puts the segments at its own bit phases; bit
+    # counts end on a byte and a row, mid-byte, mid-row, and short of
+    # one full row. A BLOCK_BYTES of 112 makes the table lookups take
+    # 14 indices at a time, fewer than a grid row.
     n1 = 12
     size = n1 * n2
-    twiddles = ex._twiddles(n1, n2)
     monkeypatch.setattr(ex, "BLOCK_BYTES", 16 * (n1 // 2 + 1))
-    assert len(ex._column_blocks(n1, n2, len(twiddles[1]))) > 1
     rng = np.random.default_rng(n2)
-    k = np.arange(n1 // 2 + 1)[:, None] + n1 * np.arange(n2)
-    mirrored = k > size // 2
     for count in {size, size - 8, size - 5, 3 * n2 + 7, n2 - 1, 8 * 23}:
         bits = rng.integers(0, 2, count, dtype=np.uint8)
-        got = ex._forward(pack(bits), (n1, n2), twiddles)
         half = np.fft.rfft(bits.astype(np.float64), size)
-        want = half[np.where(mirrored, size - k, k)]
-        want[mirrored] = want[mirrored].conj()
-        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), count
-        assert_bands_equal_forward(pack(bits), (n1, n2), got)
+        assert_bands_equal_forward(pack(bits), (n1, n2), half)
 
 
 def test_transforms_run_on_the_calling_thread(monkeypatch):

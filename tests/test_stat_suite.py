@@ -9,6 +9,7 @@ import pytest
 import scipy.fft
 from scipy.special import erfc, gammaincc, ndtr
 
+from siqrng import extractor as ex
 from siqrng import stat_suite as st
 from siqrng.errors import InsufficientBitsError
 
@@ -220,18 +221,34 @@ def test_longest_runs_equal_the_column_sweep(m_block):
             assert st.longest_run(pack(b)) == reference_longest_run(b), n
 
 
+def reference_runs(b):
+    """The 0/1 form of the runs test: ones counted, runs from the
+    differences of neighbouring bits."""
+    n = len(b)
+    pi = float(np.count_nonzero(b)) / n
+    if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
+        return 0.0
+    v = 1 + int(np.count_nonzero(np.diff(b.astype(np.int8))))
+    num = abs(v - 2.0 * n * pi * (1.0 - pi))
+    den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
+    return float(erfc(num / den))
+
+
 def test_byte_counts_equal_the_0_1_forms():
-    # monobit and block_frequency count set bits in whole bytes; the
-    # 0/1 forms count ones and average 128-bit blocks. Lengths end
-    # mid-byte and mid-block, so padding bits and a partial block are
-    # in play.
+    # monobit, block_frequency and runs count set bits and bit changes
+    # in whole bytes; the 0/1 forms count ones, average 128-bit blocks
+    # and difference neighbouring bits. Lengths end mid-byte and
+    # mid-block, so padding bits and a partial block are in play; the
+    # alternating input changes at every bit, the last one included.
     rng = np.random.default_rng(9)
     for n in (128, 1000, 1003, 128 * 97 + 77, 250_001):
         for b in (
             rng.integers(0, 2, n, dtype=np.uint8),
             (rng.random(n) < 0.52).astype(np.uint8),
             np.ones(n, dtype=np.uint8),
+            (np.arange(n) % 2).astype(np.uint8),
         ):
+            assert st.runs(pack(b)) == reference_runs(b)
             s = abs(2.0 * int(np.count_nonzero(b)) - n)
             want = float(erfc(s / math.sqrt(n) / math.sqrt(2.0)))
             assert st.monobit(pack(b)) == want
@@ -324,19 +341,30 @@ def test_spectral_is_real_fft_form_on_smooth_prefix():
             assert st.spectral(pack(b)) == reference_spectral(b[:prefix])[2]
 
 
-@pytest.mark.parametrize(
-    "n",
-    [
-        1000,  # N1 = 20, N2 = 50: bin n/2 on row 0
-        1500,  # N1 = 20, N2 = 75: bin n/2 on row N1/2
-        1250,  # N1 = 25, N2 = 50: N1 odd, bin n/2 on row 0
-        1125,  # N1 = 25, N2 = 45: n odd, bin (n-1)/2 on row N1//2
-        10**6,  # the battery's minimum
-    ],
+SPECTRAL_COUNT_LENGTHS = (
+    1000,  # N1 = 20, N2 = 50: bin n/2 on row 0
+    1500,  # N1 = 20, N2 = 75: bin n/2 on row N1/2
+    1250,  # N1 = 25, N2 = 50: N1 odd, bin n/2 on row 0
+    1125,  # N1 = 25, N2 = 45: n odd, bin (n-1)/2 on row N1//2
+    562_500,  # N1 = 375, N2 = 1500: R = 15, odd
+    10**6,  # the battery's minimum: N1 = 500, N2 = 2000, R = 10
 )
+
+
+def test_spectral_count_lengths_take_every_kind_of_residue():
+    # one residue class (R = 1), an odd R and an even R
+    residues = {
+        ex._residue(*ex._four_step_shape(n)) for n in SPECTRAL_COUNT_LENGTHS
+    }
+    assert 1 in residues
+    assert any(r % 2 for r in residues - {1})
+    assert any(r % 2 == 0 for r in residues)
+
+
+@pytest.mark.parametrize("n", SPECTRAL_COUNT_LENGTHS)
 def test_spectral_count_equals_real_fft_count(n):
-    # the four-step count over the stored half-plane against a count of
-    # the first n//2 bins of the one-dimensional real FFT, at thresholds
+    # the count over the residue-class bands against a count of the
+    # first n//2 bins of the one-dimensional real FFT, at thresholds
     # below, at and above the test's own
     rng = np.random.default_rng(n)
     inputs = (
@@ -352,18 +380,30 @@ def test_spectral_count_equals_real_fft_count(n):
             assert st._below_threshold(pack(b), threshold) == want, (scale, want)
 
 
-def test_spectral_peak_allocation_is_one_half_spectrum():
+def test_spectral_peak_allocation_is_one_band():
+    # class 0's real lookup and its real FFT, or one (L, N2) complex band
+    # of another class, whichever is larger, with the uint16 pattern
+    # index, the twiddle tables (twice, for their construction), the
+    # packed prefix, the 2^R phasor table and two blocks of temporaries:
+    # 0.43 of a half-spectrum at this shape. The whole half-spectrum
+    # took 1.12 half-spectra
     n = 10**6
     b = pack(np.random.default_rng(5).integers(0, 2, n, dtype=np.uint8))
-    n1, n2 = st._four_step_shape(n)
-    half_spectrum = (n1 // 2 + 1) * n2 * 16
+    n1, n2 = shape = ex._four_step_shape(n)
+    residue = ex._residue(n1, n2)
+    length = n1 // residue
+    assert residue > 1
+    bands = max(length * n2 * 8 + (length // 2 + 1) * n2 * 16, length * n2 * 16)
+    tables = 2 * sum(t.nbytes for t in ex._band_twiddles(shape, residue)[:2])
+    bound = bands + length * n2 * 2 + tables + n // 8 + (16 << residue)
+    bound += 2 * ex.BLOCK_BYTES
     tracemalloc.start()
     try:
         st.spectral(b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.3 * half_spectrum, peak / half_spectrum
+    assert peak < bound, (peak, bound)
 
 
 def reference_pattern_counts(b, m):
@@ -404,6 +444,22 @@ def test_pattern_tests_hold_two_bytes_per_bit(test):
     finally:
         tracemalloc.stop()
     assert peak < 2 * n + 8 * st.PATTERN_CHUNK + (1 << 16), peak / n
+
+
+def test_battery_peak_per_bit():
+    # the whole battery peaks at its largest test: serial and
+    # approximate_entropy at two bytes a bit, the spectral test's band
+    # under that. With the spectral test's half-spectrum it took 8.79
+    # bytes a bit, and runs alone 3.00
+    n = 1 << 22
+    bits = pack(np.random.default_rng(10).integers(0, 2, n, dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        st.run_battery(bits, alpha=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * n, peak / n
 
 
 def test_cumulative_sums_holds_bounded_chunks():
