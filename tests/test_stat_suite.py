@@ -239,14 +239,15 @@ def test_byte_counts_equal_the_0_1_forms():
     # in whole bytes; the 0/1 forms count ones, average 128-bit blocks
     # and difference neighbouring bits. Lengths end mid-byte and
     # mid-block, so padding bits and a partial block are in play; the
-    # alternating input changes at every bit, the last one included.
+    # alternating input changes at every bit and, at the odd lengths,
+    # ends on a one beside the zero padding.
     rng = np.random.default_rng(9)
     for n in (128, 1000, 1003, 128 * 97 + 77, 250_001):
         for b in (
             rng.integers(0, 2, n, dtype=np.uint8),
             (rng.random(n) < 0.52).astype(np.uint8),
             np.ones(n, dtype=np.uint8),
-            (np.arange(n) % 2).astype(np.uint8),
+            (1 - np.arange(n) % 2).astype(np.uint8),
         ):
             assert st.runs(pack(b)) == reference_runs(b)
             s = abs(2.0 * int(np.count_nonzero(b)) - n)
