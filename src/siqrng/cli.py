@@ -13,8 +13,9 @@ import os
 import sys
 from typing import TYPE_CHECKING, BinaryIO
 
-# the only matrix products are 2x2, so an OpenBLAS thread pool would only
-# idle and spin on the other CPUs; set before anything imports numpy
+# importing numpy starts an OpenBLAS thread pool whether or not anything
+# uses it, and the program makes no BLAS call; set before anything
+# imports numpy
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import io_formats, optimizer, protocol_math
@@ -323,33 +324,32 @@ def _extract(raw, n_z: int, rates, seed: bytes, epsilon_total: float, out: str):
 
 
 def _rate_params(cfg: RunConfig) -> optimizer.RateModelParams:
-    model_name = cfg["optimize.e_model"]
-    if model_name == "constant":
-        model = optimizer.ConstantErrorModel(cfg["optimize.e_bx"])
-    elif model_name == "double_click":
-        model = optimizer.DoubleClickErrorModel(cfg["optimize.e_d"])
-    else:
-        raise ConfigError(f"unknown optimize.e_model {model_name!r}")
     return optimizer.RateModelParams(
-        rep_rate_G=cfg["source.pulse_rate"],
+        source=cfg.source_params(),
+        detector=cfg.detector_params(),
+        measurement=cfg.measurement_config(),
         coefficient=cfg["calibration.coefficient"],
         theta=cfg["security.theta"],
         t_e=cfg["security.t_e"],
-        eta=cfg["detector.eta0"],
-        e_bx_model=model,
+        e_bx=cfg["optimize.e_bx"],
     )
 
 
 def _optimize(cfg: RunConfig, grid_step: float, out: str | None):
-    """Best mean photon number and its rate; the curve goes to ``out``."""
+    """Best mean photon number and its rate over the run's duration; the
+    curve goes to ``out``."""
     if not grid_step > 0:
         raise ConfigError(f"--grid-step must be positive, got {grid_step}")
     params = _rate_params(cfg)
+    duration = cfg.duration
     lo, hi = cfg["optimize.lambda_lo"], cfg["optimize.lambda_hi"]
-    lam_star, rate_star = optimizer.optimize_lambda(params, (lo, hi))
+    lam_star, rate_star = optimizer.optimize_lambda(params, (lo, hi), duration)
     if out:
-        grid = [lo + i * grid_step for i in range(int((hi - lo) / grid_step) + 1)]
-        rows = optimizer.flatness_report(params, grid)
+        # the relative 1e-9 keeps hi when (hi - lo) / grid_step rounds to
+        # just below a whole number
+        steps = int((hi - lo) / grid_step * (1.0 + 1e-9))
+        grid = [lo + i * grid_step for i in range(steps + 1)]
+        rows = optimizer.flatness_report(params, grid, duration)
         io_formats.atomic_write_text(out, optimizer.flatness_csv(rows))
     return lam_star, rate_star
 

@@ -1,6 +1,6 @@
-"""Measurement-side simulation: basis choice, the phase-modulated
-interferometer transformation, threshold detection with efficiency,
-dark counts and dead time, and event tallying.
+"""Measurement-side simulation: basis choice, one uniform per pulse
+drawn against source_sim's four-outcome detection law, dead time, event
+tallying and the generation-basis raw bits.
 
 The simulation is organized in fixed pulse panels (see rngstream), so a
 run can be produced serially or in arbitrary index chunks with
@@ -16,7 +16,6 @@ import collections
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,13 +24,15 @@ from .errors import EstimationAbort, RunTooLargeError
 from .io_formats import PackedBits
 from .protocol_math import TallySummary
 from .source_sim import (
-    PolarizationState,
+    BASIS_X,
+    BASIS_Z,
+    DetectorParams,
+    MeasurementConfig,
     SourceParams,
+    effective_projection_probs,
+    outcome_law,
     polarization_from_waveplates,
 )
-
-BASIS_Z = 0
-BASIS_X = 1
 
 #: Outcome codes are the click bits: detector 0 is bit 0, detector 1 bit 1.
 #: A pulse's event code is ``basis | outcome << 1``, the SQEB v1 body byte.
@@ -51,46 +52,6 @@ CPUS = (
 #: keyed by (seed, domain, panel), and numpy's fills and ufuncs release
 #: the GIL, so the draws overlap and their values do not depend on this.
 WORKERS = min(4, CPUS)
-
-
-@dataclass(frozen=True)
-class MeasurementConfig:
-    """Per-pulse basis selection and the interferometer phase settings."""
-
-    prob_X: float = 0.004
-    phase_Z: tuple[float, float] = (0.0, 0.0)
-    phase_X: tuple[float, float] = (-math.pi / 4.0, math.pi / 4.0)
-    basis_seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.prob_X <= 1.0:
-            raise ValueError(f"prob_X must be in [0, 1], got {self.prob_X}")
-
-
-@dataclass(frozen=True)
-class DetectorParams:
-    """Threshold-detector pair parameters."""
-
-    eta0: float = 0.1
-    eta1: float = 0.1
-    dark_rate: float = 200.0
-    dead_time: float = 50e-9
-    gate_width: float = 100e-9
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta0 <= 1.0 or not 0.0 <= self.eta1 <= 1.0:
-            raise ValueError("efficiencies must be in [0, 1]")
-        if self.dark_rate < 0:
-            raise ValueError("dark rate must be >= 0")
-        if self.dead_time < 0:
-            raise ValueError("dead time must be >= 0")
-        if self.gate_width <= 0:
-            raise ValueError("gate width must be positive")
-
-    @property
-    def dark_click_prob(self) -> float:
-        """Per-detector dark-click probability inside one gate window."""
-        return -math.expm1(-self.dark_rate * self.gate_width)
 
 
 class EventStream:
@@ -123,66 +84,6 @@ def choose_basis_block(
         u = rng.random(rngstream.PANEL_PULSES)
         np.less(u[t_lo:t_hi], prob_X, out=out[lo - start : hi - start].view(bool))
     return out
-
-
-def effective_projection_probs(
-    state: PolarizationState, basis: int, config: MeasurementConfig
-) -> tuple[float, float]:
-    """Detector-hit probabilities (p0, p1) for a state under one basis
-    setting.
-
-    Applies the phase unitary of the chosen setting followed by the fixed
-    polarization-controller unitary, then projects on the output
-    polarizing splitter. p0 + p1 = 1 within 1e-12 for unit input.
-    """
-    vec = state.as_array()
-    norm = float(np.vdot(vec, vec).real)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"state norm^2 = {norm}, expected 1")
-    phases = config.phase_X if basis == BASIS_X else config.phase_Z
-    out = measurement_unitary(*phases) @ vec
-    p0 = float(abs(out[0]) ** 2)
-    p1 = float(abs(out[1]) ** 2)
-    total = p0 + p1
-    return p0 / total, p1 / total
-
-
-def phase_unitary(phi_c: float, phi_a: float) -> np.ndarray:
-    """Loop unitary: independent phases on the two polarization arms."""
-    return np.array(
-        [[np.exp(1j * phi_c), 0.0], [0.0, np.exp(1j * phi_a)]], dtype=complex
-    )
-
-
-#: Fixed polarization-controller unitary following the loop.
-CONTROLLER_UNITARY = 0.5 * np.array(
-    [[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex
-)
-
-
-def measurement_unitary(phi_c: float, phi_a: float) -> np.ndarray:
-    return CONTROLLER_UNITARY @ phase_unitary(phi_c, phi_a)
-
-
-def outcome_law(
-    source: SourceParams, det: DetectorParams, probs: tuple[float, float]
-) -> tuple[float, float, float]:
-    """Cumulative law (t1, t2, t3) = (P00, P00 + P10, P00 + P10 + P01) of
-    a pulse's raw clicks, P10 meaning detector 0 alone, for the detector-hit
-    probabilities ``probs`` of one basis.
-
-    Given a pulse's mean lambda_eff, arm i receives Poisson(lambda_eff *
-    p_i) photons independently of the other arm, and efficiency thins
-    that to Poisson(lambda_eff * a_i), a_i = p_i * eta_i. So arm i stays
-    dark with probability keep * exp(-a_i lambda_eff), keep = 1 - d, and
-    averaging over lambda_eff with M(t) = E exp(-t lambda_eff) gives
-    P00 = keep^2 M(a0 + a1) and P(arm i dark) = keep M(a_i).
-    """
-    keep = 1.0 - det.dark_click_prob
-    a0, a1 = probs[0] * det.eta0, probs[1] * det.eta1
-    p00 = keep * keep * source.laplace(a0 + a1)
-    t2 = keep * source.laplace(a1)  # detector 1 dark
-    return p00, t2, t2 + keep * source.laplace(a0) - p00
 
 
 def _outcomes(u: np.ndarray, law: tuple[float, float, float]) -> np.ndarray:

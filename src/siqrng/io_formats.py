@@ -17,13 +17,18 @@ from typing import TYPE_CHECKING, BinaryIO
 
 from .errors import ConfigError, FormatError
 from .protocol_math import TallySummary
+from .source_sim import (
+    SUNLIGHT_FLUCTUATION,
+    DetectorParams,
+    MeasurementConfig,
+    SourceParams,
+)
 
-# numpy, detector_sim and source_sim are imported where they are used, so
-# the key-value stages (estimate, calibrate, optimize) never load numpy
+# numpy and detector_sim are imported where they are used, so the
+# key-value stages (estimate, calibrate, optimize) never load numpy
 if TYPE_CHECKING:
     import numpy as np
-    from .detector_sim import DetectorParams, EventStream, MeasurementConfig
-    from .source_sim import SourceParams
+    from .detector_sim import EventStream
 
 TEXT_MAGIC = "#SIQRNG-EVENTS v1"
 BINARY_MAGIC = b"SQEB"
@@ -301,9 +306,7 @@ def _default_config() -> dict:
         "calibration.coefficient": 0.952,
         "optimize.lambda_lo": 1.0,
         "optimize.lambda_hi": 40.0,
-        "optimize.e_model": "constant",
         "optimize.e_bx": 0.0033,
-        "optimize.e_d": 0.005,
         "suite.alpha": 0.01,
         "suite.max_failures": 1,
         "run.n_pulses": 10_000_000,
@@ -367,7 +370,6 @@ class RunConfig:
 
     @property
     def fluctuation(self) -> float:
-        from .source_sim import SUNLIGHT_FLUCTUATION
         v = self.values["source.fluctuation"]
         if v is None:
             return (
@@ -388,7 +390,6 @@ class RunConfig:
         return check_duration(derived, "run.n_pulses / source.pulse_rate")
 
     def source_params(self) -> SourceParams:
-        from .source_sim import SourceParams
         return SourceParams(
             mean_photons_lambda=self.values["source.lambda"],
             pulse_rate_G=self.values["source.pulse_rate"],
@@ -399,7 +400,6 @@ class RunConfig:
         )
 
     def detector_params(self) -> DetectorParams:
-        from .detector_sim import DetectorParams
         return DetectorParams(
             eta0=self.values["detector.eta0"],
             eta1=self.values["detector.eta1"],
@@ -409,7 +409,6 @@ class RunConfig:
         )
 
     def measurement_config(self) -> MeasurementConfig:
-        from .detector_sim import MeasurementConfig
         return MeasurementConfig(
             prob_X=self.values["measure.prob_x"],
             phase_Z=(

@@ -1,118 +1,67 @@
 """Generation-rate model and the mean-photon-number operating point.
 
-The model composes the single-click probability of a Poisson source
-split over two threshold detectors with the per-pulse certified
-randomness: rate = G * p_single * (coefficient - H(e + theta)) minus the
-hashing cost amortized over the run.
+The model reads detection from the simulator's own law: at mean photon
+number lam, a pulse of the configured source lands in the generation
+basis and clicks exactly one detector with probability
+(1 - prob_X) (t3 - t1) of source_sim.outcome_law, and the expected n_z
+of a run goes through protocol_math.rate_breakdown, efficiency rescale
+and hashing cost included, at a constant check-basis error floor.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, replace
 
 from .errors import NonUnimodalError
-from .protocol_math import binary_entropy
+from .protocol_math import MeasurementImperfection, rate_breakdown
+from .source_sim import (
+    BASIS_Z,
+    DetectorParams,
+    MeasurementConfig,
+    SourceParams,
+    effective_projection_probs,
+    outcome_law,
+    polarization_from_waveplates,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
-class ConstantErrorModel:
-    """Check-basis error rate pinned at a measured floor."""
-
-    e_bx: float = 0.0033
-
-    def __call__(self, lam_prime: float) -> float:
-        return self.e_bx
-
-
-@dataclass(frozen=True)
-class DoubleClickErrorModel:
-    """Error floor from multiphoton double clicks at per-photon
-    wrong-arm fraction e_d: independent Poisson arms of mean
-    lam' * e_d and lam' * (1 - e_d), wrong-only a full error, both a
-    half error, normalized by the click probability.
+class RateModelParams:
+    """Inputs of the rate model: the simulated source (its mean photon
+    number is replaced by the one evaluated), detectors and basis
+    settings, the calibrated coefficient, the security parameters, and
+    e_bx, the check-basis error floor (the paper's measured misalignment).
     """
 
-    e_d: float = 0.005
-
-    def __call__(self, lam_prime: float) -> float:
-        if lam_prime <= 0.0:
-            return self.e_d
-        p_wrong = -math.expm1(-lam_prime * self.e_d)
-        p_right = -math.expm1(-lam_prime * (1.0 - self.e_d))
-        p_any = -math.expm1(-lam_prime)
-        return (p_wrong * (1.0 - p_right) + 0.5 * p_wrong * p_right) / p_any
-
-
-@dataclass(frozen=True)
-class RateModelParams:
-    """Inputs of the analytic rate model."""
-
-    rep_rate_G: float = 4.0e6
+    source: SourceParams = SourceParams()
+    detector: DetectorParams = DetectorParams()
+    measurement: MeasurementConfig = MeasurementConfig()
     coefficient: float = 0.952
     theta: float = 0.001
     t_e: int = 100
-    eta: float = 0.1
-    e_bx_model: Callable[[float], float] = field(
-        default_factory=ConstantErrorModel
-    )
-
-    def __post_init__(self):
-        if self.rep_rate_G <= 0:
-            raise ValueError("repetition rate must be positive")
-        if not 0.0 <= self.coefficient <= 1.0:
-            raise ValueError("coefficient must be in [0, 1]")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must be in (0, 1]")
+    e_bx: float = 0.0033
 
 
-def p_single_click(lam: float, eta: float) -> float:
-    """Probability that exactly one detector clicks for a Poisson pulse
-    of mean lam split evenly over two detectors of efficiency eta:
-    2 e^(-lam'/2) (1 - e^(-lam'/2)) with lam' = lam * eta the detected
-    mean; maximum 1/2 at lam' = 2 ln 2."""
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must be in [0, 1]")
-    half = lam * eta / 2.0
-    return 2.0 * math.exp(-half) * -math.expm1(-half)
-
-
-def rate_from_single_click_prob(
-    p_single: float,
-    e_bx: float,
-    params: RateModelParams,
-    run_duration: float,
-) -> float:
-    """Bits per second at a given single-click probability and check
-    error rate, hashing cost amortized over the run duration."""
+def rate_model(lam: float, params: RateModelParams, run_duration: float) -> float:
+    """Generation rate (bits/second) at mean photon number lam: the
+    certified length R_final of a run of run_duration seconds with its
+    expected n_z, per second."""
     if run_duration <= 0:
         raise ValueError("run duration must be positive")
-    arg = e_bx + params.theta
+    arg = params.e_bx + params.theta
     if arg > 0.5:
-        raise ValueError(
-            f"entropy argument {arg} exceeds 1/2: nothing to certify"
-        )
-    per_bit = params.coefficient - binary_entropy(arg)
-    return (
-        params.rep_rate_G * p_single * per_bit - params.t_e / run_duration
-    )
-
-
-def rate_model(
-    lam: float, params: RateModelParams, run_duration: float
-) -> float:
-    """Analytic generation rate (bits/second) at mean photon number lam."""
-    lam_prime = lam * params.eta
-    return rate_from_single_click_prob(
-        p_single_click(lam, params.eta),
-        params.e_bx_model(lam_prime),
-        params,
-        run_duration,
-    )
+        raise ValueError(f"entropy argument {arg} exceeds 1/2: nothing to certify")
+    det, config = params.detector, params.measurement
+    source = replace(params.source, mean_photons_lambda=lam)
+    state = polarization_from_waveplates(source.hwp_angle, source.qwp_angle)
+    probs = effective_projection_probs(state, BASIS_Z, config)
+    t1, _, t3 = outcome_law(source, det, probs)
+    n_z = source.pulse_rate_G * run_duration * (1.0 - config.prob_X) * (t3 - t1)
+    imperfection = MeasurementImperfection(params.coefficient, det.eta0, det.eta1)
+    rates = rate_breakdown(n_z, params.e_bx, params.theta, params.t_e, imperfection)
+    return rates.R_final / run_duration
 
 
 def _assert_unimodal(values: list[float]) -> None:
@@ -162,7 +111,9 @@ def optimize_lambda(
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     while b - a > tol:
-        if fc > fd:
+        # a tie keeps the lower part: the rate's only plateau is its
+        # large-lambda underflow
+        if fc >= fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
             fc = f(c)

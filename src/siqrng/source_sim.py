@@ -1,22 +1,27 @@
-"""Photon-source model: the law of the per-pulse mean photon number and
-the waveplate state-preparation chain.
+"""Optical model, in ``math`` and ``cmath`` alone: the law of the
+per-pulse mean photon number, the waveplate state preparation, the
+interferometer's basis settings and each basis's four-outcome detection
+law, which the simulator draws from and the rate model evaluates.
 
 The source is deliberately simple — a Poisson mean photon number with
 an optional per-pulse Gaussian intensity fluctuation (sunlight), and a
 polarization state fixed by a half-wave plate and a quarter-wave plate
 acting on horizontally polarized input. Neither the photon number nor
-the mean is ever drawn: the detector model needs only the mean's
-Laplace transform. Nothing downstream trusts any of it.
+the mean is ever drawn: the detection law needs only the mean's
+Laplace transform. Nothing downstream trusts any of it. Jones vectors
+are 2-tuples and Jones matrices 2x2 tuples of rows.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 #: Default relative intensity fluctuation for sunlight runs.
 SUNLIGHT_FLUCTUATION = 0.05
+
+BASIS_Z = 0
+BASIS_X = 1
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -33,9 +38,6 @@ class PolarizationState:
         norm = abs(self.amplitude_H) ** 2 + abs(self.amplitude_V) ** 2
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"Jones vector norm^2 = {norm}, expected 1")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.amplitude_H, self.amplitude_V], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -103,12 +105,68 @@ class SourceParams:
         )
 
 
-def _rotation(angle_rad: float) -> np.ndarray:
+@dataclass(frozen=True)
+class MeasurementConfig:
+    """Per-pulse basis selection and the interferometer phase settings."""
+
+    prob_X: float = 0.004
+    phase_Z: tuple[float, float] = (0.0, 0.0)
+    phase_X: tuple[float, float] = (-math.pi / 4.0, math.pi / 4.0)
+    basis_seed: int = 0
+
+    def __post_init__(self):
+        if not 0.0 <= self.prob_X <= 1.0:
+            raise ValueError(f"prob_X must be in [0, 1], got {self.prob_X}")
+
+
+@dataclass(frozen=True)
+class DetectorParams:
+    """Threshold-detector pair parameters."""
+
+    eta0: float = 0.1
+    eta1: float = 0.1
+    dark_rate: float = 200.0
+    dead_time: float = 50e-9
+    gate_width: float = 100e-9
+
+    def __post_init__(self):
+        if not 0.0 <= self.eta0 <= 1.0 or not 0.0 <= self.eta1 <= 1.0:
+            raise ValueError("efficiencies must be in [0, 1]")
+        if self.dark_rate < 0:
+            raise ValueError("dark rate must be >= 0")
+        if self.dead_time < 0:
+            raise ValueError("dead time must be >= 0")
+        if self.gate_width <= 0:
+            raise ValueError("gate width must be positive")
+
+    @property
+    def dark_click_prob(self) -> float:
+        """Per-detector dark-click probability inside one gate window."""
+        return -math.expm1(-self.dark_rate * self.gate_width)
+
+
+def _matmul(a, b):
+    """Product of two 2x2 matrices."""
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    return (
+        (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
+        (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11),
+    )
+
+
+def _apply(m, v):
+    """A 2x2 matrix applied to a 2-vector."""
+    (m00, m01), (m10, m11) = m
+    return (m00 * v[0] + m01 * v[1], m10 * v[0] + m11 * v[1])
+
+
+def _rotation(angle_rad: float):
     c, s = math.cos(angle_rad), math.sin(angle_rad)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return ((c, -s), (s, c))
 
 
-def waveplate_matrix(angle_deg: float, retardance_rad: float) -> np.ndarray:
+def waveplate_matrix(angle_deg: float, retardance_rad: float):
     """Jones matrix of a retarder with its fast axis at the given angle.
 
     Convention: unit gain on the fast axis, phase e^(i*retardance) on the
@@ -116,15 +174,15 @@ def waveplate_matrix(angle_deg: float, retardance_rad: float) -> np.ndarray:
     probabilities.
     """
     a = math.radians(angle_deg)
-    retarder = np.array([[1.0, 0.0], [0.0, np.exp(1j * retardance_rad)]])
-    return _rotation(a) @ retarder @ _rotation(-a)
+    retarder = ((1 + 0j, 0j), (0j, cmath.exp(1j * retardance_rad)))
+    return _matmul(_matmul(_rotation(a), retarder), _rotation(-a))
 
 
-def half_wave_plate(angle_deg: float) -> np.ndarray:
+def half_wave_plate(angle_deg: float):
     return waveplate_matrix(angle_deg, math.pi)
 
 
-def quarter_wave_plate(angle_deg: float) -> np.ndarray:
+def quarter_wave_plate(angle_deg: float):
     return waveplate_matrix(angle_deg, math.pi / 2.0)
 
 
@@ -132,9 +190,63 @@ def polarization_from_waveplates(
     hwp_angle: float, qwp_angle: float
 ) -> PolarizationState:
     """State prepared by sending |H> through the QWP and then the HWP."""
-    vec = half_wave_plate(hwp_angle) @ quarter_wave_plate(qwp_angle) @ np.array(
-        [1.0 + 0.0j, 0.0j]
-    )
-    vec = vec / np.linalg.norm(vec)
-    return PolarizationState(amplitude_H=complex(vec[0]), amplitude_V=complex(vec[1]))
+    plates = _matmul(half_wave_plate(hwp_angle), quarter_wave_plate(qwp_angle))
+    h, v = _apply(plates, (1 + 0j, 0j))
+    norm = math.sqrt((h.real**2 + v.real**2) + (h.imag**2 + v.imag**2))
+    return PolarizationState(amplitude_H=h / norm, amplitude_V=v / norm)
 
+
+def phase_unitary(phi_c: float, phi_a: float):
+    """Loop unitary: independent phases on the two polarization arms."""
+    return ((cmath.exp(1j * phi_c), 0j), (0j, cmath.exp(1j * phi_a)))
+
+
+#: Fixed polarization-controller unitary following the loop.
+CONTROLLER_UNITARY = ((0.5 + 0.5j, 0.5 - 0.5j), (0.5 - 0.5j, 0.5 + 0.5j))
+
+
+def measurement_unitary(phi_c: float, phi_a: float):
+    return _matmul(CONTROLLER_UNITARY, phase_unitary(phi_c, phi_a))
+
+
+def effective_projection_probs(
+    state: PolarizationState, basis: int, config: MeasurementConfig
+) -> tuple[float, float]:
+    """Detector-hit probabilities (p0, p1) for a state under one basis
+    setting.
+
+    Applies the phase unitary of the chosen setting followed by the fixed
+    polarization-controller unitary, then projects on the output
+    polarizing splitter. p0 + p1 = 1 within 1e-12 for unit input.
+    """
+    vec = (state.amplitude_H, state.amplitude_V)
+    norm = abs(vec[0]) ** 2 + abs(vec[1]) ** 2
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"state norm^2 = {norm}, expected 1")
+    phases = config.phase_X if basis == BASIS_X else config.phase_Z
+    out = _apply(measurement_unitary(*phases), vec)
+    p0 = abs(out[0]) ** 2
+    p1 = abs(out[1]) ** 2
+    total = p0 + p1
+    return p0 / total, p1 / total
+
+
+def outcome_law(
+    source: SourceParams, det: DetectorParams, probs: tuple[float, float]
+) -> tuple[float, float, float]:
+    """Cumulative law (t1, t2, t3) = (P00, P00 + P10, P00 + P10 + P01) of
+    a pulse's raw clicks, P10 meaning detector 0 alone, for the detector-hit
+    probabilities ``probs`` of one basis.
+
+    Given a pulse's mean lambda_eff, arm i receives Poisson(lambda_eff *
+    p_i) photons independently of the other arm, and efficiency thins
+    that to Poisson(lambda_eff * a_i), a_i = p_i * eta_i. So arm i stays
+    dark with probability keep * exp(-a_i lambda_eff), keep = 1 - d, and
+    averaging over lambda_eff with M(t) = E exp(-t lambda_eff) gives
+    P00 = keep^2 M(a0 + a1) and P(arm i dark) = keep M(a_i).
+    """
+    keep = 1.0 - det.dark_click_prob
+    a0, a1 = probs[0] * det.eta0, probs[1] * det.eta1
+    p00 = keep * keep * source.laplace(a0 + a1)
+    t2 = keep * source.laplace(a1)  # detector 1 dark
+    return p00, t2, t2 + keep * source.laplace(a0) - p00

@@ -18,7 +18,7 @@ from siqrng import optimizer as op
 from siqrng import protocol_math as pm
 from siqrng import stat_suite as st
 from siqrng.cli import main as cli_main
-from siqrng.source_sim import SourceParams
+from siqrng.source_sim import BASIS_Z, DetectorParams, MeasurementConfig, SourceParams
 
 import event_codes as ec
 from toeplitz_oracle import ToeplitzSpec, toeplitz_fast, toeplitz_naive
@@ -83,13 +83,13 @@ def test_acceptance_3_optimal_mean_photon_number():
 def test_acceptance_4_single_click_monte_carlo():
     with criterion(4, "simulated single-click fraction matches the model"):
         t0 = time.perf_counter()
-        src, det = SourceParams(), ds.DetectorParams()
+        src, det = SourceParams(), DetectorParams()
         stream = ds.run_simulation(
-            src, det, ds.MeasurementConfig(), 10_000_000, seed=404
+            src, det, MeasurementConfig(), 10_000_000, seed=404
         )
         lam_p = src.mean_photons_lambda * det.eta0
         p_model = 2.0 * math.exp(-lam_p / 2) * (1.0 - math.exp(-lam_p / 2))
-        is_z = ec.basis(stream) == ds.BASIS_Z
+        is_z = ec.basis(stream) == BASIS_Z
         z_out = ec.outcome(stream)[is_z]
         singles = int(
             np.count_nonzero((z_out == ds.OUTCOME_D0) | (z_out == ds.OUTCOME_D1))
@@ -233,8 +233,8 @@ def test_acceptance_8_rotated_input_sensitivity():
     with criterion(8, "rotated input raises the error rate and cuts the yield"):
         # five degrees of plate rotation turns the state ten degrees off
         # the check eigenstate; the error floor becomes sin^2(10 deg)
-        det = ds.DetectorParams()
-        cfg = ds.MeasurementConfig(prob_X=0.5, basis_seed=808)
+        det = DetectorParams()
+        cfg = MeasurementConfig(prob_X=0.5, basis_seed=808)
         n_pulses = 4_000_000
         imp = pm.MeasurementImperfection(0.952, 0.1, 0.1)
 

@@ -12,6 +12,7 @@ import pytest
 import siqrng
 from siqrng import detector_sim as ds
 from siqrng import io_formats as io
+from siqrng import source_sim as ss
 from siqrng.cli import main
 from siqrng.errors import ConfigError, FormatError
 from siqrng.protocol_math import TallySummary
@@ -39,7 +40,7 @@ def test_text_round_trip():
     assert back == stream
     assert io.events_to_text(back) == text
     pairs = ec.stream(
-        [ds.BASIS_Z, ds.BASIS_X, ds.BASIS_X, ds.BASIS_Z],
+        [ss.BASIS_Z, ss.BASIS_X, ss.BASIS_X, ss.BASIS_Z],
         [ds.OUTCOME_D0, ds.OUTCOME_D1, ds.OUTCOME_DOUBLE, ds.OUTCOME_NONE],
         start=7,
     )
@@ -237,12 +238,10 @@ def test_config_rejects_unknown_and_bad_values():
 
 
 def test_tally_text_round_trip():
-    from siqrng.source_sim import SourceParams
-
     stream = ds.run_simulation(
-        SourceParams(),
-        ds.DetectorParams(),
-        ds.MeasurementConfig(prob_X=0.3),
+        ss.SourceParams(),
+        ss.DetectorParams(),
+        ss.MeasurementConfig(prob_X=0.3),
         20_000,
         seed=5,
     )
@@ -536,11 +535,17 @@ codes = [
     main(["estimate", "--tally", {tally_f!r}, "--solve-theta", "1e-6"]),
     main(["calibrate", "--z-counts", "100000", "50", "--x-counts", "51692", "48308"]),
     main(["optimize", "--out", {curve!r}]),
+    main(["optimize", "--set", "source.kind=sunlight", "--set", "detector.eta1=0.05"]),
 ]
 print(after_import, codes, "numpy" in sys.modules)
 """
     last = run_python(code).splitlines()[-1]
-    assert last == "False [0, 0, 0, 0, 0] False"
+    assert last == "False [0, 0, 0, 0, 0, 0] False"
+
+
+def test_rate_model_modules_leave_out_numpy():
+    code = "import sys, siqrng.optimizer, siqrng.source_sim; print('numpy' in sys.modules)"
+    assert run_python(code) == "False"
 
 
 @pytest.mark.skipif(
@@ -695,6 +700,36 @@ def test_cli_optimize(tmp_path, capsys):
     lines = Path(csv).read_text().strip().split("\n")
     assert lines[0] == "lambda,rate_bps"
     assert len(lines) > 10
+
+
+@pytest.mark.parametrize(
+    "lo, hi, step, rows",
+    [("1", "40", "0.5", 79), ("1", "40.3", "0.1", 394), ("0.7", "1.0", "0.1", 4)],
+)
+def test_cli_rate_curve_ends_at_lambda_hi(tmp_path, capsys, lo, hi, step, rows):
+    # 39.3 / 0.1 rounds to 392.99999999999994 and 0.3 / 0.1 to
+    # 3.0000000000000004: the curve keeps hi and gains no step past it
+    csv = tmp_path / "curve.csv"
+    assert run_cli(
+        "optimize", "--set", f"optimize.lambda_lo={lo}",
+        "--set", f"optimize.lambda_hi={hi}", "--grid-step", step, "--out", str(csv),
+    ) == 0
+    lines = csv.read_text().split()[1:]
+    assert len(lines) == rows
+    assert float(lines[-1].split(",")[0]) == float(hi)
+
+
+def test_cli_optimize_follows_detectors_and_duration(capsys):
+    # the default run lasts 1e7 / 4e6 = 2.5 s, so the hashing cost t_e / T
+    # is 40 b/s there and 1e5 b/s at 1 ms
+    def rate_star(*sets):
+        assert run_cli("optimize", *(a for s in sets for a in ("--set", s))) == 0
+        return float(io.parse_keyvals(capsys.readouterr().out)["rate_star_bps"])
+
+    base = rate_star()
+    assert base == pytest.approx(1.81668e6, abs=10)
+    assert rate_star("detector.eta1=0.05") == pytest.approx(1.27931e6, abs=10)
+    assert rate_star("run.duration=1e-3") == pytest.approx(base + 40 - 1e5, abs=10)
 
 
 def test_pipeline_deterministic(tmp_path, capsys):

@@ -12,6 +12,7 @@ from scipy import stats
 
 from siqrng import detector_sim as ds
 from siqrng import rngstream
+from siqrng import source_sim as ss
 from siqrng.errors import EstimationAbort
 from siqrng.source_sim import (
     PolarizationState,
@@ -30,11 +31,11 @@ PLUS = polarization_from_waveplates(22.5, 0.0)
 
 def test_basis_extremes():
     assert all(
-        ds.choose_basis_block(5, i, 1, 0.0)[0] == ds.BASIS_Z
+        ds.choose_basis_block(5, i, 1, 0.0)[0] == ss.BASIS_Z
         for i in (0, 1, 99, 70000)
     )
     assert all(
-        ds.choose_basis_block(5, i, 1, 1.0)[0] == ds.BASIS_X
+        ds.choose_basis_block(5, i, 1, 1.0)[0] == ss.BASIS_X
         for i in (0, 1, 99, 70000)
     )
 
@@ -57,15 +58,15 @@ def test_basis_single_matches_block():
 
 
 def test_plus_state_projects_deterministically_in_check_basis():
-    cfg = ds.MeasurementConfig()
-    p0, p1 = ds.effective_projection_probs(PLUS, ds.BASIS_X, cfg)
+    cfg = ss.MeasurementConfig()
+    p0, p1 = ss.effective_projection_probs(PLUS, ss.BASIS_X, cfg)
     assert p0 == pytest.approx(1.0, abs=1e-12)
     assert p1 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_plus_state_is_uniform_in_generation_basis():
-    cfg = ds.MeasurementConfig()
-    p0, p1 = ds.effective_projection_probs(PLUS, ds.BASIS_Z, cfg)
+    cfg = ss.MeasurementConfig()
+    p0, p1 = ss.effective_projection_probs(PLUS, ss.BASIS_Z, cfg)
     assert p0 == pytest.approx(0.5, abs=1e-12)
     assert p1 == pytest.approx(0.5, abs=1e-12)
 
@@ -73,9 +74,9 @@ def test_plus_state_is_uniform_in_generation_basis():
 def test_effective_settings_are_mutually_unbiased():
     # eigenvector oracle: the measurement bases are the unitary-rotated
     # splitter states; all four cross overlaps must be 1/2
-    cfg = ds.MeasurementConfig()
-    u_x = ds.measurement_unitary(*cfg.phase_X)
-    u_z = ds.measurement_unitary(*cfg.phase_Z)
+    cfg = ss.MeasurementConfig()
+    u_x = np.array(ss.measurement_unitary(*cfg.phase_X))
+    u_z = np.array(ss.measurement_unitary(*cfg.phase_Z))
     basis_x = u_x.conj().T  # columns: states mapped onto each detector
     basis_z = u_z.conj().T
     for i in range(2):
@@ -86,13 +87,13 @@ def test_effective_settings_are_mutually_unbiased():
 
 def test_projection_probs_sum_to_one_for_random_states():
     rng = np.random.default_rng(4)
-    cfg = ds.MeasurementConfig()
+    cfg = ss.MeasurementConfig()
     for _ in range(100):
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v /= np.linalg.norm(v)
         st = PolarizationState(amplitude_H=complex(v[0]), amplitude_V=complex(v[1]))
-        for basis in (ds.BASIS_X, ds.BASIS_Z):
-            p0, p1 = ds.effective_projection_probs(st, basis, cfg)
+        for basis in (ss.BASIS_X, ss.BASIS_Z):
+            p0, p1 = ss.effective_projection_probs(st, basis, cfg)
             assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -100,7 +101,7 @@ def test_projection_rejects_unnormalized_state():
     st = PolarizationState(amplitude_H=1.0, amplitude_V=0.0)
     object.__setattr__(st, "amplitude_H", 2.0)  # corrupt after validation
     with pytest.raises(ValueError):
-        ds.effective_projection_probs(st, ds.BASIS_Z, ds.MeasurementConfig())
+        ss.effective_projection_probs(st, ss.BASIS_Z, ss.MeasurementConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -108,21 +109,21 @@ def test_projection_rejects_unnormalized_state():
 
 
 def test_detect_nothing_without_efficiency_or_darks():
-    det = ds.DetectorParams(eta0=0.0, eta1=0.0, dark_rate=0.0)
-    cfg = ds.MeasurementConfig(prob_X=0.5)
+    det = ss.DetectorParams(eta0=0.0, eta1=0.0, dark_rate=0.0)
+    cfg = ss.MeasurementConfig(prob_X=0.5)
     for src in (SourceParams(mean_photons_lambda=50.0), SourceParams.sunlight()):
         stream = ds.run_simulation(src, det, cfg, 200_000, seed=0)
         assert not ec.outcome(stream).any()
 
 
 def test_detect_dark_click_probability():
-    det = ds.DetectorParams(
+    det = ss.DetectorParams(
         eta0=0.1, eta1=0.1, dark_rate=5e4, gate_width=100e-9, dead_time=0.0
     )
     d = det.dark_click_prob
     n = 400_000
     stream = ds.run_simulation(
-        SourceParams(mean_photons_lambda=0.0), det, ds.MeasurementConfig(), n, seed=1
+        SourceParams(mean_photons_lambda=0.0), det, ss.MeasurementConfig(), n, seed=1
     )
     clicks = np.count_nonzero(ec.outcome(stream) != ds.OUTCOME_NONE)
     expected = 1.0 - (1.0 - d) ** 2  # = 1 - exp(-2 * rate * gate)
@@ -132,8 +133,8 @@ def test_detect_dark_click_probability():
 
 def test_detect_single_click_matches_closed_form():
     lam, eta = 6.0, 0.1
-    det = ds.DetectorParams(eta0=eta, eta1=eta, dark_rate=0.0, dead_time=0.0)
-    cfg = ds.MeasurementConfig(prob_X=0.0)
+    det = ss.DetectorParams(eta0=eta, eta1=eta, dark_rate=0.0, dead_time=0.0)
+    cfg = ss.MeasurementConfig(prob_X=0.0)
     n = 300_000
     stream = ds.run_simulation(
         SourceParams(mean_photons_lambda=lam), det, cfg, n, seed=2
@@ -151,11 +152,11 @@ def test_dead_time_state_paralyzable_semantics():
     # window 2: an attempt suppresses the next two pulses, attempts made
     # while dead still count as attempts and keep the detector dead.
     # |+> in the check basis hits detector 0 only, which fires every pulse.
-    det = ds.DetectorParams(
+    det = ss.DetectorParams(
         eta0=1.0, eta1=1.0, dark_rate=0.0, dead_time=600e-9
     )
     src = SourceParams(mean_photons_lambda=100.0, pulse_rate_G=4.0e6)
-    cfg = ds.MeasurementConfig(prob_X=1.0)
+    cfg = ss.MeasurementConfig(prob_X=1.0)
     outs = ec.outcome(ds.run_simulation(src, det, cfg, 6, seed=3)).tolist()
     assert outs == [
         ds.OUTCOME_D0,
@@ -166,7 +167,7 @@ def test_dead_time_state_paralyzable_semantics():
         ds.OUTCOME_NONE,
     ]
     # without dead time every pulse clicks
-    free = ds.DetectorParams(eta0=1.0, eta1=1.0, dark_rate=0.0, dead_time=0.0)
+    free = ss.DetectorParams(eta0=1.0, eta1=1.0, dark_rate=0.0, dead_time=0.0)
     outs = ec.outcome(ds.run_simulation(src, free, cfg, 6, seed=3)).tolist()
     assert outs == [ds.OUTCOME_D0] * 6
 
@@ -199,7 +200,7 @@ def oracle_law(lam, rel, d, a0, a1):
 def test_outcome_law_matches_quadrature_oracle():
     # a state off the check eigenstate, so both arms see light in both bases
     state = polarization_from_waveplates(27.5, 0.0)
-    cfg = ds.MeasurementConfig()
+    cfg = ss.MeasurementConfig()
     for rel in (0.0, 0.05, 0.3, 1.0):
         for lam in (0.0, 1e-3, 1.0, 11.6, 14.4, 1e3):
             src = SourceParams(
@@ -207,10 +208,10 @@ def test_outcome_law_matches_quadrature_oracle():
             )
             for dark_rate in (0.0, 5e4):
                 for eta in (0.0, 0.1, 1.0):
-                    det = ds.DetectorParams(eta0=eta, eta1=eta, dark_rate=dark_rate)
-                    for basis in (ds.BASIS_Z, ds.BASIS_X):
-                        p0, p1 = ds.effective_projection_probs(state, basis, cfg)
-                        got = ds.outcome_law(src, det, (p0, p1))
+                    det = ss.DetectorParams(eta0=eta, eta1=eta, dark_rate=dark_rate)
+                    for basis in (ss.BASIS_Z, ss.BASIS_X):
+                        p0, p1 = ss.effective_projection_probs(state, basis, cfg)
+                        got = ss.outcome_law(src, det, (p0, p1))
                         want = oracle_law(
                             lam, rel, det.dark_click_prob, p0 * eta, p1 * eta
                         )
@@ -219,12 +220,12 @@ def test_outcome_law_matches_quadrature_oracle():
 
 def test_outcome_law_is_finite_and_ordered_at_huge_lambda():
     # exp(-t mu + (t sigma)^2 / 2) Phi(mu/sigma - t sigma) is inf * 0 here
-    det = ds.DetectorParams()
+    det = ss.DetectorParams()
     for rel in (0.0, 0.05, 0.3, 1.0):
         src = SourceParams(mean_photons_lambda=1e12, intensity_fluctuation_rel_std=rel)
-        for basis in (ds.BASIS_Z, ds.BASIS_X):
-            probs = ds.effective_projection_probs(PLUS, basis, ds.MeasurementConfig())
-            t1, t2, t3 = ds.outcome_law(src, det, probs)
+        for basis in (ss.BASIS_Z, ss.BASIS_X):
+            probs = ss.effective_projection_probs(PLUS, basis, ss.MeasurementConfig())
+            t1, t2, t3 = ss.outcome_law(src, det, probs)
             assert all(math.isfinite(t) for t in (t1, t2, t3))
             assert 0.0 <= t1 <= t2 <= t3 <= 1.0
 
@@ -232,16 +233,16 @@ def test_outcome_law_is_finite_and_ordered_at_huge_lambda():
 def test_outcome_counts_fit_the_law():
     # per basis, the four outcome counts of 1e6 pulses against the law
     state = polarization_from_waveplates(27.5, 0.0)
-    det = ds.DetectorParams(dark_rate=5e4, dead_time=0.0)
-    cfg = ds.MeasurementConfig(prob_X=0.5)
+    det = ss.DetectorParams(dark_rate=5e4, dead_time=0.0)
+    cfg = ss.MeasurementConfig(prob_X=0.5)
     for src in (
         SourceParams(mean_photons_lambda=11.6, hwp_angle=27.5),
         SourceParams.sunlight(intensity_fluctuation_rel_std=0.3, hwp_angle=27.5),
     ):
         stream = ds.run_simulation(src, det, cfg, 1_000_000, seed=43)
-        for basis in (ds.BASIS_Z, ds.BASIS_X):
-            law = ds.outcome_law(
-                src, det, ds.effective_projection_probs(state, basis, cfg)
+        for basis in (ss.BASIS_Z, ss.BASIS_X):
+            law = ss.outcome_law(
+                src, det, ss.effective_projection_probs(state, basis, cfg)
             )
             pmf = np.diff((0.0, *law, 1.0))
             outcomes = ec.outcome(stream)[ec.basis(stream) == basis]
@@ -256,8 +257,8 @@ def test_outcome_counts_fit_the_law():
 
 def default_setup(**kw):
     src = kw.pop("src", SourceParams())
-    det = kw.pop("det", ds.DetectorParams())
-    cfg = kw.pop("cfg", ds.MeasurementConfig())
+    det = kw.pop("det", ss.DetectorParams())
+    cfg = kw.pop("cfg", ss.MeasurementConfig())
     return src, det, cfg
 
 
@@ -274,7 +275,7 @@ def test_generation_basis_single_click_rate_matches_model():
     stream = ds.run_simulation(src, det, cfg, 1_000_000, seed=6)
     lam_p = src.mean_photons_lambda * det.eta0
     p_single = 2.0 * math.exp(-lam_p / 2) * (1.0 - math.exp(-lam_p / 2))
-    is_z = ec.basis(stream) == ds.BASIS_Z
+    is_z = ec.basis(stream) == ss.BASIS_Z
     z_out = ec.outcome(stream)[is_z]
     singles = np.count_nonzero((z_out == ds.OUTCOME_D0) | (z_out == ds.OUTCOME_D1))
     nz = int(np.count_nonzero(is_z))
@@ -285,7 +286,7 @@ def test_generation_basis_single_click_rate_matches_model():
 def test_error_rate_floor_from_darks_and_doubles():
     # aligned input: wrong-detector events can only come from dark counts
     src, det, _ = default_setup()
-    cfg = ds.MeasurementConfig(prob_X=0.5, basis_seed=9)
+    cfg = ss.MeasurementConfig(prob_X=0.5, basis_seed=9)
     n = 1_000_000
     stream = ds.run_simulation(src, det, cfg, n, seed=7)
     d = det.dark_click_prob
@@ -295,7 +296,7 @@ def test_error_rate_floor_from_darks_and_doubles():
     # per check pulse: weighted error w in {0, 0.5, 1}
     mu_w = q1 * (1 - q0) + 0.5 * q0 * q1
     var_w = q1 * (1 - q0) + 0.25 * q0 * q1 - mu_w ** 2
-    is_x = ec.basis(stream) == ds.BASIS_X
+    is_x = ec.basis(stream) == ss.BASIS_X
     nx_pulses = int(np.count_nonzero(is_x))
     x_out = ec.outcome(stream)[is_x]
     observed = np.count_nonzero(x_out == ds.OUTCOME_D1) + 0.5 * np.count_nonzero(
@@ -309,7 +310,7 @@ def test_loss_is_basis_independent():
     src, det, cfg = default_setup()
     stream = ds.run_simulation(src, det, cfg, 1_000_000, seed=8)
     detected = ec.outcome(stream) != ds.OUTCOME_NONE
-    is_x = ec.basis(stream) == ds.BASIS_X
+    is_x = ec.basis(stream) == ss.BASIS_X
     table = np.array(
         [
             [np.count_nonzero(is_x & detected), np.count_nonzero(is_x & ~detected)],
@@ -321,8 +322,8 @@ def test_loss_is_basis_independent():
 
 
 def test_double_click_rate_grows_with_lambda():
-    det = ds.DetectorParams()
-    cfg = ds.MeasurementConfig(prob_X=0.0)
+    det = ss.DetectorParams()
+    cfg = ss.MeasurementConfig(prob_X=0.0)
     fractions = []
     for lam in (1.0, 4.0, 8.0, 12.0, 16.0):
         stream = ds.run_simulation(
@@ -360,8 +361,8 @@ def test_serial_equals_chunked_default_params():
 
 
 def test_serial_equals_chunked_with_active_dead_time():
-    det = ds.DetectorParams(dead_time=600e-9)
-    cfg = ds.MeasurementConfig(prob_X=0.1)
+    det = ss.DetectorParams(dead_time=600e-9)
+    cfg = ss.MeasurementConfig(prob_X=0.1)
     for src in (
         SourceParams(mean_photons_lambda=30.0),
         SourceParams.sunlight(30.0, intensity_fluctuation_rel_std=0.3),
@@ -372,8 +373,8 @@ def test_serial_equals_chunked_with_active_dead_time():
 def test_worker_count_does_not_change_events(monkeypatch):
     # 10 panels from a start inside panel 1, so the 2 * 3 panels in flight
     # wrap; dead time makes every panel's warm-up depend on the one before
-    det = ds.DetectorParams(dead_time=600e-9)
-    cfg = ds.MeasurementConfig(prob_X=0.1)
+    det = ss.DetectorParams(dead_time=600e-9)
+    cfg = ss.MeasurementConfig(prob_X=0.1)
     start, count = 70_001, 9 * 65_536
     for src in (
         SourceParams(mean_photons_lambda=30.0),
@@ -392,9 +393,9 @@ def test_simulation_holds_the_codes_and_a_few_panels(monkeypatch):
     # (a panel's uniforms are 8 bytes a pulse), with or without dead time
     monkeypatch.setattr(ds, "WORKERS", 2)
     panel_bytes = 8 * rngstream.PANEL_PULSES
-    cfg = ds.MeasurementConfig(prob_X=0.1)
+    cfg = ss.MeasurementConfig(prob_X=0.1)
     for dead_time in (50e-9, 600e-9):
-        det = ds.DetectorParams(dead_time=dead_time)
+        det = ss.DetectorParams(dead_time=dead_time)
         tracemalloc.start()
         try:
             events = ds.simulate_range(
@@ -427,12 +428,12 @@ def test_worker_error_propagates_and_pool_shuts_down(monkeypatch):
 
 def test_dead_time_suppresses_clicks():
     src = SourceParams(mean_photons_lambda=30.0)
-    cfg = ds.MeasurementConfig(prob_X=0.0)
+    cfg = ss.MeasurementConfig(prob_X=0.0)
     free = ds.run_simulation(
-        src, ds.DetectorParams(dead_time=0.0), cfg, 200_000, seed=19
+        src, ss.DetectorParams(dead_time=0.0), cfg, 200_000, seed=19
     )
     gated = ds.run_simulation(
-        src, ds.DetectorParams(dead_time=600e-9), cfg, 200_000, seed=19
+        src, ss.DetectorParams(dead_time=600e-9), cfg, 200_000, seed=19
     )
     clicks_free = np.count_nonzero(ec.outcome(free) != ds.OUTCOME_NONE)
     clicks_gated = np.count_nonzero(ec.outcome(gated) != ds.OUTCOME_NONE)
@@ -476,13 +477,13 @@ def test_domains_of_one_seed_draw_different_streams():
     det_u = rngstream.panel_generator(seed, rngstream.DOMAIN_DETECTION, panel).random(n)
     assert basis_u[0] != det_u[0]
     # and each pulse's basis and outcome come from its own domain's uniform
-    src, det = SourceParams.sunlight(), ds.DetectorParams(dead_time=0.0)
-    cfg = ds.MeasurementConfig(prob_X=0.5, basis_seed=seed)
+    src, det = SourceParams.sunlight(), ss.DetectorParams(dead_time=0.0)
+    cfg = ss.MeasurementConfig(prob_X=0.5, basis_seed=seed)
     stream = ds.simulate_range(src, det, cfg, seed, panel * n, n)
     basis = ec.basis(stream)
     assert np.array_equal(basis, basis_u < 0.5)
-    for b in (ds.BASIS_Z, ds.BASIS_X):
-        law = ds.outcome_law(src, det, ds.effective_projection_probs(PLUS, b, cfg))
+    for b in (ss.BASIS_Z, ss.BASIS_X):
+        law = ss.outcome_law(src, det, ss.effective_projection_probs(PLUS, b, cfg))
         want = np.searchsorted(law, det_u, side="right")
         assert np.array_equal(ec.outcome(stream)[basis == b], want[basis == b])
 
@@ -499,9 +500,9 @@ def build_stream(records):
 
 def test_tally_hand_count():
     records = (
-        [(ds.BASIS_X, ds.OUTCOME_D0)] * 97
-        + [(ds.BASIS_X, ds.OUTCOME_D1)]
-        + [(ds.BASIS_X, ds.OUTCOME_DOUBLE)] * 2
+        [(ss.BASIS_X, ds.OUTCOME_D0)] * 97
+        + [(ss.BASIS_X, ds.OUTCOME_D1)]
+        + [(ss.BASIS_X, ds.OUTCOME_DOUBLE)] * 2
     )
     t = ds.tally(build_stream(records))
     assert t.n_x == 100
@@ -510,8 +511,8 @@ def test_tally_hand_count():
 
 
 def test_tally_all_none_aborts():
-    records = [(ds.BASIS_X, ds.OUTCOME_NONE)] * 10 + [
-        (ds.BASIS_Z, ds.OUTCOME_NONE)
+    records = [(ss.BASIS_X, ds.OUTCOME_NONE)] * 10 + [
+        (ss.BASIS_Z, ds.OUTCOME_NONE)
     ] * 10
     with pytest.raises(EstimationAbort):
         ds.tally(build_stream(records))
@@ -521,7 +522,7 @@ def reference_tally(stream):
     """Independent single-pass counter over the (basis, outcome) pairs."""
     N_X = N_Z = n_x = n_z = wrong = dbl_x = dbl_z = 0
     for basis, outcome in zip(ec.basis(stream), ec.outcome(stream)):
-        if basis == ds.BASIS_X:
+        if basis == ss.BASIS_X:
             N_X += 1
             if outcome != ds.OUTCOME_NONE:
                 n_x += 1
@@ -560,12 +561,12 @@ def test_tally_matches_reference_counter():
 
 def test_raw_bits_mapping():
     records = [
-        (ds.BASIS_Z, ds.OUTCOME_D0),
-        (ds.BASIS_Z, ds.OUTCOME_D1),
-        (ds.BASIS_X, ds.OUTCOME_D1),
-        (ds.BASIS_Z, ds.OUTCOME_DOUBLE),
-        (ds.BASIS_Z, ds.OUTCOME_NONE),
-        (ds.BASIS_Z, ds.OUTCOME_D1),
+        (ss.BASIS_Z, ds.OUTCOME_D0),
+        (ss.BASIS_Z, ds.OUTCOME_D1),
+        (ss.BASIS_X, ds.OUTCOME_D1),
+        (ss.BASIS_Z, ds.OUTCOME_DOUBLE),
+        (ss.BASIS_Z, ds.OUTCOME_NONE),
+        (ss.BASIS_Z, ds.OUTCOME_D1),
     ]
     bits = ds.raw_bits_from_events(build_stream(records))
     assert len(bits) == 3
@@ -580,7 +581,7 @@ def test_raw_bits_match_mask_reference():
     for n, prob_x in shapes:
         basis = (rng.random(n) < prob_x).astype(np.uint8)
         outcome = rng.integers(0, 4, n).astype(np.uint8)
-        is_z = basis == ds.BASIS_Z
+        is_z = basis == ss.BASIS_Z
         single = (outcome == ds.OUTCOME_D0) | (outcome == ds.OUTCOME_D1)
         keep = is_z & single
         want = (outcome[keep] == ds.OUTCOME_D1).astype(np.uint8)
@@ -629,10 +630,10 @@ def test_raw_bits_peak_allocation_is_under_a_quarter_byte_per_event():
 
 def test_detector_params_validation():
     with pytest.raises(ValueError):
-        ds.DetectorParams(eta0=1.5)
+        ss.DetectorParams(eta0=1.5)
     with pytest.raises(ValueError):
-        ds.DetectorParams(dark_rate=-1.0)
+        ss.DetectorParams(dark_rate=-1.0)
     with pytest.raises(ValueError):
-        ds.DetectorParams(gate_width=0.0)
+        ss.DetectorParams(gate_width=0.0)
     with pytest.raises(ValueError):
-        ds.MeasurementConfig(prob_X=1.5)
+        ss.MeasurementConfig(prob_X=1.5)

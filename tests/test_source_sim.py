@@ -32,6 +32,11 @@ def jones_oracle(hwp_deg, qwp_deg):
     return vec / np.linalg.norm(vec)
 
 
+def jones_vector(state):
+    """The Jones vector of a state as a numpy array."""
+    return np.array([state.amplitude_H, state.amplitude_V])
+
+
 def same_up_to_phase(u, v, tol=1e-12):
     return abs(abs(np.vdot(u, v)) - 1.0) < tol
 
@@ -39,12 +44,12 @@ def same_up_to_phase(u, v, tol=1e-12):
 def test_plus_state_preparation():
     st = ss.polarization_from_waveplates(22.5, 0.0)
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    assert same_up_to_phase(st.as_array(), plus)
+    assert same_up_to_phase(jones_vector(st), plus)
 
 
 def test_identity_chain_keeps_horizontal():
     st = ss.polarization_from_waveplates(0.0, 0.0)
-    assert same_up_to_phase(st.as_array(), np.array([1.0, 0.0]))
+    assert same_up_to_phase(jones_vector(st), np.array([1.0, 0.0]))
 
 
 def test_waveplates_match_matrix_oracle():
@@ -52,7 +57,7 @@ def test_waveplates_match_matrix_oracle():
     for _ in range(200):
         h = float(rng.uniform(-180, 180))
         q = float(rng.uniform(-180, 180))
-        got = ss.polarization_from_waveplates(h, q).as_array()
+        got = jones_vector(ss.polarization_from_waveplates(h, q))
         assert abs(np.vdot(got, got).real - 1.0) < 1e-12
         want = jones_oracle(h, q)
         assert np.max(np.abs(got - want)) < 1e-12 or same_up_to_phase(got, want)
@@ -62,13 +67,13 @@ def test_error_rate_follows_hwp_offset():
     # wrong-outcome probability against the check projector is sin^2(2 delta)
     minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
     for delta in np.linspace(-60, 60, 41):
-        st = ss.polarization_from_waveplates(22.5 + delta, 0.0).as_array()
+        st = jones_vector(ss.polarization_from_waveplates(22.5 + delta, 0.0))
         wrong = abs(np.vdot(minus, st)) ** 2
         assert wrong == pytest.approx(
             math.sin(math.radians(2 * delta)) ** 2, abs=1e-9
         )
         # 90-degree periodicity in the plate angle
-        st2 = ss.polarization_from_waveplates(22.5 + delta + 90.0, 0.0).as_array()
+        st2 = jones_vector(ss.polarization_from_waveplates(22.5 + delta + 90.0, 0.0))
         assert abs(np.vdot(minus, st2)) ** 2 == pytest.approx(wrong, abs=1e-9)
 
 
@@ -87,8 +92,8 @@ A = 0.5 * 0.1
 
 def z_clicks(src, n, seed, det=None):
     """Per-pulse click indicators (c0, c1) of a generation-basis run."""
-    det = det or ds.DetectorParams()
-    cfg = ds.MeasurementConfig(prob_X=0.0)
+    det = det or ss.DetectorParams()
+    cfg = ss.MeasurementConfig(prob_X=0.0)
     out = ec.outcome(ds.run_simulation(src, det, cfg, n, seed))
     return (out & 1).astype(bool), (out >> 1).astype(bool)
 
@@ -113,7 +118,7 @@ def assert_rate(clicks, p, sigmas=3.0):
 
 
 def test_zero_lambda_never_emits():
-    det = ds.DetectorParams(dark_rate=0.0)
+    det = ss.DetectorParams(dark_rate=0.0)
     for src in (
         ss.SourceParams(mean_photons_lambda=0.0),
         ss.SourceParams.sunlight(mean_photons_lambda=0.0),
@@ -126,7 +131,7 @@ def test_poisson_moments_and_fit():
     # laser: independent Poisson arms, so each arm matches the closed
     # form and the four outcomes fit the product distribution
     lam = 14.4
-    d = ds.DetectorParams().dark_click_prob
+    d = ss.DetectorParams().dark_click_prob
     c0, c1 = z_clicks(ss.SourceParams(mean_photons_lambda=lam), 1_000_000, seed=3)
     q = laser_click(lam, d)
     assert_rate(c0, q)
@@ -142,7 +147,7 @@ def test_sunlight_is_super_poissonian():
     # jitter raises the no-click probability (Jensen): fewer clicks than a
     # laser of the same mean, by the Gaussian moment generating function
     lam = 11.6
-    d = ds.DetectorParams().dark_click_prob
+    d = ss.DetectorParams().dark_click_prob
     for rel in (ss.SUNLIGHT_FLUCTUATION, 0.3):
         src = ss.SourceParams.sunlight(
             mean_photons_lambda=lam, intensity_fluctuation_rel_std=rel
@@ -160,7 +165,7 @@ def test_sunlight_jitter_correlates_arms():
     # makes P(double) - P(c0) P(c1) = (1-d)^2 Var(e^(-a lam_eff)),
     # 9.9e-3 (1-d)^2 at rel = 0.3
     lam, rel, n = 11.6, 0.3, 1_000_000
-    d = ds.DetectorParams().dark_click_prob
+    d = ss.DetectorParams().dark_click_prob
     mu, var = A * lam, (A * rel * lam) ** 2
     expected = (1 - d) ** 2 * math.exp(-2 * mu + var) * math.expm1(var)
     for src, want in (
@@ -175,7 +180,7 @@ def test_sunlight_jitter_correlates_arms():
 
 
 def test_stream_is_pure_function_of_seed_and_params():
-    det, cfg = ds.DetectorParams(), ds.MeasurementConfig(prob_X=0.5)
+    det, cfg = ss.DetectorParams(), ss.MeasurementConfig(prob_X=0.5)
     p = ss.SourceParams.sunlight()
 
     def events(src, seed):
@@ -191,7 +196,7 @@ def test_stream_is_pure_function_of_seed_and_params():
 
 def test_indexed_access_matches_bulk():
     src = ss.SourceParams.sunlight()
-    det, cfg = ds.DetectorParams(), ds.MeasurementConfig()
+    det, cfg = ss.DetectorParams(), ss.MeasurementConfig()
     bulk = ds.run_simulation(src, det, cfg, 200_000, seed=9)
     for idx in (0, 1, 65_535, 65_536, 123_456):
         one = ds.simulate_range(src, det, cfg, 9, idx, 1)
