@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import collections
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import rngstream
+from . import CPUS, rngstream
 from .errors import EstimationAbort, RunTooLargeError
 from .io_formats import PackedBits
 from .protocol_math import TallySummary
@@ -40,13 +39,6 @@ OUTCOME_NONE = 0
 OUTCOME_D0 = 1
 OUTCOME_D1 = 2
 OUTCOME_DOUBLE = 3
-
-#: CPUs this process may use.
-CPUS = (
-    len(os.sched_getaffinity(0))
-    if hasattr(os, "sched_getaffinity")
-    else os.cpu_count() or 1
-)
 
 #: Threads drawing panels in simulate_range. Each panel's generators are
 #: keyed by (seed, domain, panel), and numpy's fills and ufuncs release

@@ -11,16 +11,23 @@ assumes — that every used coefficient rounds to an exact integer. The
 seed, the raw bits and the certified bits are all io_formats.PackedBits:
 the hash reads its inputs packed and returns its output packed, with the
 bits past m zero, as write_bits stores it.
-The battery's spectral test (stat_suite) forms its DFT from the same
-residue-class bands (_band), one class at a time.
+Where the grid has more than one residue class and two CPUs are usable,
+the hash shares its work with one worker thread for the length of the
+call (_convolve). The battery's spectral test (stat_suite) forms its DFT
+from the same residue-class bands (_band), one class at a time, on the
+calling thread.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import CPUS
 from .errors import ConvolutionPrecisionError, EstimationAbort
 from .io_formats import PackedBits
 from .protocol_math import RateBreakdown
@@ -159,16 +166,17 @@ def _lookup(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
-def _band_twiddles(shape, residue: int) -> tuple:
-    """Tables of the four-step twiddles exp(-2 pi i k1 j2 / N) of the band
-    rows k1 = k + R*i (_twiddle_rows), i < L (N1/2 + 1 for R = 1, where
-    class 0's real band is all). With i = g*C + l, each factors into
-    exp(-2 pi i k j2 / N), formed per band, high[g, j2] with the exponent
-    R*C*g*j2 and low[l, j2] with R*l*j2. Every exponent is an exact
-    integer reduced mod N, so each factor is accurate to a few eps. C is
-    isqrt(L), which keeps the tables small, or all L rows where they take
-    at most BLOCK_BYTES, so that a small band is twiddled in one step;
-    the rows, N2 long, broadcast whole."""
+def _band_twiddles(shape, residue: int) -> tuple[np.ndarray, np.ndarray]:
+    """Class 0's tables (high, low) of the four-step twiddles
+    exp(-2 pi i k1 j2 / N) of the band rows k1 = R*i (_twiddle_rows),
+    i < L (N1/2 + 1 for R = 1, where class 0's real band is all). With
+    i = g*C + l, each factors into high[g, j2] with the exponent
+    R*C*g*j2 and low[l, j2] with R*l*j2; class r's high rows take the
+    factor exp(-2 pi i r j2 / N) on top (_class_tables). Every exponent
+    is an exact integer reduced mod N, so each factor is accurate to a
+    few eps. C is isqrt(L), which keeps the tables small, or all L rows
+    where they take at most BLOCK_BYTES, so that a small band is
+    twiddled in one step; the rows, N2 long, broadcast whole."""
     n1, n2 = shape
     size = n1 * n2
     length = n1 // residue if residue > 1 else n1 // 2 + 1  # class 0 alone
@@ -180,60 +188,110 @@ def _band_twiddles(shape, residue: int) -> tuple:
     coarse = np.exp(w * (e * np.arange(0, n2, block) % size))
     fine = np.exp(w * (e * np.arange(block) % size))
     table = (coarse[:, :, None] * fine[:, None, :]).reshape(len(e), n2)
-    return table[:groups], table[groups:], -1
+    return table[:groups], table[groups:]
 
 
-def _twiddle_rows(rows: np.ndarray, shape, tables, k: int) -> None:
-    """Multiply row i of a band, bin k1 = k + R*i of every column, by its
-    twiddle from ``tables`` (_band_twiddles, or their conjugates with
-    the sign +1), in place. high[0] is all ones, a factor skipped for
-    class 0."""
-    high, low, sign = tables
+class _Tables(NamedTuple):
+    """Residue class r's tables, formed once a class and read by both
+    inputs' bands: the twiddle rows (_twiddle_rows) and the 2^R phasor
+    sums of the lookup (_phasors; None for an inverse)."""
+
+    r: int
+    high: np.ndarray
+    low: np.ndarray
+    phasors: np.ndarray | None = None
+
+
+def _class_tables(shape, twiddles, residue: int, r: int) -> _Tables:
+    """Class r's forward tables from class 0's twiddles (_band_twiddles):
+    the high rows times exp(-2 pi i r j2 / N) (class 0's as they are)
+    and the phasor sums, real for class 0."""
+    high, low = twiddles
+    if r == 0:
+        return _Tables(0, high, low, _phasors(residue, 0).real)
     size = shape[0] * shape[1]
-    if k:
-        turns = k * np.arange(shape[1]) % size
-        high = high * np.exp(sign * 2j * math.pi / size * turns)
-    step = len(low)
-    for g, lo in enumerate(range(0, len(rows), step)):
-        part = rows[lo : lo + step]
-        if g or k:
+    turns = r * np.arange(shape[1]) % size
+    return _Tables(r, high * np.exp(-2j * math.pi / size * turns), low, _phasors(residue, r))
+
+
+def _twiddle_rows(rows: np.ndarray, tables: _Tables, start: int = 0) -> None:
+    """Multiply rows start, start + 1, ... of class r's band, bin
+    k1 = r + R*i of every column in row i, by their twiddles from
+    ``tables``, in place: row i = g*C + l by high[g] and low[l].
+    Class 0's high[0] is all ones, a factor skipped."""
+    r, high, low, _ = tables
+    g, skip = divmod(start, len(low))
+    lo = 0
+    while lo < len(rows):
+        part = rows[lo : lo + len(low) - skip]
+        if g or r:
             part *= high[g]
-        part *= low[: len(part)]
+        part *= low[skip : skip + len(part)]
+        lo, g, skip = lo + len(part), g + 1, 0
 
 
-def _band(index: np.ndarray, shape, tables, residue: int, r: int, out=None, rfft=None):
-    """The four-step bins of residue class r, the column bins
+def _both(pool, first, second) -> None:
+    """first() on the pool's one worker and second() on this thread, side
+    by side, or both here in turn without a pool. If second() raises,
+    the pool's shutdown waits for first()."""
+    if pool is None:
+        first()
+        second()
+    else:
+        future = pool.submit(first)
+        second()
+        future.result()
+
+
+def _halves(pool, task, count: int) -> None:
+    """task(lo, hi) over [0, count): [0, count // 2) on the pool's worker
+    and the rest on this thread, side by side (_both), or all of it here
+    in one call without a pool."""
+    if pool is None:
+        task(0, count)
+    else:
+        half = count // 2
+        _both(pool, lambda: task(0, half), lambda: task(half, count))
+
+
+def _band(index: np.ndarray, shape, tables: _Tables, residue: int, out=None, rfft=None, pool=None):
+    """The four-step bins of residue class r = tables.r, the column bins
     k1 = r + R*k' transformed along the rows, of the bits whose pattern
-    index (_patterns) is ``index``; ``out``, an (L, N2) complex array,
-    takes the band of a class r > 0, and ``rfft`` (by default
-    numpy.fft.rfft as it is at the call) is class 0's real column
-    transform.
+    index (_patterns) is ``index``; ``tables`` are the class's
+    (_class_tables), ``out``, an (L, N2) complex array, takes the band
+    of a class r > 0, ``rfft`` (by default numpy.fft.rfft as it is at
+    the call) is class 0's real column transform, and ``pool`` splits
+    the twiddles and row transforms (_halves).
 
     With R = ``residue`` (a divisor of N1 up to 16), L = N1/R and the
     grid rows j1 = a + b*L, the column bins k1 = r + R*k' of class r are
     the length-L DFT over a of
     y_r[a] = exp(-2 pi i a r / N1) * sum_b x[a + b*L] * exp(-2 pi i b r / R)
     (Sorensen and Burrus, IEEE Trans. Signal Process. 41, 1184 (1993)).
-    The inner sum is one lookup of the pattern index into a table of 2^R
-    phasor sums. Row k' of the band is bin row k1 of the four-step
-    spectrum, twiddled (``tables``, _band_twiddles) and transformed
-    along the row. The columns are real, so column bin N1 - k1 is the
-    conjugate of bin k1: class 0 takes a real FFT and keeps its
-    L//2 + 1 rows k1 <= N1/2, and for 2r = R only the first U rows, the
-    bins k1 <= N1/2, are twiddled and transformed; _unband recovers the
-    others."""
-    n1 = shape[0]
+    The inner sum is one lookup of the pattern index into the table of
+    2^R phasor sums. Row k' of the band is bin row k1 of the four-step
+    spectrum, twiddled and transformed along the row. The columns are
+    real, so column bin N1 - k1 is the conjugate of bin k1: class 0
+    takes a real FFT and keeps its L//2 + 1 rows k1 <= N1/2, and for
+    2r = R only the first U rows, the bins k1 <= N1/2, are twiddled and
+    transformed; _unband recovers the others."""
+    n1, r = shape[0], tables.r
     if r == 0:
-        real = _lookup(_phasors(residue, 0).real, index, np.empty(index.shape))
+        real = _lookup(tables.phasors, index, np.empty(index.shape))
         band = (rfft or np.fft.rfft)(real, axis=0)
         del real
     else:
-        band = _lookup(_phasors(residue, r), index, out)
+        band = _lookup(tables.phasors, index, out)
         band *= np.exp(-2j * math.pi / n1 * r * np.arange(len(band)))[:, None]
         np.fft.fft(band, axis=0, out=band)
     used = band[: _rows_used(shape, residue, r)]
-    _twiddle_rows(used, shape, tables, r)
-    np.fft.fft(used, axis=1, out=used)
+
+    def rows(lo, hi):
+        part = used[lo:hi]
+        _twiddle_rows(part, tables, lo)
+        np.fft.fft(part, axis=1, out=part)
+
+    _halves(pool, rows, len(used))
     return band
 
 
@@ -244,23 +302,37 @@ def _rows_used(shape, residue: int, r: int) -> int:
     return -(-length // 2) if 2 * r == residue else length
 
 
-def _unband(band: np.ndarray, shape, tables, residue: int, r: int) -> np.ndarray:
-    """z_r[a, j2], the length-L inverse column DFT over k' of class r's
-    column bins, from the band of a product in _band's layout: the row
-    inverse, the conjugate twiddles (``tables``) and the column inverse.
-    For 2r = R the column bins past row U are the conjugates of the
-    first ones, reversed: bin N1 - k1 of class R/2 sits in row L-1-k'.
-    Class 0's z is real (irfft); the others' is computed in place. The
-    two inverses scale by 1/N2 and 1/L."""
-    length = shape[0] // residue
+def _unband(band: np.ndarray, other: np.ndarray, shape, tables: _Tables, residue: int, pool=None):
+    """z_r[a, j2], the length-L inverse column DFT over k' of class
+    r = tables.r's column bins, from two bands in _band's layout, into
+    ``band``: their product, the row inverse and the conjugate twiddles
+    (``tables``) on halves of the rows, then the column inverse on
+    halves of the columns (_halves). For 2r = R the column bins past row
+    U are the conjugates of the first ones, reversed: bin N1 - k1 of
+    class R/2 sits in row L-1-k'. Class 0's z is real (irfft); the
+    others' is computed in place. The two inverses scale by 1/N2 and
+    1/L."""
+    length, r = shape[0] // residue, tables.r
     used = band[: _rows_used(shape, residue, r)]
-    np.fft.ifft(used, axis=1, out=used)
-    _twiddle_rows(used, shape, tables, r)
+
+    def rows(lo, hi):
+        part = used[lo:hi]
+        part *= other[lo:hi]
+        np.fft.ifft(part, axis=1, out=part)
+        _twiddle_rows(part, tables, lo)
+
+    _halves(pool, rows, len(used))
     if r == 0:
         return np.fft.irfft(band, length, axis=0)
-    if len(used) < length:
-        np.conjugate(band[: length - len(used)][::-1], out=band[len(used) :])
-    return np.fft.ifft(band, axis=0, out=band)
+
+    def columns(lo, hi):
+        part = band[:, lo:hi]
+        if len(used) < length:
+            np.conjugate(part[: length - len(used)][::-1], out=part[len(used) :])
+        np.fft.ifft(part, axis=0, out=part)
+
+    _halves(pool, columns, shape[1])
+    return band
 
 
 def _convolve(seed, x, shape, residue: int, rows: tuple[int, int]) -> np.ndarray:
@@ -282,42 +354,71 @@ def _convolve(seed, x, shape, residue: int, rows: tuple[int, int]) -> np.ndarray
     the convolution holds the accumulator, 8 bytes per point, two
     (L, N2) complex bands, each 2/R of a half-spectrum, and the two
     (L, N2) uint16 pattern indices; no spectrum is ever whole. For
-    R = 1 the accumulator is class 0's z itself."""
+    R = 1 the accumulator is class 0's z itself.
+
+    For R > 1, with at least two CPUs, one worker thread started for
+    this call shares the work: for each class r >= 1 it forms the
+    seed's band while this thread forms the input's (_both), and the
+    in-place passes (class 0's twiddles and row transforms, the product
+    and the inverses, the accumulation) run in halves, one on each
+    thread (_halves). The worker writes only into arrays allocated
+    here, and each class's tables are formed once for both threads;
+    its accumulation block is the input's band, spent once the product
+    is formed."""
     n1, n2 = shape
     length = n1 // residue
     first, last = rows
     forward = _band_twiddles(shape, residue)
-    inverse = forward[0].conj(), forward[1].conj(), 1
+    inverse = _Tables(0, forward[0].conj(), forward[1].conj())
     indices = _patterns(seed, shape, residue), _patterns(x, shape, residue)
-    band = _band(indices[0], shape, forward, residue, 0)
-    band *= _band(indices[1], shape, forward, residue, 0)
-    z = _unband(band, shape, inverse, residue, 0)
-    del band
-    if residue == 1:
-        return z[first:last]
-    # the grid rows [lo, hi) of a block read the z rows from lo mod L on
-    step, blocks, lo = max(1, BLOCK_BYTES // (16 * n2)), [], first
-    while lo < last:
-        hi = min(last, lo + step, lo - lo % length + length)
-        blocks.append((slice(lo - first, hi - first), slice(lo % length, lo % length + hi - lo)))
-        lo = hi
-    acc = np.empty((last - first, n2))
-    for span, at in blocks:
-        np.multiply(z[at], 1 / residue, out=acc[span])
-    del z
-    bands = np.empty((2, length, n2), dtype=complex)
-    part = np.empty((step, n2), dtype=complex)
-    for r in range(1, residue // 2 + 1):
-        z = _band(indices[0], shape, forward, residue, r, bands[0])
-        used = _rows_used(shape, residue, r)
-        z[:used] *= _band(indices[1], shape, forward, residue, r, bands[1])[:used]
-        _unband(z, shape, inverse, residue, r)
-        weight = (1 if 2 * r == residue else 2) / residue
-        phasor = weight * np.exp(2j * math.pi / n1 * (r * np.arange(first, last) % n1))
-        for span, at in blocks:
-            turned = np.multiply(z[at], phasor[span, None], out=part[: at.stop - at.start])
-            acc[span] += turned.real
-    return acc
+    threads = ThreadPoolExecutor(max_workers=1) if residue > 1 and CPUS > 1 else None
+    with threads or contextlib.nullcontext() as pool:
+        tables = _class_tables(shape, forward, residue, 0)
+        band = _band(indices[0], shape, tables, residue, pool=pool)
+        other = _band(indices[1], shape, tables, residue, pool=pool)
+        del tables
+        z = _unband(band, other, shape, inverse, residue, pool)
+        del band, other
+        if residue == 1:
+            return z[first:last]
+        # the grid rows [lo, hi) of a block read the z rows from lo mod L on
+        step, blocks, lo = max(1, BLOCK_BYTES // (16 * n2)), [], first
+        while lo < last:
+            hi = min(last, lo + step, lo - lo % length + length)
+            blocks.append((slice(lo - first, hi - first), slice(lo % length, lo % length + hi - lo)))
+            lo = hi
+        acc = np.empty((last - first, n2))
+
+        def start(lo, hi):
+            for span, at in blocks[lo:hi]:
+                np.multiply(z[at], 1 / residue, out=acc[span])
+
+        _halves(pool, start, len(blocks))
+        del z
+        bands = np.empty((2, length, n2), dtype=complex)
+        part = np.empty((step, n2), dtype=complex)
+        half = len(blocks) // 2
+        for r in range(1, residue // 2 + 1):
+            tables = _class_tables(shape, forward, residue, r)
+            _both(
+                pool,
+                lambda: _band(indices[0], shape, tables, residue, bands[0]),
+                lambda: _band(indices[1], shape, tables, residue, bands[1]),
+            )
+            tables = _Tables(r, np.conjugate(tables.high, out=tables.high), inverse.low)
+            z = _unband(*bands, shape, tables, residue, pool)
+            del tables  # its high rows, before the next class forms its own
+            weight = (1 if 2 * r == residue else 2) / residue
+            phasor = weight * np.exp(2j * math.pi / n1 * (r * np.arange(first, last) % n1))
+
+            def add(share, part):
+                for span, at in share:
+                    turned = np.multiply(z[at], phasor[span, None], out=part[: at.stop - at.start])
+                    acc[span] += turned.real
+
+            # step <= L rows: a band holds at least BLOCK_BYTES
+            _both(pool, lambda: add(blocks[:half], bands[1]), lambda: add(blocks[half:], part))
+        return acc
 
 
 def _hash(seed: PackedBits, x: PackedBits, m: int) -> PackedBits:
@@ -335,10 +436,13 @@ def _hash(seed: PackedBits, x: PackedBits, m: int) -> PackedBits:
     slice: the hash holds 8 bytes per used coefficient, two bands of
     about 2/R of a half-spectrum each and the two pattern indices. The
     rounding and the parity then run BLOCK_BYTES of the accumulator at a
-    time, straight into packed bytes. Every transform runs on the
-    calling thread alone: split over threads, a batch waits for its
-    slowest share, so where the CPUs are shared with other work the
-    hash's time would depend on that work.
+    time, straight into packed bytes. Where R > 1 and two CPUs are
+    usable, the bands and the in-place passes are shared with one
+    worker thread started for the call and joined before it returns
+    (_convolve); its two threads hold what one held but for the worker's
+    table lookups, and the bits do not depend on the split, since every
+    row and column transform, twiddle and accumulated term is computed
+    the same way on either thread.
 
     Every used coefficient is verified to sit within ROUNDING_TOLERANCE
     of an integer. An input too large for the a-priori capacity check

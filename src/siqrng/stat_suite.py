@@ -15,9 +15,9 @@ bytes, longest run counts on the packed blocks (10^4, 128 and 8 bits are
 whole bytes), cumulative sums unpacks WALK_CHUNK bits at a time, the
 spectral DFT is formed from the packed n' bits one residue-class band of
 the hash's four-step transform at a time (extractor._band), and serial
-and approximate entropy unpack their input once. Tests that
-define several p-values report their primary one so each test
-contributes exactly one row. This battery is a sanity harness; the
+and approximate entropy count m-grams in 16-bit windows of consecutive
+bytes (_pattern_counts). Tests that define several p-values report
+their primary one so each test contributes exactly one row. This battery is a sanity harness; the
 security statement is the certified length, not these p-values.
 """
 from __future__ import annotations
@@ -31,7 +31,8 @@ from scipy.special import erfc, gammaincc, ndtr
 
 from .errors import InsufficientBitsError
 from .extractor import (
-    _band, _band_twiddles, _four_step_shape, _patterns, _residue, _rows_used,
+    _band, _band_twiddles, _class_tables, _four_step_shape, _patterns, _residue,
+    _rows_used,
 )
 from .io_formats import PackedBits
 
@@ -42,9 +43,10 @@ BATTERY_MIN_BITS = 1_000_000
 #: int32 partial sum a bit, where the whole walk took 5 bytes a bit.
 WALK_CHUNK = 1 << 16
 
-#: m-gram indices per bincount call in serial and approximate_entropy:
-#: bincount casts its input to intp, 8 bytes an index, which for the
-#: whole index at 9e6 bits was the battery's largest allocation (72 MB).
+#: 16-bit byte-pair windows per bincount call in serial and
+#: approximate_entropy (_pattern_counts): bincount casts its input to
+#: intp, 8 bytes a window, which for a whole m-gram index at 9e6 bits
+#: was the battery's largest allocation (72 MB).
 PATTERN_CHUNK = 1 << 16
 
 
@@ -220,22 +222,39 @@ def cumulative_sums(bits: PackedBits) -> float:
     return float(min(max(p, 0.0), 1.0))
 
 
-def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
-    """Cyclic overlapping m-gram counts, length 2^m, for m < len(b). The
-    index holds one byte per bit for m <= 8, and bincount, which casts
-    it to intp, takes PATTERN_CHUNK of it at a time."""
-    n = len(b)
-    if m == 0:
-        return np.array([n], dtype=np.int64)
-    # the m-gram starting at i reads b[i], ..., b[i+m-1], wrapping past the end
-    idx = b.astype(np.min_scalar_type((1 << m) - 1))
-    for k in range(1, m):
-        idx <<= 1
-        idx[: n - k] |= b[k:]
-        idx[n - k :] |= b[:k]
+def _pattern_counts(bits: PackedBits, m: int) -> np.ndarray:
+    """Cyclic overlapping m-gram counts, length 2^m, for m <= min(n, 9),
+    from the packed bytes. The grams that start in byte j and end by bit
+    n - 1 all lie in the 16-bit window of bytes j and j + 1: bincount,
+    PATTERN_CHUNK windows at a time, gives how many times each of the
+    2^16 windows occurs, and the grams at bit offset k of the windows
+    with pattern p are the window counts summed over the k bits before
+    the gram and the 16 - m - k after it. The last partial byte's grams
+    and the m - 1 that wrap past the end come from a few unpacked bits."""
+    n, data = len(bits), bits.data
     counts = np.zeros(1 << m, dtype=np.int64)
-    for lo in range(0, n, PATTERN_CHUNK):
-        counts += np.bincount(idx[lo : lo + PATTERN_CHUNK], minlength=1 << m)
+    if m == 0:
+        counts[0] = n
+        return counts
+    full = min((n - m + 1) // 8, len(data) - 1)  # bytes whose 8 grams fit
+    windows = np.zeros(1 << 16, dtype=np.int64)
+    for lo in range(0, full, PATTERN_CHUNK):
+        hi = min(full, lo + PATTERN_CHUNK)
+        pairs = np.left_shift(data[lo:hi], 8, dtype=np.uint16)
+        pairs |= data[lo + 1 : hi + 1]
+        windows += np.bincount(pairs, minlength=1 << 16)
+    for k in range(8):
+        counts += windows.reshape(1 << k, 1 << m, -1).sum(axis=(0, 2))
+    # the grams from bit 8*full on, read across the end into bits 0..m-2
+    rest = n - 8 * full
+    tail = np.concatenate(
+        [np.unpackbits(data[full:], count=rest), np.unpackbits(data[:2], count=m - 1)]
+    )
+    index = np.zeros(rest, dtype=np.int64)
+    for j in range(m):
+        index <<= 1
+        index |= tail[j : j + rest]
+    counts += np.bincount(index, minlength=1 << m)
     return counts
 
 
@@ -254,9 +273,8 @@ def _marginal(counts: np.ndarray) -> np.ndarray:
 def serial(bits: PackedBits, m: int = 2) -> float:
     """Uniformity of overlapping m-grams (first p-value of the pair)."""
     _require(bits, 1 << (m + 2), "serial")
-    b = np.unpackbits(bits.data, count=len(bits))
-    n = len(b)
-    counts = _pattern_counts(b, m)
+    n = len(bits)
+    counts = _pattern_counts(bits, m)
     delta1 = _psi_sq(counts, n) - _psi_sq(_marginal(counts), n)
     return float(gammaincc(2 ** (m - 2), delta1 / 2.0))
 
@@ -264,14 +282,13 @@ def serial(bits: PackedBits, m: int = 2) -> float:
 def approximate_entropy(bits: PackedBits, m: int = 2) -> float:
     """Match of the m-gram entropy rate against ln 2."""
     _require(bits, 1 << (m + 3), "approximate_entropy")
-    b = np.unpackbits(bits.data, count=len(bits))
-    n = len(b)
+    n = len(bits)
 
     def phi(counts: np.ndarray) -> float:
         frac = counts[counts > 0].astype(np.float64) / n
         return float(np.sum(frac * np.log(frac)))
 
-    counts = _pattern_counts(b, m + 1)
+    counts = _pattern_counts(bits, m + 1)
     apen = phi(_marginal(counts)) - phi(counts)
     chi2 = 2.0 * n * (math.log(2.0) - apen)
     return float(gammaincc(2 ** (m - 1), chi2 / 2.0))
@@ -307,14 +324,15 @@ def _below_threshold(bits: PackedBits, threshold: float) -> int:
                 below += int(np.count_nonzero(small[(n - half - k1) // n1 + 1 :]))
         return below
 
-    band = _band(index, shape, tables, residue, 0, rfft=scipy.fft.rfft)
+    band = _band(index, shape, _class_tables(shape, tables, residue, 0), residue, rfft=scipy.fft.rfft)
     band[0, 0] -= n / 2
     below = count(band, 0)
     del band  # before the other classes' band is allocated
     if residue > 1:
         out = np.empty(index.shape, dtype=complex)
         for r in range(1, residue // 2 + 1):
-            below += count(_band(index, shape, tables, residue, r, out), r)
+            band = _band(index, shape, _class_tables(shape, tables, residue, r), residue, out)
+            below += count(band, r)
     return below
 
 

@@ -227,7 +227,7 @@ def assert_bands_equal_forward(bits, shape, half):
         tables = ex._band_twiddles(shape, residue)
         for r in range(residue // 2 + 1):
             out = np.empty((length, n2), dtype=complex)
-            band = ex._band(index, shape, tables, residue, r, out)
+            band = ex._band(index, shape, ex._class_tables(shape, tables, residue, r), residue, out)
             used = len(band) if r == 0 else ex._rows_used(shape, residue, r)
             k = (r + residue * np.arange(used))[:, None] + n1 * np.arange(n2)
             want = half[np.minimum(k, size - k)]
@@ -330,47 +330,73 @@ def test_packed_gather_equals_rfft(n2, monkeypatch):
         assert_bands_equal_forward(pack(bits), (n1, n2), half)
 
 
-def test_transforms_run_on_the_calling_thread(monkeypatch):
-    rng = np.random.default_rng(15)
-    n = m = 1 << 16
-    assert ex._four_step_shape(n + m - 1)[1] > 1
-    spec = ToeplitzSpec(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
-    x = rng.integers(0, 2, n, dtype=np.uint8)
-    want = full_length_fft_hash(spec, x)
+def record_transform_threads(monkeypatch) -> list:
+    """Wrap numpy.fft's four transforms to record, per call, the name
+    and the thread it ran on."""
     calls = []
     for name in ("rfft", "irfft", "fft", "ifft"):
         real = getattr(np.fft, name)
 
-        def on_calling_thread(*args, _name=name, _real=real, **kwargs):
-            calls.append((_name, threading.current_thread() is threading.main_thread()))
+        def on_thread(*args, _name=name, _real=real, **kwargs):
+            calls.append((_name, threading.current_thread()))
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, on_calling_thread)
-    before = threading.active_count()
-    assert np.array_equal(toeplitz_fast(spec, x), want)
-    assert threading.active_count() == before
-    assert {name for name, _ in calls} == {"rfft", "irfft", "fft", "ifft"}
-    assert all(on_main for _, on_main in calls)
+        monkeypatch.setattr(np.fft, name, on_thread)
+    return calls
 
 
-@pytest.mark.parametrize("transform", ["rfft", "irfft"])
-def test_worker_error_leaves_the_hash_and_no_thread(transform, monkeypatch):
-    # an error in a transform down the columns of a four-step grid (the
-    # real transforms run only there) must reach the caller and leave no
-    # thread behind
-    def failing_on_columns(*args, **kwargs):
-        raise RuntimeError("column transform failed")
-
-    monkeypatch.setattr(np.fft, transform, failing_on_columns)
+def test_transforms_run_on_the_calling_thread_and_one_worker(monkeypatch):
+    # with two CPUs the transforms of an R > 1 grid run on the calling
+    # thread and on one worker started for the call, which is gone when
+    # the hash returns; with one CPU all of them run on the calling
+    # thread. The bits are the same either way.
     rng = np.random.default_rng(15)
     n = m = 1 << 16
-    assert ex._four_step_shape(n + m - 1)[1] > 1
+    assert ex._residue(*ex._four_step_shape(n + m - 1)) == 8
+    spec = ToeplitzSpec(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
+    x = rng.integers(0, 2, n, dtype=np.uint8)
+    want = full_length_fft_hash(spec, x)
+    calls = record_transform_threads(monkeypatch)
+    for cpus, workers in ((2, 1), (1, 0)):
+        monkeypatch.setattr(ex, "CPUS", cpus)
+        calls.clear()
+        before = threading.active_count()
+        assert np.array_equal(toeplitz_fast(spec, x), want)
+        assert threading.active_count() == before
+        assert {name for name, _ in calls} == {"rfft", "irfft", "fft", "ifft"}
+        threads = {thread for _, thread in calls}
+        assert threading.main_thread() in threads
+        assert len(threads - {threading.main_thread()}) == workers, cpus
+
+
+@pytest.mark.parametrize("transform", ["rfft", "irfft", "fft", "ifft"])
+def test_worker_error_leaves_the_hash_and_no_thread(transform, monkeypatch):
+    # an error in a transform must reach the caller and leave no thread
+    # behind: class 0's real column transforms, which run on the calling
+    # thread, and the complex ones made to fail only on the worker,
+    # which forms the seed's bands and half of each inverse
+    real, raised = getattr(np.fft, transform), []
+
+    def failing(*args, **kwargs):
+        thread = threading.current_thread()
+        if transform in ("rfft", "irfft") or thread is not threading.main_thread():
+            raised.append(thread)
+            raise RuntimeError(f"{transform} failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, transform, failing)
+    monkeypatch.setattr(ex, "CPUS", 2)
+    rng = np.random.default_rng(15)
+    n = m = 1 << 16
+    assert ex._residue(*ex._four_step_shape(n + m - 1)) > 1
     spec = ToeplitzSpec(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
     x = rng.integers(0, 2, n, dtype=np.uint8)
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="column transform failed"):
+    with pytest.raises(RuntimeError, match=f"{transform} failed"):
         toeplitz_fast(spec, x)
     assert threading.active_count() == before
+    on_worker = transform in ("fft", "ifft")
+    assert raised and (raised[0] is not threading.main_thread()) == on_worker
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])

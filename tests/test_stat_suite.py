@@ -117,6 +117,42 @@ def test_battery_error_propagates_and_leaves_no_thread(monkeypatch, failing_test
     assert threading.active_count() == before
 
 
+def test_only_the_hash_runs_off_the_calling_thread(monkeypatch):
+    # perfbench's tracer keeps one span stack for all threads, so what it
+    # wraps (scipy.fft.rfft and every battery test) must run on the
+    # calling thread; the hash's worker, started here on an R > 1 grid,
+    # runs numpy's transforms only
+    from siqrng.protocol_math import RateBreakdown
+
+    threads = {"hash": set(), "traced": set()}
+
+    def on_thread(fn, kind):
+        def wrapped(*args, **kwargs):
+            threads[kind].add(threading.current_thread())
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(ex, "CPUS", 2)
+    monkeypatch.setattr(np.fft, "fft", on_thread(np.fft.fft, "hash"))
+    monkeypatch.setattr(scipy.fft, "rfft", on_thread(scipy.fft.rfft, "traced"))
+    monkeypatch.setattr(
+        st, "BATTERY", tuple((name, on_thread(fn, "traced")) for name, fn in st.BATTERY)
+    )
+    rng = np.random.default_rng(19)
+    n, m = 1_100_000, 1_000_000
+    assert ex._residue(*ex._four_step_shape(n + m - 1)) > 1
+    rate = RateBreakdown(
+        R0=m, R1=m, R_final=m, rescale_factor=1.0, entropy_cost=0.0, coefficient=1.0
+    )
+    x = pack(rng.integers(0, 2, n, dtype=np.uint8))
+    out = ex.extract(x, rate, rng.bytes((n + m) // 8 + 1)).bits
+    reports = st.run_battery(out, alpha=0.01)
+    assert len(reports) == len(st.BATTERY)
+    assert len(threads["hash"] - {threading.main_thread()}) == 1
+    assert threads["traced"] == {threading.main_thread()}
+
+
 def reference_cumulative_sums(b):
     """The float64 form of the forward cumulative-sums test."""
     n = len(b)
@@ -418,11 +454,16 @@ def reference_pattern_counts(b, m):
 
 
 def test_pattern_counts_match_rotation_reference():
+    # every n % 8, n below the 16 bits of a window and n that ends mid-byte
+    # or on a byte past many windows, with m up to n: the grams of the
+    # last partial byte and the m - 1 that wrap come from unpacked bits
     rng = np.random.default_rng(4)
-    for n in (4, 5, 17, 1000, 65_537):
+    sizes = [*range(1, 17), 17, 23, 1000, *range(65_537, 65_544)]
+    assert {n % 8 for n in sizes if n > 16} == set(range(8))
+    for n in sizes:
         b = rng.integers(0, 2, n, dtype=np.uint8)
-        for m in range(5):
-            got = st._pattern_counts(b, m)
+        for m in [*range(min(5, n + 1)), *([9] if n >= 9 else [])]:  # 9: the most a window holds
+            got = st._pattern_counts(pack(b), m)
             assert np.array_equal(got, reference_pattern_counts(b, m))
             assert got.sum() == n
             if m:  # serial and approximate_entropy take m-1 from m
@@ -433,9 +474,10 @@ def test_pattern_counts_match_rotation_reference():
 
 @pytest.mark.parametrize("test", [st.serial, st.approximate_entropy])
 def test_pattern_tests_hold_two_bytes_per_bit(test):
-    # the unpacked bits and the m-gram index take a byte a bit each, and
-    # bincount one PATTERN_CHUNK of intp; bincount of the whole index
-    # took 11 bytes a bit
+    # far less, and not per bit: the 2^16 window counts and bincount's
+    # output (int64 each), one PATTERN_CHUNK of uint16 windows and its
+    # intp cast, whatever n. Unpacking the bits and an m-gram index took
+    # two bytes a bit, and bincount of the whole index 11
     n = 1 << 22
     bits = pack(np.random.default_rng(6).integers(0, 2, n, dtype=np.uint8))
     tracemalloc.start()
@@ -444,14 +486,15 @@ def test_pattern_tests_hold_two_bytes_per_bit(test):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * n + 8 * st.PATTERN_CHUNK + (1 << 16), peak / n
+    assert peak < 2 * 8 * (1 << 16) + 10 * st.PATTERN_CHUNK + (1 << 16), peak
 
 
 def test_battery_peak_per_bit():
-    # the whole battery peaks at its largest test: serial and
-    # approximate_entropy at two bytes a bit, the spectral test's band
-    # under that. With the spectral test's half-spectrum it took 8.79
-    # bytes a bit, and runs alone 3.00
+    # the whole battery peaks at its largest test, the spectral test's
+    # band: 1.94 bytes a bit measured, bounded at 2.0 (3 % over). With
+    # serial and approximate_entropy unpacking their input it took
+    # 2.13, with the spectral test's half-spectrum 8.79, and runs alone
+    # 3.00
     n = 1 << 22
     bits = pack(np.random.default_rng(10).integers(0, 2, n, dtype=np.uint8))
     tracemalloc.start()
@@ -460,7 +503,7 @@ def test_battery_peak_per_bit():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.75 * n, peak / n
+    assert peak < 2.0 * n, peak / n
 
 
 def test_cumulative_sums_holds_bounded_chunks():
