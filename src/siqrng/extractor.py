@@ -411,9 +411,9 @@ def _convolve(seed, x, shape, residue: int, rows: tuple[int, int]) -> np.ndarray
             weight = (1 if 2 * r == residue else 2) / residue
             phasor = weight * np.exp(2j * math.pi / n1 * (r * np.arange(first, last) % n1))
 
-            def add(share, part):
+            def add(share, scratch):
                 for span, at in share:
-                    turned = np.multiply(z[at], phasor[span, None], out=part[: at.stop - at.start])
+                    turned = np.multiply(z[at], phasor[span, None], out=scratch[: at.stop - at.start])
                     acc[span] += turned.real
 
             # step <= L rows: a band holds at least BLOCK_BYTES
@@ -439,10 +439,12 @@ def _hash(seed: PackedBits, x: PackedBits, m: int) -> PackedBits:
     time, straight into packed bytes. Where R > 1 and two CPUs are
     usable, the bands and the in-place passes are shared with one
     worker thread started for the call and joined before it returns
-    (_convolve); its two threads hold what one held but for the worker's
-    table lookups, and the bits do not depend on the split, since every
+    (_convolve); the two threads hold what one held but for a second
+    lookup block and each class's twiddle rows, held through both of its
+    bands, and the bits do not depend on the split, since every
     row and column transform, twiddle and accumulated term is computed
-    the same way on either thread.
+    the same way on either thread. What the worker saves depends on the
+    other work the host's CPUs run (BENCH_two_thread_hash.json).
 
     Every used coefficient is verified to sit within ROUNDING_TOLERANCE
     of an integer. An input too large for the a-priori capacity check

@@ -17,8 +17,9 @@ spectral DFT is formed from the packed n' bits one residue-class band of
 the hash's four-step transform at a time (extractor._band), and serial
 and approximate entropy count m-grams in 16-bit windows of consecutive
 bytes (_pattern_counts). Tests that define several p-values report
-their primary one so each test contributes exactly one row. This battery is a sanity harness; the
-security statement is the certified length, not these p-values.
+their primary one so each test contributes exactly one row. This
+battery is a sanity harness; the security statement is the certified
+length, not these p-values.
 """
 from __future__ import annotations
 
@@ -232,10 +233,9 @@ def _pattern_counts(bits: PackedBits, m: int) -> np.ndarray:
     the gram and the 16 - m - k after it. The last partial byte's grams
     and the m - 1 that wrap past the end come from a few unpacked bits."""
     n, data = len(bits), bits.data
-    counts = np.zeros(1 << m, dtype=np.int64)
     if m == 0:
-        counts[0] = n
-        return counts
+        return np.array([n], dtype=np.int64)
+    counts = np.zeros(1 << m, dtype=np.int64)
     full = min((n - m + 1) // 8, len(data) - 1)  # bytes whose 8 grams fit
     windows = np.zeros(1 << 16, dtype=np.int64)
     for lo in range(0, full, PATTERN_CHUNK):

@@ -330,21 +330,6 @@ def test_packed_gather_equals_rfft(n2, monkeypatch):
         assert_bands_equal_forward(pack(bits), (n1, n2), half)
 
 
-def record_transform_threads(monkeypatch) -> list:
-    """Wrap numpy.fft's four transforms to record, per call, the name
-    and the thread it ran on."""
-    calls = []
-    for name in ("rfft", "irfft", "fft", "ifft"):
-        real = getattr(np.fft, name)
-
-        def on_thread(*args, _name=name, _real=real, **kwargs):
-            calls.append((_name, threading.current_thread()))
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, on_thread)
-    return calls
-
-
 def test_transforms_run_on_the_calling_thread_and_one_worker(monkeypatch):
     # with two CPUs the transforms of an R > 1 grid run on the calling
     # thread and on one worker started for the call, which is gone when
@@ -356,7 +341,15 @@ def test_transforms_run_on_the_calling_thread_and_one_worker(monkeypatch):
     spec = ToeplitzSpec(n, m, rng.integers(0, 2, n + m - 1, dtype=np.uint8))
     x = rng.integers(0, 2, n, dtype=np.uint8)
     want = full_length_fft_hash(spec, x)
-    calls = record_transform_threads(monkeypatch)
+    calls = []
+    for name in ("rfft", "irfft", "fft", "ifft"):
+        real = getattr(np.fft, name)
+
+        def on_thread(*args, _name=name, _real=real, **kwargs):
+            calls.append((_name, threading.current_thread()))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, on_thread)
     for cpus, workers in ((2, 1), (1, 0)):
         monkeypatch.setattr(ex, "CPUS", cpus)
         calls.clear()

@@ -12,6 +12,7 @@ from scipy.special import erfc, gammaincc, ndtr
 from siqrng import extractor as ex
 from siqrng import stat_suite as st
 from siqrng.errors import InsufficientBitsError
+from siqrng.protocol_math import RateBreakdown
 
 from toeplitz_oracle import pack
 
@@ -122,8 +123,6 @@ def test_only_the_hash_runs_off_the_calling_thread(monkeypatch):
     # wraps (scipy.fft.rfft and every battery test) must run on the
     # calling thread; the hash's worker, started here on an R > 1 grid,
     # runs numpy's transforms only
-    from siqrng.protocol_math import RateBreakdown
-
     threads = {"hash": set(), "traced": set()}
 
     def on_thread(fn, kind):
