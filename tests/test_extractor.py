@@ -2,6 +2,7 @@
 import math
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -294,7 +295,8 @@ def test_banded_inverse_equals_cyclic_convolution(n1):
         spans = {(0, half), (n1 // 3, n1 // 3 + half), (n1 - half, n1), (0, n1)}
         for residue in [r for r in range(1, 17) if n1 % r == 0]:
             for first, last in spans:
-                got = ex._convolve(pack(a), pack(b), shape, residue, (first, last))
+                with ThreadPoolExecutor(max_workers=1) as pool:  # halves split anywhere
+                    got = ex._convolve(pack(a), pack(b), shape, residue, (first, last), pool)
                 assert got.shape == (last - first, n2)
                 assert np.abs(got - want[first:last]).max() < 1e-9, (n2, residue, first)
 
@@ -365,14 +367,15 @@ def test_transforms_run_on_the_calling_thread_and_one_worker(monkeypatch):
 @pytest.mark.parametrize("transform", ["rfft", "irfft", "fft", "ifft"])
 def test_worker_error_leaves_the_hash_and_no_thread(transform, monkeypatch):
     # an error in a transform must reach the caller and leave no thread
-    # behind: class 0's real column transforms, which run on the calling
-    # thread, and the complex ones made to fail only on the worker,
-    # which forms the seed's bands and half of each inverse
+    # behind: class 0's real column transforms made to fail on the
+    # calling thread, and the complex ones on the worker, which forms
+    # the seed's bands and half of every other pass
     real, raised = getattr(np.fft, transform), []
+    on_worker = transform in ("fft", "ifft")
 
     def failing(*args, **kwargs):
         thread = threading.current_thread()
-        if transform in ("rfft", "irfft") or thread is not threading.main_thread():
+        if (thread is not threading.main_thread()) == on_worker:
             raised.append(thread)
             raise RuntimeError(f"{transform} failed")
         return real(*args, **kwargs)
@@ -388,7 +391,6 @@ def test_worker_error_leaves_the_hash_and_no_thread(transform, monkeypatch):
     with pytest.raises(RuntimeError, match=f"{transform} failed"):
         toeplitz_fast(spec, x)
     assert threading.active_count() == before
-    on_worker = transform in ("fft", "ifft")
     assert raised and (raised[0] is not threading.main_thread()) == on_worker
 
 
