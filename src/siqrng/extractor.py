@@ -365,7 +365,7 @@ def _convolve(seed, x, shape, residue: int, rows: tuple[int, int], pool=None) ->
     Given ``pool``, an executor of one worker thread, the worker shares
     the work: for each class r >= 1 it forms the seed's band while this
     thread forms the input's (_both), and the other passes (class 0's
-    lookups and transforms, the products, the inverses, the
+    twiddles and row transforms, the products, the inverses, the
     accumulation) run in halves, one on each thread (_halves). The
     worker writes only into arrays allocated here, and each class's
     tables are formed once for both threads; its accumulation block is
