@@ -323,13 +323,7 @@ def _unband(band: np.ndarray, other: np.ndarray, shape, tables: _Tables, residue
 
     _halves(pool, rows, len(used))
     if r == 0:
-        z = np.empty((length, shape[1]))
-
-        def real_columns(lo, hi):
-            np.fft.irfft(band[:, lo:hi], length, axis=0, out=z[:, lo:hi])
-
-        _halves(pool, real_columns, shape[1])
-        return z
+        return np.fft.irfft(band, length, axis=0)
 
     def columns(lo, hi):
         part = band[:, lo:hi]
@@ -341,7 +335,7 @@ def _unband(band: np.ndarray, other: np.ndarray, shape, tables: _Tables, residue
     return band
 
 
-def _convolve(seed, x, shape, residue: int, rows: tuple[int, int], pool=None) -> np.ndarray:
+def _convolve(seed, x, shape, residue: int, rows: tuple[int, int]) -> np.ndarray:
     """Grid rows [first, last) of the cyclic convolution of the packed
     bits seed and x at length N = N1*N2, in the row-major (N1, N2) grid
     j = j1*N2 + j2, unrounded: the forward transforms and the inverse
@@ -362,66 +356,69 @@ def _convolve(seed, x, shape, residue: int, rows: tuple[int, int], pool=None) ->
     (L, N2) uint16 pattern indices; no spectrum is ever whole. For
     R = 1 the accumulator is class 0's z itself.
 
-    Given ``pool``, an executor of one worker thread, the worker shares
-    the work: for each class r >= 1 it forms the seed's band while this
-    thread forms the input's (_both), and the other passes (class 0's
-    twiddles and row transforms, the products, the inverses, the
-    accumulation) run in halves, one on each thread (_halves). The
-    worker writes only into arrays allocated here, and each class's
-    tables are formed once for both threads; its accumulation block is
-    the input's band, spent once the product is formed."""
+    For R > 1, with at least two CPUs, one worker thread started for
+    this call shares the work: for each class r >= 1 it forms the
+    seed's band while this thread forms the input's (_both), and the
+    in-place passes (class 0's twiddles and row transforms, the product
+    and the inverses, the accumulation) run in halves, one on each
+    thread (_halves). The worker writes only into arrays allocated
+    here, and each class's tables are formed once for both threads;
+    its accumulation block is the input's band, spent once the product
+    is formed."""
     n1, n2 = shape
     length = n1 // residue
     first, last = rows
     forward = _band_twiddles(shape, residue)
     inverse = _Tables(0, forward[0].conj(), forward[1].conj())
     indices = _patterns(seed, shape, residue), _patterns(x, shape, residue)
-    tables = _class_tables(shape, forward, residue, 0)
-    band = _band(indices[0], shape, tables, residue, pool=pool)
-    other = _band(indices[1], shape, tables, residue, pool=pool)
-    del tables
-    z = _unband(band, other, shape, inverse, residue, pool)
-    del band, other
-    if residue == 1:
-        return z[first:last]
-    # the grid rows [lo, hi) of a block read the z rows from lo mod L on
-    step, blocks, lo = max(1, BLOCK_BYTES // (16 * n2)), [], first
-    while lo < last:
-        hi = min(last, lo + step, lo - lo % length + length)
-        blocks.append((slice(lo - first, hi - first), slice(lo % length, lo % length + hi - lo)))
-        lo = hi
-    acc = np.empty((last - first, n2))
+    threads = ThreadPoolExecutor(max_workers=1) if residue > 1 and CPUS > 1 else None
+    with threads or contextlib.nullcontext() as pool:
+        tables = _class_tables(shape, forward, residue, 0)
+        band = _band(indices[0], shape, tables, residue, pool=pool)
+        other = _band(indices[1], shape, tables, residue, pool=pool)
+        del tables
+        z = _unband(band, other, shape, inverse, residue, pool)
+        del band, other
+        if residue == 1:
+            return z[first:last]
+        # the grid rows [lo, hi) of a block read the z rows from lo mod L on
+        step, blocks, lo = max(1, BLOCK_BYTES // (16 * n2)), [], first
+        while lo < last:
+            hi = min(last, lo + step, lo - lo % length + length)
+            blocks.append((slice(lo - first, hi - first), slice(lo % length, lo % length + hi - lo)))
+            lo = hi
+        acc = np.empty((last - first, n2))
 
-    def start(lo, hi):
-        for span, at in blocks[lo:hi]:
-            np.multiply(z[at], 1 / residue, out=acc[span])
+        def start(lo, hi):
+            for span, at in blocks[lo:hi]:
+                np.multiply(z[at], 1 / residue, out=acc[span])
 
-    _halves(pool, start, len(blocks))
-    del z
-    bands = np.empty((2, length, n2), dtype=complex)
-    part = np.empty((step, n2), dtype=complex)
-    half = len(blocks) // 2
-    for r in range(1, residue // 2 + 1):
-        tables = _class_tables(shape, forward, residue, r)
-        _both(
-            pool,
-            lambda: _band(indices[0], shape, tables, residue, bands[0]),
-            lambda: _band(indices[1], shape, tables, residue, bands[1]),
-        )
-        tables = _Tables(r, np.conjugate(tables.high, out=tables.high), inverse.low)
-        z = _unband(*bands, shape, tables, residue, pool)
-        del tables  # its high rows, before the next class forms its own
-        weight = (1 if 2 * r == residue else 2) / residue
-        phasor = weight * np.exp(2j * math.pi / n1 * (r * np.arange(first, last) % n1))
+        _halves(pool, start, len(blocks))
+        del z
+        bands = np.empty((2, length, n2), dtype=complex)
+        part = np.empty((step, n2), dtype=complex)
+        half = len(blocks) // 2
+        for r in range(1, residue // 2 + 1):
+            tables = _class_tables(shape, forward, residue, r)
+            _both(
+                pool,
+                lambda: _band(indices[0], shape, tables, residue, bands[0]),
+                lambda: _band(indices[1], shape, tables, residue, bands[1]),
+            )
+            tables = _Tables(r, np.conjugate(tables.high, out=tables.high), inverse.low)
+            z = _unband(*bands, shape, tables, residue, pool)
+            del tables  # its high rows, before the next class forms its own
+            weight = (1 if 2 * r == residue else 2) / residue
+            phasor = weight * np.exp(2j * math.pi / n1 * (r * np.arange(first, last) % n1))
 
-        def add(share, scratch):
-            for span, at in share:
-                turned = np.multiply(z[at], phasor[span, None], out=scratch[: at.stop - at.start])
-                acc[span] += turned.real
+            def add(share, scratch):
+                for span, at in share:
+                    turned = np.multiply(z[at], phasor[span, None], out=scratch[: at.stop - at.start])
+                    acc[span] += turned.real
 
-        # step <= L rows: a band holds at least BLOCK_BYTES
-        _both(pool, lambda: add(blocks[:half], bands[1]), lambda: add(blocks[half:], part))
-    return acc
+            # step <= L rows: a band holds at least BLOCK_BYTES
+            _both(pool, lambda: add(blocks[:half], bands[1]), lambda: add(blocks[half:], part))
+        return acc
 
 
 def _hash(seed: PackedBits, x: PackedBits, m: int) -> PackedBits:
@@ -440,9 +437,9 @@ def _hash(seed: PackedBits, x: PackedBits, m: int) -> PackedBits:
     about 2/R of a half-spectrum each and the two pattern indices. The
     rounding and the parity then run BLOCK_BYTES of the accumulator at a
     time, straight into packed bytes. Where R > 1 and two CPUs are
-    usable, one worker thread started for the call and joined before it
-    returns shares the bands, the other passes (_convolve) and the
-    rounding, each thread on its half of the blocks; the two threads hold what one held but for a second
+    usable, the bands and the in-place passes are shared with one
+    worker thread started for the call and joined before it returns
+    (_convolve); the two threads hold what one held but for a second
     lookup block and each class's twiddle rows, held through both of its
     bands, and the bits do not depend on the split, since every
     row and column transform, twiddle and accumulated term is computed
@@ -461,38 +458,22 @@ def _hash(seed: PackedBits, x: PackedBits, m: int) -> PackedBits:
         )
     # grid rows first..last-1 hold the slice [n-1, n-1+m)
     first, last = (n - 1) // n2, (n + m - 2) // n2 + 1
-    residue = _residue(n1, n2)
-    threads = ThreadPoolExecutor(max_workers=1) if residue > 1 and CPUS > 1 else None
-    with threads or contextlib.nullcontext() as pool:
-        conv = _convolve(seed, x, shape, residue, (first, last), pool).reshape(-1)
-        conv = conv[n - 1 - first * n2 :][:m]
-        out = np.empty(-(-m // 8), dtype=np.uint8)
-        step = BLOCK_BYTES // 8  # coefficients, whole output bytes
-
-        def parity(lo, hi, rounded, whole):
-            for at in range(lo, hi, step):
-                block = conv[at : at + step]
-                size = len(block)
-                np.rint(block, out=rounded[:size])
-                block -= rounded[:size]
-                dev = float(np.abs(block, out=block).max())
-                if dev >= ROUNDING_TOLERANCE:
-                    raise ConvolutionPrecisionError(
-                        f"convolution coefficient off an integer by {dev:.3g}"
-                    )
-                np.copyto(whole[:size], rounded[:size], casting="unsafe")
-                whole[:size] &= 1
-                out[at // 8 : (at + step) // 8] = np.packbits(whole[:size])
-
-        # a block of rounded coefficients and of their integers a thread
-        size = min(m, step)
-        rounded, whole = np.empty((2, size)), np.empty((2, size), dtype=np.int64)
-        middle = -(-m // step) // 2 * step
-        _both(
-            pool,
-            lambda: parity(0, middle, rounded[0], whole[0]),
-            lambda: parity(middle, m, rounded[1], whole[1]),
-        )
+    conv = _convolve(seed, x, shape, _residue(n1, n2), (first, last)).reshape(-1)
+    conv = conv[n - 1 - first * n2 :][:m]
+    out = np.empty(-(-m // 8), dtype=np.uint8)
+    step = BLOCK_BYTES // 8  # coefficients, whole output bytes
+    for lo in range(0, m, step):
+        block = conv[lo : lo + step]
+        rounded = np.rint(block)
+        block -= rounded
+        dev = float(np.abs(block, out=block).max())
+        if dev >= ROUNDING_TOLERANCE:
+            raise ConvolutionPrecisionError(
+                f"convolution coefficient off an integer by {dev:.3g}"
+            )
+        whole = rounded.astype(np.int64)
+        whole &= 1
+        out[lo // 8 : (lo + step) // 8] = np.packbits(whole)
     return PackedBits(out, m)
 
 

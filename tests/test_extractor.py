@@ -1,8 +1,8 @@
 """The hash against an explicit matrix oracle and full-length references."""
+import itertools
 import math
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -280,11 +280,12 @@ def test_residue_bands_equal_forward(n1):
 
 
 @pytest.mark.parametrize("n1", range(1, 65))
-def test_banded_inverse_equals_cyclic_convolution(n1):
+def test_banded_inverse_equals_cyclic_convolution(n1, monkeypatch):
     # every N1 up to 64 with every R it admits, N2 odd and even, and
     # the used grid rows at the start, in the middle, at the end and
     # all of the grid, against one full-length FFT convolution; the
-    # inputs fill the grid or end mid-byte
+    # inputs fill the grid or end mid-byte. Each R > 1 runs both on one
+    # thread (one CPU) and in halves on two (two CPUs).
     rng = np.random.default_rng(100 + n1)
     for n2 in (7, 12):
         shape, size = (n1, n2), n1 * n2
@@ -294,11 +295,11 @@ def test_banded_inverse_equals_cyclic_convolution(n1):
         half = max(1, n1 // 2)
         spans = {(0, half), (n1 // 3, n1 // 3 + half), (n1 - half, n1), (0, n1)}
         for residue in [r for r in range(1, 17) if n1 % r == 0]:
-            for first, last in spans:
-                with ThreadPoolExecutor(max_workers=1) as pool:  # halves split anywhere
-                    got = ex._convolve(pack(a), pack(b), shape, residue, (first, last), pool)
+            for (first, last), cpus in itertools.product(spans, (1, 2)):
+                monkeypatch.setattr(ex, "CPUS", cpus)
+                got = ex._convolve(pack(a), pack(b), shape, residue, (first, last))
                 assert got.shape == (last - first, n2)
-                assert np.abs(got - want[first:last]).max() < 1e-9, (n2, residue, first)
+                assert np.abs(got - want[first:last]).max() < 1e-9, (n2, residue, first, cpus)
 
 
 @pytest.mark.parametrize(
@@ -367,15 +368,14 @@ def test_transforms_run_on_the_calling_thread_and_one_worker(monkeypatch):
 @pytest.mark.parametrize("transform", ["rfft", "irfft", "fft", "ifft"])
 def test_worker_error_leaves_the_hash_and_no_thread(transform, monkeypatch):
     # an error in a transform must reach the caller and leave no thread
-    # behind: class 0's real column transforms made to fail on the
-    # calling thread, and the complex ones on the worker, which forms
-    # the seed's bands and half of every other pass
+    # behind: class 0's real column transforms, which run on the calling
+    # thread, and the complex ones made to fail only on the worker,
+    # which forms the seed's bands and half of each inverse
     real, raised = getattr(np.fft, transform), []
-    on_worker = transform in ("fft", "ifft")
 
     def failing(*args, **kwargs):
         thread = threading.current_thread()
-        if (thread is not threading.main_thread()) == on_worker:
+        if transform in ("rfft", "irfft") or thread is not threading.main_thread():
             raised.append(thread)
             raise RuntimeError(f"{transform} failed")
         return real(*args, **kwargs)
@@ -391,6 +391,7 @@ def test_worker_error_leaves_the_hash_and_no_thread(transform, monkeypatch):
     with pytest.raises(RuntimeError, match=f"{transform} failed"):
         toeplitz_fast(spec, x)
     assert threading.active_count() == before
+    on_worker = transform in ("fft", "ifft")
     assert raised and (raised[0] is not threading.main_thread()) == on_worker
 
 
