@@ -360,11 +360,13 @@ def _convolve(seed, x, shape, residue: int, rows: tuple[int, int]) -> np.ndarray
     this call shares the work: for each class r >= 1 it forms the
     seed's band while this thread forms the input's (_both), and the
     in-place passes (class 0's twiddles and row transforms, the product
-    and the inverses, the accumulation) run in halves, one on each
-    thread (_halves). The worker writes only into arrays allocated
-    here, and each class's tables are formed once for both threads;
-    its accumulation block is the input's band, spent once the product
-    is formed."""
+    and the row inverse, the column inverse of each class r >= 1, the
+    accumulation) run in halves, one on each thread (_halves); the
+    pattern indices, class 0's lookups and real column transforms stay
+    on this thread. The worker writes only into arrays allocated here,
+    and each class's tables are formed once for both threads; its
+    accumulation block is the input's band, spent once the product is
+    formed."""
     n1, n2 = shape
     length = n1 // residue
     first, last = rows
@@ -439,12 +441,15 @@ def _hash(seed: PackedBits, x: PackedBits, m: int) -> PackedBits:
     time, straight into packed bytes. Where R > 1 and two CPUs are
     usable, the bands and the in-place passes are shared with one
     worker thread started for the call and joined before it returns
-    (_convolve); the two threads hold what one held but for a second
-    lookup block and each class's twiddle rows, held through both of its
-    bands, and the bits do not depend on the split, since every
-    row and column transform, twiddle and accumulated term is computed
-    the same way on either thread. What the worker saves depends on the
-    other work the host's CPUs run (BENCH_two_thread_hash.json).
+    (_convolve); the rounding stays on the calling thread. The two
+    threads hold what one held but for a second lookup block and each
+    class's twiddle rows, held through both of its bands, and the bits
+    do not depend on the split, since every row and column transform,
+    twiddle and accumulated term is computed the same way on either
+    thread. What the worker saves depends on the other work the host's
+    CPUs run: on 2 shared vCPUs, from one set of ten benchmark runs to
+    the next, the ingest_extract workload's wall time fell by 1-13 %
+    while its CPU time rose by 10-24 % (BENCH_two_thread_hash.json).
 
     Every used coefficient is verified to sit within ROUNDING_TOLERANCE
     of an integer. An input too large for the a-priori capacity check
