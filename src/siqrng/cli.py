@@ -173,6 +173,10 @@ def _tally_from_args(args, cfg: RunConfig) -> protocol_math.TallySummary:
     if args.n_z is None or args.e_bx is None:
         raise ConfigError("estimate needs --tally or both --n-z and --e-bx")
     n_z = args.n_z
+    if n_z < 1:
+        raise ConfigError(f"--n-z must be at least 1, got {n_z}")
+    if not 0.0 <= args.e_bx <= 1.0:  # false for nan
+        raise ConfigError(f"--e-bx must be in [0, 1], got {args.e_bx}")
     if args.n_x is not None:
         if args.n_x < 1:
             raise ConfigError(f"--n-x must be at least 1, got {args.n_x}")

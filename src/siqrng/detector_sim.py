@@ -2,13 +2,13 @@
 drawn against source_sim's four-outcome detection law, dead time, event
 tallying and the generation-basis raw bits.
 
-The simulation is organized in fixed pulse panels (see rngstream), so a
-run can be produced serially or in arbitrary index chunks with
-byte-identical results. Dead-time suppression is keyed to raw avalanche
-attempts within a bounded look-back window, which keeps chunk
-recomputation exact. Panels are drawn on a small thread pool, each into
-its own slice of the code array, so the events do not depend on the
-worker count.
+Each (seed, domain) pair keys one jump-ahead stream whose i-th uniform
+is pulse i's, so any pulse range can be drawn on its own and a run
+produced serially or in arbitrary index chunks is byte-identical.
+Dead-time suppression is keyed to raw avalanche attempts within a
+bounded look-back window, which a chunk draws along with its own pulses.
+Chunks are drawn on a small thread pool, each into its own slice of the
+code array, so the events do not depend on the worker count.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import CPUS, rngstream
+from . import CPUS
 from .errors import EstimationAbort, RunTooLargeError
 from .io_formats import PackedBits
 from .protocol_math import TallySummary
@@ -40,9 +40,17 @@ OUTCOME_D0 = 1
 OUTCOME_D1 = 2
 OUTCOME_DOUBLE = 3
 
-#: Threads drawing panels in simulate_range. Each panel's generators are
-#: keyed by (seed, domain, panel), and numpy's fills and ufuncs release
-#: the GIL, so the draws overlap and their values do not depend on this.
+#: Domain tags keeping independent streams out of each other's draws.
+#: The values key the streams, so they stay fixed; 0 is unused.
+DOMAIN_DETECTION = 1
+DOMAIN_BASIS = 2
+
+#: Pulses a worker of simulate_range draws at a time.
+CHUNK = 1 << 16
+
+#: Threads drawing chunks in simulate_range. Each chunk draws its own
+#: pulses' uniforms, and numpy's fills and ufuncs release the GIL, so the
+#: draws overlap and their values do not depend on this.
 WORKERS = min(4, CPUS)
 
 
@@ -66,49 +74,57 @@ class EventStream:
         )
 
 
+def _uniforms(entropy: int, domain: int, start: int, count: int) -> np.ndarray:
+    """Uniforms of pulses [start, start+count) in the ``domain`` stream of
+    ``entropy``: a PCG64DXSM stream whose i-th double is pulse i's, so it
+    jumps ahead to ``start`` (one 64-bit step a double) and draws ``count``.
+    """
+    ss = np.random.SeedSequence(entropy=entropy, spawn_key=(domain,))
+    return np.random.Generator(np.random.PCG64DXSM(ss).advance(start)).random(count)
+
+
 def choose_basis_block(
     basis_seed: int, start: int, count: int, prob_X: float
 ) -> np.ndarray:
     """Vectorized basis choices for pulses [start, start+count)."""
-    out = np.empty(count, dtype=np.uint8)
-    for panel, lo, hi, t_lo, t_hi in rngstream.panel_range(start, count):
-        rng = rngstream.panel_generator(basis_seed, rngstream.DOMAIN_BASIS, panel)
-        u = rng.random(rngstream.PANEL_PULSES)
-        np.less(u[t_lo:t_hi], prob_X, out=out[lo - start : hi - start].view(bool))
-    return out
+    u = _uniforms(basis_seed, DOMAIN_BASIS, start, count)
+    return np.less(u, prob_X).view(np.uint8)
 
 
-def _outcomes(u: np.ndarray, law: tuple[float, float, float]) -> np.ndarray:
-    """Outcome codes 0-3 of uniforms ``u`` under a cumulative law."""
+def _outcomes(u: np.ndarray, law: tuple[float, float, float], out: np.ndarray):
+    """Write the outcome codes 0-3 of uniforms ``u`` under a cumulative
+    law into the uint8 array ``out``."""
     t1, t2, t3 = law
-    out = (u >= t1).view(np.uint8)
+    np.greater_equal(u, t1, out=out.view(bool))
     out += u >= t2
     out += u >= t3
     return out
 
 
-def _raw_clicks_panel(
-    panel: int,
+def _raw_clicks(
+    start: int,
+    count: int,
     config: MeasurementConfig,
     seed: int,
     law_z: tuple[float, float, float],
     law_x: tuple[float, float, float],
-) -> np.ndarray:
-    """Event codes of one panel's raw (pre-dead-time) clicks.
+    out: np.ndarray,
+) -> None:
+    """Write the event codes of the raw (pre-dead-time) clicks of pulses
+    [start, start+count) into ``out``.
 
     Each pulse's (click0, click1) pair is drawn at once from its basis's
-    outcome_law with one uniform of the detection stream, exact in
+    outcome_law with its uniform of the detection stream, exact in
     distribution without drawing a photon number or lambda_eff; bases
     come from the basis stream.
     """
-    n = rngstream.PANEL_PULSES
-    basis = choose_basis_block(config.basis_seed, panel * n, n, config.prob_X)
-    u = rngstream.panel_generator(seed, rngstream.DOMAIN_DETECTION, panel).random(n)
-    outcome = _outcomes(u, law_z)
+    basis = choose_basis_block(config.basis_seed, start, count, config.prob_X)
+    u = _uniforms(seed, DOMAIN_DETECTION, start, count)
+    _outcomes(u, law_z, out)
     x = np.flatnonzero(basis.view(bool))  # 10x faster than on uint8
-    outcome[x] = _outcomes(u[x], law_x)
-    outcome <<= 1
-    return np.bitwise_or(outcome, basis, out=outcome)
+    out[x] = _outcomes(u[x], law_x, np.empty(len(x), dtype=np.uint8))
+    out <<= 1
+    out |= basis
 
 
 def _suppress_dead(raw: np.ndarray, window: int, warmup: np.ndarray) -> np.ndarray:
@@ -158,18 +174,18 @@ def simulate_range(
     """Events for pulses [start, start+count), byte-identical to the same
     slice of a serial full run.
 
-    The code array, led by the ``window`` pulses before ``start``, is
-    allocated up front (RunTooLargeError if it cannot be). WORKERS
-    threads, at most 2 * WORKERS panels submitted, write each panel's raw
-    codes into its slice. Dead time then runs in place here in
-    panel-sized blocks, last to first, so each look-back is still raw.
+    The code array is allocated up front (RunTooLargeError if it cannot
+    be). WORKERS threads, at most 2 * WORKERS chunks of CHUNK pulses
+    submitted, each write a chunk's final codes into its slice: a chunk
+    draws the ``window`` pulses before it too and applies dead time with
+    that look-back.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     period = 1.0 / source.pulse_rate_G
     window = max(0, math.ceil(det.dead_time / period) - 1)
     try:
-        raw = np.empty(window + count, dtype=np.uint8)
+        codes = np.empty(count, dtype=np.uint8)
     except MemoryError:
         raise RunTooLargeError(
             f"{count} pulses do not fit in memory; simulate fewer pulses"
@@ -179,33 +195,31 @@ def simulate_range(
         outcome_law(source, det, effective_projection_probs(state, b, config))
         for b in (BASIS_Z, BASIS_X)
     )
-    base = start - window  # the pulse at raw[0]
-    raw[: max(0, -base)] = 0  # virtual pulses before index 0 never fire
 
-    def draw(panel, lo, hi, t_lo, t_hi):
-        codes = _raw_clicks_panel(panel, config, seed, law_z, law_x)
-        raw[lo - base : hi - base] = codes[t_lo:t_hi]
+    def draw(lo):
+        n = min(CHUNK, start + count - lo)
+        out = codes[lo - start : lo - start + n]
+        if not window:
+            return _raw_clicks(lo, n, config, seed, law_z, law_x, out)
+        back = min(window, lo)  # pulses before index 0 never fire
+        raw = np.zeros(window + n, dtype=np.uint8)
+        lead = raw[window - back :]
+        _raw_clicks(lo - back, back + n, config, seed, law_z, law_x, lead)
+        clicks = _suppress_dead(raw[window:] & 6, window, raw[:window] & 6)
+        np.bitwise_or(raw[window:] & 1, clicks, out=out)
 
-    warm_lo = max(0, base)
     pending = collections.deque()
     pool = ThreadPoolExecutor(max_workers=WORKERS)
     try:
-        for span in rngstream.panel_range(warm_lo, start + count - warm_lo):
+        for lo in range(start, start + count, CHUNK):
             if len(pending) == 2 * WORKERS:
                 pending.popleft().result()
-            pending.append(pool.submit(draw, *span))
+            pending.append(pool.submit(draw, lo))
         for future in pending:
             future.result()
     finally:
         pool.shutdown(cancel_futures=True)
-    if window:
-        panel = rngstream.PANEL_PULSES
-        for lo in reversed(range(window, len(raw), panel)):
-            block = raw[lo : lo + panel]
-            clicks = _suppress_dead(block & 6, window, raw[lo - window : lo] & 6)
-            block &= 1
-            block |= clicks
-    return EventStream(raw[window:], start=start)
+    return EventStream(codes, start=start)
 
 
 def tally(events: EventStream) -> TallySummary:

@@ -95,15 +95,6 @@ class SourceParams:
             f = x + k / f
         return clip + math.exp(-a * a / 2.0) / (_SQRT_2PI * f)
 
-    @classmethod
-    def sunlight(cls, mean_photons_lambda: float = 11.6, **kw) -> "SourceParams":
-        kw.setdefault("intensity_fluctuation_rel_std", SUNLIGHT_FLUCTUATION)
-        return cls(
-            mean_photons_lambda=mean_photons_lambda,
-            source_kind="sunlight",
-            **kw,
-        )
-
 
 @dataclass(frozen=True)
 class MeasurementConfig:

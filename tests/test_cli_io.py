@@ -374,6 +374,13 @@ def test_cli_usage_errors_are_exit_one(tmp_path, capsys):
     assert run_cli(
         "estimate", "--n-z", "1000000", "--n-x", "0", "--e-bx", "0.01"
     ) == 1
+    # the direct counts are checked up front, each naming its flag
+    for n_z, e_bx, flag in (
+        ("0", "0.01", "--n-z"), ("-5", "0.01", "--n-z"), ("1000000", "nan", "--e-bx")
+    ):
+        capsys.readouterr()
+        assert run_cli("estimate", "--n-z", n_z, "--e-bx", e_bx) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be"), flag
     curve = tmp_path / "curve.csv"
     for step in ("0", "-0.5", "nan"):
         assert run_cli("optimize", "--grid-step", step, "--out", str(curve)) == 1

@@ -11,7 +11,6 @@ import pytest
 from scipy import stats
 
 from siqrng import detector_sim as ds
-from siqrng import rngstream
 from siqrng import source_sim as ss
 from siqrng.errors import EstimationAbort
 from siqrng.source_sim import (
@@ -21,6 +20,7 @@ from siqrng.source_sim import (
 )
 
 import event_codes as ec
+from sources import sunlight
 
 PLUS = polarization_from_waveplates(22.5, 0.0)
 
@@ -51,6 +51,14 @@ def test_basis_single_matches_block():
     block = ds.choose_basis_block(77, 0, 200_000, 0.3)
     for idx in (0, 1, 65535, 65536, 199_999):
         assert ds.choose_basis_block(77, idx, 1, 0.3)[0] == block[idx]
+    # the jump-ahead at paper scale: six uniforms drawn at once equal the
+    # same six drawn in two parts, split at every point
+    for at in (2**32 - 3, 7_200_000_000 - 3):
+        whole = ds._uniforms(77, ds.DOMAIN_BASIS, at, 6)
+        for k in range(1, 6):
+            head = ds._uniforms(77, ds.DOMAIN_BASIS, at, k)
+            tail = ds._uniforms(77, ds.DOMAIN_BASIS, at + k, 6 - k)
+            assert np.array_equal(np.concatenate([head, tail]), whole)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +119,7 @@ def test_projection_rejects_unnormalized_state():
 def test_detect_nothing_without_efficiency_or_darks():
     det = ss.DetectorParams(eta0=0.0, eta1=0.0, dark_rate=0.0)
     cfg = ss.MeasurementConfig(prob_X=0.5)
-    for src in (SourceParams(mean_photons_lambda=50.0), SourceParams.sunlight()):
+    for src in (SourceParams(mean_photons_lambda=50.0), sunlight()):
         stream = ds.run_simulation(src, det, cfg, 200_000, seed=0)
         assert not ec.outcome(stream).any()
 
@@ -237,7 +245,7 @@ def test_outcome_counts_fit_the_law():
     cfg = ss.MeasurementConfig(prob_X=0.5)
     for src in (
         SourceParams(mean_photons_lambda=11.6, hwp_angle=27.5),
-        SourceParams.sunlight(intensity_fluctuation_rel_std=0.3, hwp_angle=27.5),
+        sunlight(intensity_fluctuation_rel_std=0.3, hwp_angle=27.5),
     ):
         stream = ds.run_simulation(src, det, cfg, 1_000_000, seed=43)
         for basis in (ss.BASIS_Z, ss.BASIS_X):
@@ -349,12 +357,12 @@ def assert_serial_equals_chunked(src, det, cfg, seed, sizes):
 
 
 # each covers a laser and a sunlight source, so both laws are checked
-# across panel and chunk boundaries too
+# across the internal and the caller's chunk boundaries
 
 
 def test_serial_equals_chunked_default_params():
     _, det, cfg = default_setup()
-    for src in (SourceParams(), SourceParams.sunlight()):
+    for src in (SourceParams(), sunlight()):
         assert_serial_equals_chunked(
             src, det, cfg, 13, (37_777, 123_456, 250_000, 88_767)
         )
@@ -365,20 +373,23 @@ def test_serial_equals_chunked_with_active_dead_time():
     cfg = ss.MeasurementConfig(prob_X=0.1)
     for src in (
         SourceParams(mean_photons_lambda=30.0),
-        SourceParams.sunlight(30.0, intensity_fluctuation_rel_std=0.3),
+        sunlight(30.0, intensity_fluctuation_rel_std=0.3),
     ):
         assert_serial_equals_chunked(src, det, cfg, 17, (70_001, 99_999, 130_000))
+        # look-backs reaching before pulse 0, then boundaries a pulse past
+        # CHUNK and 2 * CHUNK
+        assert_serial_equals_chunked(src, det, cfg, 17, (1, 2, 3, 65_531, 65_536))
 
 
 def test_worker_count_does_not_change_events(monkeypatch):
-    # 10 panels from a start inside panel 1, so the 2 * 3 panels in flight
-    # wrap; dead time makes every panel's warm-up depend on the one before
+    # 9 chunks, so the 2 * 3 chunks in flight wrap; dead time makes every
+    # chunk's look-back reach into the one before
     det = ss.DetectorParams(dead_time=600e-9)
     cfg = ss.MeasurementConfig(prob_X=0.1)
     start, count = 70_001, 9 * 65_536
     for src in (
         SourceParams(mean_photons_lambda=30.0),
-        SourceParams.sunlight(30.0, intensity_fluctuation_rel_std=0.3),
+        sunlight(30.0, intensity_fluctuation_rel_std=0.3),
     ):
         streams = []
         for workers in (1, 3):
@@ -388,40 +399,40 @@ def test_worker_count_does_not_change_events(monkeypatch):
 
 
 def test_simulation_holds_the_codes_and_a_few_panels(monkeypatch):
-    # each worker writes its panel's codes into the code array, so the
-    # peak is that array and the temporaries of the panels being drawn
-    # (a panel's uniforms are 8 bytes a pulse), with or without dead time
+    # each worker writes its chunk's codes into the code array, so the
+    # peak is that array and the temporaries of the chunks being drawn
+    # (a chunk's uniforms are 8 bytes a pulse), with or without dead time
     monkeypatch.setattr(ds, "WORKERS", 2)
-    panel_bytes = 8 * rngstream.PANEL_PULSES
+    chunk_bytes = 8 * ds.CHUNK
     cfg = ss.MeasurementConfig(prob_X=0.1)
     for dead_time in (50e-9, 600e-9):
         det = ss.DetectorParams(dead_time=dead_time)
         tracemalloc.start()
         try:
             events = ds.simulate_range(
-                SourceParams.sunlight(), det, cfg, 37, 70_001, 64 * 65_536
+                sunlight(), det, cfg, 37, 70_001, 64 * 65_536
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < events.codes.nbytes + 2 * 2 * panel_bytes, (
-            (peak - events.codes.nbytes) / panel_bytes
+        assert peak < events.codes.nbytes + 2 * 2 * chunk_bytes, (
+            (peak - events.codes.nbytes) / chunk_bytes
         )
 
 
 def test_worker_error_propagates_and_pool_shuts_down(monkeypatch):
-    draw = ds._raw_clicks_panel
+    draw = ds._raw_clicks
 
-    def failing(panel, *args):
-        if panel == 5:
-            raise RuntimeError("panel 5 failed")
-        return draw(panel, *args)
+    def failing(start, *args):
+        if start == 5 * ds.CHUNK:
+            raise RuntimeError("chunk 5 failed")
+        return draw(start, *args)
 
     monkeypatch.setattr(ds, "WORKERS", 3)
-    monkeypatch.setattr(ds, "_raw_clicks_panel", failing)
+    monkeypatch.setattr(ds, "_raw_clicks", failing)
     threads = threading.active_count()
     src, det, cfg = default_setup()
-    with pytest.raises(RuntimeError, match="panel 5 failed"):
+    with pytest.raises(RuntimeError, match="chunk 5 failed"):
         ds.run_simulation(src, det, cfg, 20 * 65_536, seed=31)
     assert threading.active_count() == threads
 
@@ -470,16 +481,22 @@ def test_determinism_across_runs():
 
 
 def test_domains_of_one_seed_draw_different_streams():
-    # with basis_seed == seed, the basis and detection draws of a panel
-    # share entropy and differ only in the domain tag
-    seed, panel, n = 7, 3, rngstream.PANEL_PULSES
-    basis_u = rngstream.panel_generator(seed, rngstream.DOMAIN_BASIS, panel).random(n)
-    det_u = rngstream.panel_generator(seed, rngstream.DOMAIN_DETECTION, panel).random(n)
+    # with basis_seed == seed, the basis and detection streams share
+    # entropy and differ only in the domain tag; pulse i's uniform is the
+    # i-th double of its domain's stream, drawn here from the start
+    seed, start, n = 7, 3 * ds.CHUNK + 5, ds.CHUNK
+
+    def per_pulse(domain):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(domain,))
+        gen = np.random.Generator(np.random.PCG64DXSM(seq))
+        return gen.random(start + n)[start:]
+
+    basis_u, det_u = per_pulse(ds.DOMAIN_BASIS), per_pulse(ds.DOMAIN_DETECTION)
     assert basis_u[0] != det_u[0]
     # and each pulse's basis and outcome come from its own domain's uniform
-    src, det = SourceParams.sunlight(), ss.DetectorParams(dead_time=0.0)
+    src, det = sunlight(), ss.DetectorParams(dead_time=0.0)
     cfg = ss.MeasurementConfig(prob_X=0.5, basis_seed=seed)
-    stream = ds.simulate_range(src, det, cfg, seed, panel * n, n)
+    stream = ds.simulate_range(src, det, cfg, seed, start, n)
     basis = ec.basis(stream)
     assert np.array_equal(basis, basis_u < 0.5)
     for b in (ss.BASIS_Z, ss.BASIS_X):

@@ -11,6 +11,7 @@ from siqrng import detector_sim as ds
 from siqrng import source_sim as ss
 
 import event_codes as ec
+from sources import sunlight
 
 
 def jones_oracle(hwp_deg, qwp_deg):
@@ -121,7 +122,7 @@ def test_zero_lambda_never_emits():
     det = ss.DetectorParams(dark_rate=0.0)
     for src in (
         ss.SourceParams(mean_photons_lambda=0.0),
-        ss.SourceParams.sunlight(mean_photons_lambda=0.0),
+        sunlight(mean_photons_lambda=0.0),
     ):
         c0, c1 = z_clicks(src, 100_000, seed=1, det=det)
         assert not c0.any() and not c1.any()
@@ -149,7 +150,7 @@ def test_sunlight_is_super_poissonian():
     lam = 11.6
     d = ss.DetectorParams().dark_click_prob
     for rel in (ss.SUNLIGHT_FLUCTUATION, 0.3):
-        src = ss.SourceParams.sunlight(
+        src = sunlight(
             mean_photons_lambda=lam, intensity_fluctuation_rel_std=rel
         )
         c0, c1 = z_clicks(src, 1_000_000, seed=5)
@@ -169,7 +170,7 @@ def test_sunlight_jitter_correlates_arms():
     mu, var = A * lam, (A * rel * lam) ** 2
     expected = (1 - d) ** 2 * math.exp(-2 * mu + var) * math.expm1(var)
     for src, want in (
-        (ss.SourceParams.sunlight(lam, intensity_fluctuation_rel_std=rel), expected),
+        (sunlight(lam, intensity_fluctuation_rel_std=rel), expected),
         (ss.SourceParams(mean_photons_lambda=lam), 0.0),
     ):
         c0, c1 = z_clicks(src, n, seed=7)
@@ -181,7 +182,7 @@ def test_sunlight_jitter_correlates_arms():
 
 def test_stream_is_pure_function_of_seed_and_params():
     det, cfg = ss.DetectorParams(), ss.MeasurementConfig(prob_X=0.5)
-    p = ss.SourceParams.sunlight()
+    p = sunlight()
 
     def events(src, seed):
         return ds.run_simulation(src, det, cfg, 100_000, seed)
@@ -191,11 +192,11 @@ def test_stream_is_pure_function_of_seed_and_params():
     assert a != events(p, 10)
     # the jitter and the mean both enter the law, so both move the events
     assert a != events(ss.SourceParams(mean_photons_lambda=p.mean_photons_lambda), 9)
-    assert a != events(ss.SourceParams.sunlight(2 * p.mean_photons_lambda), 9)
+    assert a != events(sunlight(2 * p.mean_photons_lambda), 9)
 
 
 def test_indexed_access_matches_bulk():
-    src = ss.SourceParams.sunlight()
+    src = sunlight()
     det, cfg = ss.DetectorParams(), ss.MeasurementConfig()
     bulk = ds.run_simulation(src, det, cfg, 200_000, seed=9)
     for idx in (0, 1, 65_535, 65_536, 123_456):
