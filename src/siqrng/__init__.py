@@ -10,7 +10,7 @@ import os
 
 __version__ = "0.1.0"
 
-#: CPUs this process may use: the simulator's panel threads
+#: CPUs this process may use: the simulator's chunk-drawing threads
 #: (detector_sim.WORKERS) and the hash's worker thread (extractor) are
 #: sized by it.
 CPUS = (

@@ -29,7 +29,7 @@ from .errors import (
 from .io_formats import PackedBits, RunConfig
 
 if TYPE_CHECKING:
-    from .detector_sim import EventStream
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -141,7 +141,7 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _simulate(cfg: RunConfig) -> EventStream:
+def _simulate(cfg: RunConfig) -> np.ndarray:
     from . import detector_sim  # loads numpy; only the array stages need it
     return detector_sim.run_simulation(
         cfg.source_params(),
@@ -153,21 +153,24 @@ def _simulate(cfg: RunConfig) -> EventStream:
 
 
 def _cmd_simulate(args) -> int:
-    stream = _simulate(_load_config(args))
-    io_formats.write_events(args.out, stream, binary=not args.text)
+    events = _simulate(_load_config(args))
+    io_formats.write_events(args.out, events, binary=not args.text)
     return EXIT_OK
 
 
 def _cmd_tally(args) -> int:
     from . import detector_sim
-    stream = io_formats.read_events(args.events)
-    summary = detector_sim.tally(stream)
+    summary = detector_sim.tally(io_formats.read_events(args.events))
     _emit(io_formats.tally_to_text(summary), args.out)
     return EXIT_OK
 
 
 def _tally_from_args(args, cfg: RunConfig) -> protocol_math.TallySummary:
     if args.tally:
+        counts = {"--n-z": args.n_z, "--e-bx": args.e_bx, "--n-x": args.n_x}
+        given = [flag for flag, value in counts.items() if value is not None]
+        if given:
+            raise ConfigError(f"--tally cannot be given with {', '.join(given)}")
         with open(args.tally, encoding="utf-8") as f:
             return io_formats.tally_from_text(f.read())
     if args.n_z is None or args.e_bx is None:
@@ -418,10 +421,10 @@ def _pipeline(args, cfg: RunConfig, duration: float, seed_file: BinaryIO) -> int
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
 
-    stream = _simulate(cfg)
-    io_formats.write_events(os.path.join(outdir, cfg["path.events"]), stream)
+    events = _simulate(cfg)
+    io_formats.write_events(os.path.join(outdir, cfg["path.events"]), events)
 
-    summary = detector_sim.tally(stream)
+    summary = detector_sim.tally(events)
     _emit(io_formats.tally_to_text(summary), os.path.join(outdir, "tally.txt"))
 
     est_path = os.path.join(outdir, "estimate.txt")
@@ -431,9 +434,9 @@ def _pipeline(args, cfg: RunConfig, duration: float, seed_file: BinaryIO) -> int
     need = summary.n_z + est.rates.whole_bits - 1
     seed = io_formats.read_seed_file(seed_file, need)
     bits_path = os.path.join(outdir, cfg["path.output"])
-    events = len(stream)
-    raw = detector_sim.raw_bits_from_events(stream)
-    del stream  # free the events before the hash allocates its spectra
+    n_events = len(events)
+    raw = detector_sim.raw_bits_from_events(events)
+    del events  # free the events before the hash allocates its spectra
     bits = _extract(
         raw, summary.n_z, est.rates, seed, est.security.epsilon_total, bits_path
     )
@@ -461,7 +464,7 @@ def _pipeline(args, cfg: RunConfig, duration: float, seed_file: BinaryIO) -> int
     sys.stdout.write(
         io_formats.dump_keyvals(
             {
-                "events": events,
+                "events": n_events,
                 "n_z": summary.n_z,
                 "e_bx": f"{summary.e_bx:.6g}",
                 "certified_bits": est.rates.whole_bits,

@@ -54,26 +54,6 @@ CHUNK = 1 << 16
 WORKERS = min(4, CPUS)
 
 
-class EventStream:
-    """Consecutive pulse events: one uint8 event code per pulse plus the
-    index of the first pulse; indices are consecutive by construction.
-    The codes may be a read-only view of an event file's bytes."""
-
-    def __init__(self, codes: np.ndarray, start: int = 0):
-        self.codes = codes
-        self.start = start
-
-    def __len__(self):
-        return len(self.codes)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EventStream)
-            and self.start == other.start
-            and np.array_equal(self.codes, other.codes)
-        )
-
-
 def _uniforms(entropy: int, domain: int, start: int, count: int) -> np.ndarray:
     """Uniforms of pulses [start, start+count) in the ``domain`` stream of
     ``entropy``: a PCG64DXSM stream whose i-th double is pulse i's, so it
@@ -158,8 +138,9 @@ def run_simulation(
     config: MeasurementConfig,
     n_pulses: int,
     seed: int,
-) -> EventStream:
-    """Simulate a full run of n_pulses pulses, deterministic in the seeds."""
+) -> np.ndarray:
+    """Event codes of a full run of n_pulses pulses, pulse i at index i,
+    deterministic in the seeds."""
     return simulate_range(source, det, config, seed, 0, n_pulses)
 
 
@@ -170,9 +151,9 @@ def simulate_range(
     seed: int,
     start: int,
     count: int,
-) -> EventStream:
-    """Events for pulses [start, start+count), byte-identical to the same
-    slice of a serial full run.
+) -> np.ndarray:
+    """Event codes of pulses [start, start+count), byte-identical to the
+    same slice of a serial full run.
 
     The code array is allocated up front (RunTooLargeError if it cannot
     be). WORKERS threads, at most 2 * WORKERS chunks of CHUNK pulses
@@ -183,7 +164,11 @@ def simulate_range(
     if count < 0:
         raise ValueError("count must be >= 0")
     period = 1.0 / source.pulse_rate_G
-    window = max(0, math.ceil(det.dead_time / period) - 1)
+    # a look-back reaching before pulse 0 sees no clicks, so a window past
+    # the range's last pulse changes nothing and only costs memory
+    window = min(
+        max(0, math.ceil(det.dead_time / period) - 1), max(0, start + count - 1)
+    )
     try:
         codes = np.empty(count, dtype=np.uint8)
     except MemoryError:
@@ -219,11 +204,11 @@ def simulate_range(
             future.result()
     finally:
         pool.shutdown(cancel_futures=True)
-    return EventStream(codes, start=start)
+    return codes
 
 
-def tally(events: EventStream) -> TallySummary:
-    """Count a stream into the estimation summary.
+def tally(events: np.ndarray) -> TallySummary:
+    """Count the event codes into the estimation summary.
 
     Check (X) basis: every click counts toward n_x; wrong-detector
     singles are full errors, doubles half errors. Generation (Z) basis:
@@ -232,7 +217,7 @@ def tally(events: EventStream) -> TallySummary:
     """
     # code = basis | outcome << 1, so the eight per-code counts form a
     # table indexed [outcome, basis]
-    per_code = [np.count_nonzero(events.codes == c) for c in range(8)]
+    per_code = [np.count_nonzero(events == c) for c in range(8)]
     table = np.array(per_code).reshape(4, 2)
     x, z = table[:, BASIS_X].tolist(), table[:, BASIS_Z].tolist()
     n_x = sum(x) - x[OUTCOME_NONE]
@@ -258,7 +243,7 @@ def tally(events: EventStream) -> TallySummary:
 RAW_BITS_CHUNK = 1 << 16
 
 
-def raw_bits_from_events(events: EventStream) -> PackedBits:
+def raw_bits_from_events(codes: np.ndarray) -> PackedBits:
     """Generation-basis bit string: D0 -> 0, D1 -> 1, in pulse order.
 
     Doubles and nulls never enter the string. The singles are selected
@@ -266,7 +251,6 @@ def raw_bits_from_events(events: EventStream) -> PackedBits:
     do not fill a byte are carried on to the next chunk. The buffer, sized
     for one bit per event, is then shrunk in place to the bits selected.
     """
-    codes = events.codes
     packed = np.empty(len(codes) // 8 + 1, dtype=np.uint8)
     bits, done = np.empty(0, dtype=np.uint8), 0  # carried bits, bytes done
     for lo in range(0, len(codes), RAW_BITS_CHUNK):

@@ -1,8 +1,9 @@
 """Bit-exact file formats and the run configuration.
 
-Event files come in a text and a binary form that round-trip losslessly
-for consecutive-index streams. Certified bits are packed MSB-first with
-a `.len` sidecar holding the bit count and the failure probability.
+Event files come in a text and a binary form that both hold the event
+code array, pulse i at index i, and round-trip losslessly. Certified
+bits are packed MSB-first with a `.len` sidecar holding the bit count
+and the failure probability.
 Config files are flat `key = value` lines with `#` comments; unknown
 keys are rejected.
 """
@@ -24,11 +25,10 @@ from .source_sim import (
     SourceParams,
 )
 
-# numpy and detector_sim are imported where they are used, so the
-# key-value stages (estimate, calibrate, optimize) never load numpy
+# numpy is imported where it is used, so the key-value stages
+# (estimate, calibrate, optimize) never load numpy
 if TYPE_CHECKING:
     import numpy as np
-    from .detector_sim import EventStream
 
 TEXT_MAGIC = "#SIQRNG-EVENTS v1"
 BINARY_MAGIC = b"SQEB"
@@ -64,16 +64,15 @@ def atomic_write_text(path: str, text: str) -> None:
 # Event files
 
 
-def events_to_text(stream: EventStream) -> str:
+def events_to_text(codes: np.ndarray) -> str:
     lines = [TEXT_MAGIC, "index,basis,outcome"]
-    for i, code in enumerate(stream.codes.tolist(), stream.start):
+    for i, code in enumerate(codes.tolist()):
         lines.append(f"{i},{_CODE_TEXT[code]}")
     return "\n".join(lines) + "\n"
 
 
-def events_from_text(text: str) -> EventStream:
+def events_from_text(text: str) -> np.ndarray:
     import numpy as np
-    from .detector_sim import EventStream
     lines = text.split("\n")
     if not lines or lines[0] != TEXT_MAGIC:
         raise FormatError("missing event-file magic line")
@@ -85,8 +84,6 @@ def events_from_text(text: str) -> EventStream:
     pos += 1
     records = [ln for ln in lines[pos:] if ln]
     codes = np.empty(len(records), dtype=np.uint8)
-    start = 0
-    prev = -1
     for i, ln in enumerate(records):
         index, _, pair = ln.partition(",")
         try:
@@ -94,25 +91,14 @@ def events_from_text(text: str) -> EventStream:
             codes[i] = _CODE_TEXT.index(pair)
         except ValueError as exc:
             raise FormatError(f"bad event record: {ln!r}") from exc
-        if i == 0:
-            start = idx
-        elif idx != prev + 1:
-            raise FormatError(f"event indices not consecutive at {idx}")
-        prev = idx
-    return EventStream(codes, start=start)
+        if idx != i:
+            raise FormatError(f"event index {idx} where {i} was expected")
+    return codes
 
 
-def _binary_header(stream: EventStream) -> bytes:
-    """The 13 bytes before the binary form's body, the code array."""
-    if stream.start != 0:
-        raise FormatError("binary form stores streams starting at index 0")
-    return BINARY_MAGIC + bytes([BINARY_VERSION]) + struct.pack("<Q", len(stream))
-
-
-def events_from_binary(data: bytes) -> EventStream:
-    """The stream whose codes are a read-only view of ``data``'s body."""
+def events_from_binary(data: bytes) -> np.ndarray:
+    """The codes, a read-only view of ``data``'s body."""
     import numpy as np
-    from .detector_sim import EventStream
     if len(data) < 13 or data[:4] != BINARY_MAGIC:
         raise FormatError("missing binary event-file magic")
     if data[4] != BINARY_VERSION:
@@ -125,17 +111,19 @@ def events_from_binary(data: bytes) -> EventStream:
     codes = np.frombuffer(data, dtype=np.uint8, offset=13)
     if codes.max(initial=0) > 7:
         raise FormatError("event byte has reserved bits set")
-    return EventStream(codes, start=0)
+    return codes
 
 
-def write_events(path: str, stream: EventStream, binary: bool = True) -> None:
+def write_events(path: str, codes: np.ndarray, binary: bool = True) -> None:
+    """Write the codes as a binary file, whose body they are, or as text."""
     if binary:
-        atomic_write_bytes(path, _binary_header(stream), stream.codes)
+        header = struct.pack("<4sBQ", BINARY_MAGIC, BINARY_VERSION, len(codes))
+        atomic_write_bytes(path, header, codes)
     else:
-        atomic_write_text(path, events_to_text(stream))
+        atomic_write_text(path, events_to_text(codes))
 
 
-def read_events(path: str) -> EventStream:
+def read_events(path: str) -> np.ndarray:
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] == BINARY_MAGIC:
@@ -363,6 +351,8 @@ class RunConfig:
             ) from exc
         if typ is float and not math.isfinite(value):
             raise ConfigError(f"{key!r} must be a finite number, got {raw!r}")
+        if key == "source.kind" and value not in ("laser", "sunlight"):
+            raise ConfigError(f"unknown source kind {value!r}")
         self.values[key] = value
 
     def __getitem__(self, key: str):
@@ -396,7 +386,6 @@ class RunConfig:
             hwp_angle=self.values["source.hwp_deg"],
             qwp_angle=self.values["source.qwp_deg"],
             intensity_fluctuation_rel_std=self.fluctuation,
-            source_kind=self.values["source.kind"],
         )
 
     def detector_params(self) -> DetectorParams:

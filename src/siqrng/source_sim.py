@@ -56,7 +56,6 @@ class SourceParams:
     hwp_angle: float = 22.5
     qwp_angle: float = 0.0
     intensity_fluctuation_rel_std: float = 0.0
-    source_kind: str = "laser"
 
     def __post_init__(self):
         if self.mean_photons_lambda < 0:
@@ -65,8 +64,6 @@ class SourceParams:
             raise ValueError("pulse rate must be positive")
         if self.intensity_fluctuation_rel_std < 0:
             raise ValueError("fluctuation must be >= 0")
-        if self.source_kind not in ("laser", "sunlight"):
-            raise ValueError(f"unknown source kind {self.source_kind!r}")
 
     def laplace(self, t: float) -> float:
         """E exp(-t lambda_eff) for t >= 0: the probability that a pulse

@@ -1,26 +1,23 @@
-"""Per-pulse basis and outcome arrays of an event stream, the stream of
-given arrays (each event code is basis | outcome << 1), and the stream's
-SQEB v1 file bytes."""
+"""Per-pulse basis and outcome arrays of an event code array, the codes
+of given arrays (each event code is basis | outcome << 1), and the
+codes' SQEB v1 file bytes."""
 import struct
 
 import numpy as np
 
-from siqrng.detector_sim import EventStream
+
+def basis(codes: np.ndarray) -> np.ndarray:
+    return codes & 1
 
 
-def basis(stream: EventStream) -> np.ndarray:
-    return stream.codes & 1
+def outcome(codes: np.ndarray) -> np.ndarray:
+    return codes >> 1
 
 
-def outcome(stream: EventStream) -> np.ndarray:
-    return stream.codes >> 1
+def stream(basis, outcome) -> np.ndarray:
+    return np.asarray(basis, np.uint8) | np.asarray(outcome, np.uint8) << 1
 
 
-def stream(basis, outcome, start: int = 0) -> EventStream:
-    codes = np.asarray(basis, np.uint8) | np.asarray(outcome, np.uint8) << 1
-    return EventStream(codes, start=start)
-
-
-def sqeb_bytes(stream: EventStream) -> bytes:
+def sqeb_bytes(codes: np.ndarray) -> bytes:
     """Magic, version byte, little-endian uint64 count, one code per byte."""
-    return b"SQEB\x01" + struct.pack("<Q", len(stream)) + stream.codes.tobytes()
+    return b"SQEB\x01" + struct.pack("<Q", len(codes)) + codes.tobytes()

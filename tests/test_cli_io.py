@@ -24,7 +24,7 @@ RNG = np.random.default_rng(77)
 
 
 def random_stream(n=500):
-    return ds.EventStream(RNG.integers(0, 8, n).astype(np.uint8))
+    return RNG.integers(0, 8, n).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -37,15 +37,15 @@ def test_text_round_trip():
     assert text.startswith("#SIQRNG-EVENTS v1\n")
     assert not any(ln != ln.rstrip() for ln in text.split("\n"))
     back = io.events_from_text(text)
-    assert back == stream
+    assert np.array_equal(back, stream)
     assert io.events_to_text(back) == text
     pairs = ec.stream(
         [ss.BASIS_Z, ss.BASIS_X, ss.BASIS_X, ss.BASIS_Z],
         [ds.OUTCOME_D0, ds.OUTCOME_D1, ds.OUTCOME_DOUBLE, ds.OUTCOME_NONE],
-        start=7,
     )
+    # pulse i is line i: the indices start at 0
     assert io.events_to_text(pairs).split("\n")[2:] == [
-        "7,Z,A", "8,X,B", "9,X,D", "10,Z,N", ""
+        "0,Z,A", "1,X,B", "2,X,D", "3,Z,N", ""
     ]
 
 
@@ -56,7 +56,7 @@ def test_binary_round_trip(tmp_path):
     blob = path.read_bytes()
     assert blob[:4] == b"SQEB" and blob[4] == 1
     assert blob == ec.sqeb_bytes(stream)
-    assert io.events_from_binary(blob) == stream
+    assert np.array_equal(io.events_from_binary(blob), stream)
 
 
 def test_cross_form_round_trip():
@@ -70,7 +70,7 @@ def test_text_metadata_lines_parse():
     stream = random_stream(5)
     magic, rest = io.events_to_text(stream).split("\n", 1)
     text = f"{magic}\n#seed=7\n#kind=laser\n{rest}"
-    assert io.events_from_text(text) == stream
+    assert np.array_equal(io.events_from_text(text), stream)
 
 
 def test_text_rejects_gaps_and_garbage():
@@ -79,6 +79,12 @@ def test_text_rejects_gaps_and_garbage():
     broken = "\n".join([lines[0], lines[1], lines[2], lines[4], lines[5], ""])
     with pytest.raises(FormatError):
         io.events_from_text(broken)
+    # pulse i is line i, so the indices start at 0 and do not repeat
+    with pytest.raises(FormatError):
+        io.events_from_text(f"{lines[0]}\n{lines[1]}\n7,Z,A\n8,X,B\n")
+    repeated = "\n".join([lines[0], lines[1], lines[2], lines[3], lines[3], ""])
+    with pytest.raises(FormatError):
+        io.events_from_text(repeated)
     with pytest.raises(FormatError):
         io.events_from_text("nope\n")
     with pytest.raises(FormatError):
@@ -100,7 +106,7 @@ def test_event_file_io(tmp_path):
     for binary in (True, False):
         path = str(tmp_path / ("e.bin" if binary else "e.txt"))
         io.write_events(path, stream, binary=binary)
-        assert io.read_events(path) == stream
+        assert np.array_equal(io.read_events(path), stream)
 
 
 def test_read_and_tally_memory(tmp_path):
@@ -371,6 +377,25 @@ def test_cli_usage_errors_are_exit_one(tmp_path, capsys):
     assert not outdir.exists()
     assert run_cli("estimate") == 1
     assert run_cli("nonsense") == 1
+    # the source kind is checked where the config is read, by every stage
+    for argv in (("estimate", "--n-z", "1000000", "--e-bx", "0.01"),
+                 ("simulate", "--out", str(tmp_path / "x")), ("optimize",)):
+        capsys.readouterr()
+        assert run_cli(*argv, "--set", "source.kind=led") == 1
+        assert capsys.readouterr().err == "error: unknown source kind 'led'\n"
+    assert not (tmp_path / "x").exists()
+    # a tally file and direct counts are not mixed: the counts would be ignored
+    tally_f = tmp_path / "tally.txt"
+    tally_f.write_text(io.tally_to_text(TallySummary(
+        N_total=2000, N_X=1000, N_Z=1000, n_x=1000, n_z=1000, x_wrong_singles=3,
+        x_doubles=0, z_doubles_discarded=0, e_bx=0.003,
+    )))
+    capsys.readouterr()
+    counts = ("--n-z", "5", "--e-bx", "0.4", "--n-x", "3")
+    assert run_cli("estimate", "--tally", str(tally_f), *counts) == 1
+    assert capsys.readouterr().err == (
+        "error: --tally cannot be given with --n-z, --e-bx, --n-x\n"
+    )
     assert run_cli(
         "estimate", "--n-z", "1000000", "--n-x", "0", "--e-bx", "0.01"
     ) == 1
@@ -448,6 +473,18 @@ def test_cli_oversized_run_is_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert os.listdir(outdir) == []
+
+
+def test_cli_dead_time_past_the_run_is_exit_zero(tmp_path):
+    # a look-back reaching before pulse 0 sees no clicks: a dead time of
+    # hours gives the events of one spanning just the run (window n - 1)
+    blobs = []
+    for dead_time in ("1e4", "0.025"):
+        out = tmp_path / f"events-{dead_time}.sqeb"
+        argv = ("--set", f"detector.dead_time={dead_time}", "--out", str(out))
+        assert run_cli("simulate", "--set", "run.n_pulses=100000", *argv) == 0
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 @pytest.mark.parametrize(
@@ -600,6 +637,10 @@ def test_cli_io_errors_are_exit_four(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"SQEB\x01garbage")
     assert run_cli("tally", "--events", str(bad)) == 4
+    # a text file holds pulse i at index i, so one starting at 5 is bad
+    late = tmp_path / "late.txt"
+    late.write_text("#SIQRNG-EVENTS v1\nindex,basis,outcome\n5,Z,A\n6,X,B\n")
+    assert run_cli("tally", "--events", str(late)) == 4
 
     # an estimate with a non-numeric or an inconsistent value is a bad file
     events = str(tmp_path / "events.sqeb")

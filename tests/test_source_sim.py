@@ -188,11 +188,12 @@ def test_stream_is_pure_function_of_seed_and_params():
         return ds.run_simulation(src, det, cfg, 100_000, seed)
 
     a = events(p, 9)
-    assert a == events(p, 9)
-    assert a != events(p, 10)
+    assert np.array_equal(a, events(p, 9))
+    assert not np.array_equal(a, events(p, 10))
     # the jitter and the mean both enter the law, so both move the events
-    assert a != events(ss.SourceParams(mean_photons_lambda=p.mean_photons_lambda), 9)
-    assert a != events(sunlight(2 * p.mean_photons_lambda), 9)
+    laser = ss.SourceParams(mean_photons_lambda=p.mean_photons_lambda)
+    assert not np.array_equal(a, events(laser, 9))
+    assert not np.array_equal(a, events(sunlight(2 * p.mean_photons_lambda), 9))
 
 
 def test_indexed_access_matches_bulk():
@@ -201,8 +202,7 @@ def test_indexed_access_matches_bulk():
     bulk = ds.run_simulation(src, det, cfg, 200_000, seed=9)
     for idx in (0, 1, 65_535, 65_536, 123_456):
         one = ds.simulate_range(src, det, cfg, 9, idx, 1)
-        assert one.start == idx
-        assert one.codes[0] == bulk.codes[idx]
+        assert one.tolist() == [bulk[idx]]
 
 
 def test_huge_lambda_saturates_both_arms():
@@ -218,5 +218,3 @@ def test_source_params_validation():
         ss.SourceParams(mean_photons_lambda=-1.0)
     with pytest.raises(ValueError):
         ss.SourceParams(pulse_rate_G=0.0)
-    with pytest.raises(ValueError):
-        ss.SourceParams(source_kind="led")
