@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, BinaryIO
 # imports numpy
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import io_formats, optimizer, protocol_math
+from . import io_formats, protocol_math
 from .errors import (
     ConfigError,
     EstimationAbort,
@@ -30,6 +30,8 @@ from .io_formats import PackedBits, RunConfig
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from . import optimizer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -331,6 +333,7 @@ def _extract(raw, n_z: int, rates, seed: bytes, epsilon_total: float, out: str):
 
 
 def _rate_params(cfg: RunConfig) -> optimizer.RateModelParams:
+    from . import optimizer  # only optimize and pipeline need the rate model
     return optimizer.RateModelParams(
         source=cfg.source_params(),
         detector=cfg.detector_params(),
@@ -345,6 +348,7 @@ def _rate_params(cfg: RunConfig) -> optimizer.RateModelParams:
 def _optimize(cfg: RunConfig, grid_step: float, out: str | None):
     """Best mean photon number and its rate over the run's duration; the
     curve goes to ``out``."""
+    from . import optimizer
     if not grid_step > 0:
         raise ConfigError(f"--grid-step must be positive, got {grid_step}")
     params = _rate_params(cfg)

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -373,6 +372,7 @@ def _convolve(seed, x, shape, residue: int, rows: tuple[int, int]) -> np.ndarray
     forward = _band_twiddles(shape, residue)
     inverse = _Tables(0, forward[0].conj(), forward[1].conj())
     indices = _patterns(seed, shape, residue), _patterns(x, shape, residue)
+    from concurrent.futures import ThreadPoolExecutor
     threads = ThreadPoolExecutor(max_workers=1) if residue > 1 and CPUS > 1 else None
     with threads or contextlib.nullcontext() as pool:
         tables = _class_tables(shape, forward, residue, 0)
@@ -482,11 +482,10 @@ def _hash(seed: PackedBits, x: PackedBits, m: int) -> PackedBits:
     return PackedBits(out, m)
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
-    """Certified output bits."""
+class ExtractionResult(namedtuple("ExtractionResult", "bits")):
+    """Certified output bits, a PackedBits."""
 
-    bits: PackedBits
+    __slots__ = ()
 
 
 def extract(bits: PackedBits, rate: RateBreakdown, seed: bytes) -> ExtractionResult:

@@ -13,7 +13,6 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, BinaryIO
 
 from .errors import ConfigError, FormatError
@@ -138,15 +137,15 @@ def read_events(path: str) -> np.ndarray:
 # Certified bits files
 
 
-@dataclass(frozen=True, eq=False)
 class PackedBits:
     """``count`` bits packed most significant bit first into ``data``, a
     uint8 array of (count + 7) // 8 bytes whose bits past ``count`` are
     zero: the layout of raw, hash-seed and certified bits, from the
     events through the hash to the battery."""
 
-    data: np.ndarray
-    count: int
+    def __init__(self, data: np.ndarray, count: int):
+        self.data = data
+        self.count = count
 
     def __len__(self) -> int:
         return self.count
@@ -306,12 +305,12 @@ def _default_config() -> dict:
     }
 
 
-@dataclass
 class RunConfig:
     """Flat dotted-key configuration; defaults are the bundled laser
     operating point."""
 
-    values: dict
+    def __init__(self, values: dict):
+        self.values = values
 
     @classmethod
     def defaults(cls) -> "RunConfig":
@@ -408,7 +407,6 @@ class RunConfig:
                 self.values["measure.phase_x_c"],
                 self.values["measure.phase_x_a"],
             ),
-            basis_seed=self.values["run.seed"],
         )
 
 

@@ -10,7 +10,7 @@ and hashing cost included, at a constant check-basis error floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .errors import NonUnimodalError
 from .protocol_math import MeasurementImperfection, rate_breakdown
@@ -27,21 +27,22 @@ from .source_sim import (
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class RateModelParams:
+class RateModelParams(
+    namedtuple(
+        "RateModelParams", "source detector measurement coefficient theta t_e e_bx",
+        defaults=(
+            SourceParams(), DetectorParams(), MeasurementConfig(),
+            0.952, 0.001, 100, 0.0033,
+        ),
+    )
+):
     """Inputs of the rate model: the simulated source (its mean photon
     number is replaced by the one evaluated), detectors and basis
     settings, the calibrated coefficient, the security parameters, and
     e_bx, the check-basis error floor (the paper's measured misalignment).
     """
 
-    source: SourceParams = SourceParams()
-    detector: DetectorParams = DetectorParams()
-    measurement: MeasurementConfig = MeasurementConfig()
-    coefficient: float = 0.952
-    theta: float = 0.001
-    t_e: int = 100
-    e_bx: float = 0.0033
+    __slots__ = ()
 
 
 def rate_model(lam: float, params: RateModelParams, run_duration: float) -> float:
@@ -54,7 +55,8 @@ def rate_model(lam: float, params: RateModelParams, run_duration: float) -> floa
     if arg > 0.5:
         raise ValueError(f"entropy argument {arg} exceeds 1/2: nothing to certify")
     det, config = params.detector, params.measurement
-    source = replace(params.source, mean_photons_lambda=lam)
+    # through the class, not _replace, which would skip the lambda >= 0 check
+    source = SourceParams(lam, *params.source[1:])
     state = polarization_from_waveplates(source.hwp_angle, source.qwp_angle)
     probs = effective_projection_probs(state, BASIS_Z, config)
     t1, _, t3 = outcome_law(source, det, probs)

@@ -11,7 +11,7 @@ Probability bounds that can underflow a float at realistic sample sizes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CalibrationError, EstimationAbort, UnreachableTargetError
 
@@ -57,16 +57,14 @@ def xi_theta(e_bx: float, theta: float, q_x: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class EpsilonThetaBound:
+class EpsilonThetaBound(namedtuple("EpsilonThetaBound", "log2_raw clamped")):
     """Sampling-bound value kept in log2 form next to its [0, 1] clamp.
 
     ``log2_raw`` is exact even when the linear value underflows;
     ``clamped`` is min(2**log2_raw, 1) and is what estimation consumes.
     """
 
-    log2_raw: float
-    clamped: float
+    __slots__ = ()
 
 
 def regularize_error_rate(e_bx: float, n_x: int) -> float:
@@ -172,8 +170,7 @@ def failure_probability(epsilon_theta: float, t_e: int) -> float:
     return min(1.0, 2.0 ** log2_eps)
 
 
-@dataclass(frozen=True)
-class SecurityParams:
+class SecurityParams(namedtuple("SecurityParams", "theta t_e epsilon_theta")):
     """Finite-size security inputs and the resulting failure probability.
 
     theta is the allowed deviation of the phase error rate above the
@@ -181,17 +178,17 @@ class SecurityParams:
     epsilon_theta the estimation failure bound.
     """
 
-    theta: float
-    t_e: int
-    epsilon_theta: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.theta < 1.0:
             raise ValueError(f"theta must be in [0, 1), got {self.theta}")
         if self.t_e < 0:
             raise ValueError(f"t_e must be >= 0, got {self.t_e}")
         if not 0.0 <= self.epsilon_theta <= 1.0:
             raise ValueError("epsilon_theta must be in [0, 1]")
+        return self
 
     @property
     def epsilon_total(self) -> float:
@@ -199,8 +196,12 @@ class SecurityParams:
         return failure_probability(self.epsilon_theta, self.t_e)
 
 
-@dataclass(frozen=True)
-class TallySummary:
+class TallySummary(
+    namedtuple(
+        "TallySummary",
+        "N_total N_X N_Z n_x n_z x_wrong_singles x_doubles z_doubles_discarded e_bx",
+    )
+):
     """Finite-size counts of one run, after the discard policy.
 
     n_x / n_z are detected events per basis (check doubles kept with half
@@ -208,17 +209,10 @@ class TallySummary:
     bit error rate.
     """
 
-    N_total: int
-    N_X: int
-    N_Z: int
-    n_x: int
-    n_z: int
-    x_wrong_singles: int
-    x_doubles: int
-    z_doubles_discarded: int
-    e_bx: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.N_X + self.N_Z != self.N_total:
             raise ValueError("basis assignments must partition the run")
         if self.n_x > self.N_X or self.n_z > self.N_Z:
@@ -231,6 +225,7 @@ class TallySummary:
                 )
         if not 0.0 <= self.e_bx <= 1.0:
             raise ValueError(f"e_bx must be in [0, 1], got {self.e_bx}")
+        return self
 
 
 def check_sample(tally: TallySummary) -> tuple[int, float, float]:
@@ -245,40 +240,38 @@ def check_sample(tally: TallySummary) -> tuple[int, float, float]:
     return n, tally.n_x / n, regularize_error_rate(tally.e_bx, tally.n_x)
 
 
-@dataclass(frozen=True)
-class MeasurementImperfection:
+class MeasurementImperfection(
+    namedtuple("MeasurementImperfection", "coefficient eta0 eta1")
+):
     """Calibrated measurement-device imperfections: the per-bit randomness
     coefficient -2 log2(c) of the basis pair and the detector efficiencies."""
 
-    coefficient: float
-    eta0: float
-    eta1: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.coefficient <= 1.0:
             raise ValueError(
                 f"coefficient must be in [0, 1], got {self.coefficient}"
             )
         if not 0.0 < self.eta0 <= 1.0 or not 0.0 < self.eta1 <= 1.0:
             raise ValueError("efficiencies must be in (0, 1]")
+        return self
 
 
-@dataclass(frozen=True)
-class RateBreakdown:
+class RateBreakdown(
+    namedtuple("RateBreakdown", "R0 R1 R_final rescale_factor entropy_cost coefficient")
+):
     """Certified randomness lengths with their per-term contributions.
 
     Lengths are real-valued; flooring to whole bits happens only at
     extraction time.
     """
 
-    R0: float
-    R1: float
-    R_final: float
-    rescale_factor: float
-    entropy_cost: float
-    coefficient: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not all(map(math.isfinite, (self.R0, self.R1, self.R_final))):
             raise ValueError("lengths must be finite")
         if not 0.0 < self.rescale_factor <= 1.0 + 1e-12:
@@ -287,6 +280,7 @@ class RateBreakdown:
             raise ValueError("R1 cannot exceed R0")
         if self.R1 >= 0.0 and self.R_final > self.R1 + 1e-6:
             raise ValueError("R_final cannot exceed a non-negative R1")
+        return self
 
     @property
     def certifiable(self) -> bool:
@@ -334,14 +328,12 @@ def rate_breakdown(
     )
 
 
-@dataclass(frozen=True)
-class ProtocolEstimate:
+class ProtocolEstimate(
+    namedtuple("ProtocolEstimate", "rates security q_x warnings", defaults=((),))
+):
     """Joint result of finite-size estimation on one tally."""
 
-    rates: RateBreakdown
-    security: SecurityParams
-    q_x: float
-    warnings: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 def estimate_protocol(
@@ -376,15 +368,15 @@ def estimate_protocol(
     )
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(
+    namedtuple(
+        "CalibrationResult", "overlap_c coefficient p_max z_gate_db", defaults=(None,)
+    )
+):
     """Overlap bound deduced from a calibration count pair, with the
-    generation-basis extinction ratio when one was gated on."""
+    generation-basis extinction ratio (z_gate_db) when one was gated on."""
 
-    overlap_c: float
-    coefficient: float
-    p_max: float
-    z_gate_db: float | None = None
+    __slots__ = ()
 
 
 def z_gate_ratio_db(counts_d0: int, counts_d1: int) -> float:

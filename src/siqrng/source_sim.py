@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 #: Default relative intensity fluctuation for sunlight runs.
 SUNLIGHT_FLUCTUATION = 0.05
@@ -27,21 +27,27 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class PolarizationState:
+class PolarizationState(namedtuple("PolarizationState", "amplitude_H amplitude_V")):
     """Jones vector (amplitude_H, amplitude_V), unit norm within 1e-12."""
 
-    amplitude_H: complex
-    amplitude_V: complex
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         norm = abs(self.amplitude_H) ** 2 + abs(self.amplitude_V) ** 2
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"Jones vector norm^2 = {norm}, expected 1")
+        return self
 
 
-@dataclass(frozen=True)
-class SourceParams:
+class SourceParams(
+    namedtuple(
+        "SourceParams",
+        "mean_photons_lambda pulse_rate_G hwp_angle qwp_angle "
+        "intensity_fluctuation_rel_std",
+        defaults=(14.4, 4.0e6, 22.5, 0.0, 0.0),
+    )
+):
     """Source statistics and prepared polarization.
 
     mean_photons_lambda is the pre-detection mean photon number per pulse;
@@ -51,19 +57,17 @@ class SourceParams:
     mu = lambda and sigma = lambda * rel.
     """
 
-    mean_photons_lambda: float = 14.4
-    pulse_rate_G: float = 4.0e6
-    hwp_angle: float = 22.5
-    qwp_angle: float = 0.0
-    intensity_fluctuation_rel_std: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mean_photons_lambda < 0:
             raise ValueError("mean photon number must be >= 0")
         if self.pulse_rate_G <= 0:
             raise ValueError("pulse rate must be positive")
         if self.intensity_fluctuation_rel_std < 0:
             raise ValueError("fluctuation must be >= 0")
+        return self
 
     def laplace(self, t: float) -> float:
         """E exp(-t lambda_eff) for t >= 0: the probability that a pulse
@@ -93,31 +97,35 @@ class SourceParams:
         return clip + math.exp(-a * a / 2.0) / (_SQRT_2PI * f)
 
 
-@dataclass(frozen=True)
-class MeasurementConfig:
+class MeasurementConfig(
+    namedtuple(
+        "MeasurementConfig", "prob_X phase_Z phase_X",
+        defaults=(0.004, (0.0, 0.0), (-math.pi / 4.0, math.pi / 4.0)),
+    )
+):
     """Per-pulse basis selection and the interferometer phase settings."""
 
-    prob_X: float = 0.004
-    phase_Z: tuple[float, float] = (0.0, 0.0)
-    phase_X: tuple[float, float] = (-math.pi / 4.0, math.pi / 4.0)
-    basis_seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.prob_X <= 1.0:
             raise ValueError(f"prob_X must be in [0, 1], got {self.prob_X}")
+        return self
 
 
-@dataclass(frozen=True)
-class DetectorParams:
+class DetectorParams(
+    namedtuple(
+        "DetectorParams", "eta0 eta1 dark_rate dead_time gate_width",
+        defaults=(0.1, 0.1, 200.0, 50e-9, 100e-9),
+    )
+):
     """Threshold-detector pair parameters."""
 
-    eta0: float = 0.1
-    eta1: float = 0.1
-    dark_rate: float = 200.0
-    dead_time: float = 50e-9
-    gate_width: float = 100e-9
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.eta0 <= 1.0 or not 0.0 <= self.eta1 <= 1.0:
             raise ValueError("efficiencies must be in [0, 1]")
         if self.dark_rate < 0:
@@ -126,6 +134,7 @@ class DetectorParams:
             raise ValueError("dead time must be >= 0")
         if self.gate_width <= 0:
             raise ValueError("gate width must be positive")
+        return self
 
     @property
     def dark_click_prob(self) -> float:

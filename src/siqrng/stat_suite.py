@@ -24,7 +24,7 @@ length, not these p-values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 import scipy.fft
@@ -51,11 +51,8 @@ WALK_CHUNK = 1 << 16
 PATTERN_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class TestReport:
-    test_name: str
-    p_value: float
-    passed: bool
+class TestReport(namedtuple("TestReport", "test_name p_value passed")):
+    __slots__ = ()
 
     def csv_row(self) -> str:
         return f"{self.test_name},{self.p_value:.6g},{int(self.passed)}"

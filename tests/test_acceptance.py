@@ -234,7 +234,7 @@ def test_acceptance_8_rotated_input_sensitivity():
         # five degrees of plate rotation turns the state ten degrees off
         # the check eigenstate; the error floor becomes sin^2(10 deg)
         det = DetectorParams()
-        cfg = MeasurementConfig(prob_X=0.5, basis_seed=808)
+        cfg = MeasurementConfig(prob_X=0.5)
         n_pulses = 4_000_000
         imp = pm.MeasurementImperfection(0.952, 0.1, 0.1)
 

@@ -29,35 +29,35 @@ PLUS = polarization_from_waveplates(22.5, 0.0)
 # basis choice
 
 
+def pulse_bases(prob_X, seed, start, count):
+    cfg = ss.MeasurementConfig(prob_X=prob_X)
+    det = ss.DetectorParams(dead_time=0.0)
+    return ec.basis(ds.simulate_range(SourceParams(), det, cfg, seed, start, count))
+
+
 def test_basis_extremes():
-    assert all(
-        ds.choose_basis_block(5, i, 1, 0.0)[0] == ss.BASIS_Z
-        for i in (0, 1, 99, 70000)
-    )
-    assert all(
-        ds.choose_basis_block(5, i, 1, 1.0)[0] == ss.BASIS_X
-        for i in (0, 1, 99, 70000)
-    )
+    for i in (0, 1, 99, 70000):
+        assert pulse_bases(0.0, 5, i, 1)[0] == ss.BASIS_Z
+        assert pulse_bases(1.0, 5, i, 1)[0] == ss.BASIS_X
 
 
 def test_basis_fraction_matches_probability():
     n, p = 10_000_000, 0.004
-    basis = ds.choose_basis_block(123, 0, n, p)
-    frac = np.count_nonzero(basis) / n
+    frac = np.count_nonzero(pulse_bases(p, 123, 0, n)) / n
     assert abs(frac - p) <= 3.0 * math.sqrt(p * (1 - p) / n)
 
 
 def test_basis_single_matches_block():
-    block = ds.choose_basis_block(77, 0, 200_000, 0.3)
+    block = pulse_bases(0.3, 77, 0, 200_000)
     for idx in (0, 1, 65535, 65536, 199_999):
-        assert ds.choose_basis_block(77, idx, 1, 0.3)[0] == block[idx]
+        assert pulse_bases(0.3, 77, idx, 1)[0] == block[idx]
     # the jump-ahead at paper scale: six uniforms drawn at once equal the
     # same six drawn in two parts, split at every point
     for at in (2**32 - 3, 7_200_000_000 - 3):
-        whole = ds._uniforms(77, ds.DOMAIN_BASIS, at, 6)
+        whole = ds._uniforms(77, ds.DOMAIN_DETECTION, at, 6)
         for k in range(1, 6):
-            head = ds._uniforms(77, ds.DOMAIN_BASIS, at, k)
-            tail = ds._uniforms(77, ds.DOMAIN_BASIS, at + k, 6 - k)
+            head = ds._uniforms(77, ds.DOMAIN_DETECTION, at, k)
+            tail = ds._uniforms(77, ds.DOMAIN_DETECTION, at + k, 6 - k)
             assert np.array_equal(np.concatenate([head, tail]), whole)
 
 
@@ -106,8 +106,7 @@ def test_projection_probs_sum_to_one_for_random_states():
 
 
 def test_projection_rejects_unnormalized_state():
-    st = PolarizationState(amplitude_H=1.0, amplitude_V=0.0)
-    object.__setattr__(st, "amplitude_H", 2.0)  # corrupt after validation
+    st = PolarizationState._make((2.0, 0.0))  # _make skips the norm check
     with pytest.raises(ValueError):
         ss.effective_projection_probs(st, ss.BASIS_Z, ss.MeasurementConfig())
 
@@ -301,7 +300,7 @@ def test_generation_basis_single_click_rate_matches_model():
 def test_error_rate_floor_from_darks_and_doubles():
     # aligned input: wrong-detector events can only come from dark counts
     src, det, _ = default_setup()
-    cfg = ss.MeasurementConfig(prob_X=0.5, basis_seed=9)
+    cfg = ss.MeasurementConfig(prob_X=0.5)
     n = 1_000_000
     stream = ds.run_simulation(src, det, cfg, n, seed=7)
     d = det.dark_click_prob
@@ -411,11 +410,12 @@ def test_worker_count_does_not_change_events(monkeypatch):
 def test_simulation_holds_the_codes_and_a_few_panels(monkeypatch):
     # each worker writes its chunk's codes into the code array, so the
     # peak is that array and the temporaries of the chunks being drawn
-    # (a chunk's uniforms are 8 bytes a pulse), with or without dead time
+    # (a chunk's uniforms are 8 bytes a pulse), with or without dead time,
+    # up to a dead time of 1 s, whose window spans the whole run
     monkeypatch.setattr(ds, "WORKERS", 2)
     chunk_bytes = 8 * ds.CHUNK
     cfg = ss.MeasurementConfig(prob_X=0.1)
-    for dead_time in (50e-9, 600e-9):
+    for dead_time in (50e-9, 600e-9, 1.0):
         det = ss.DetectorParams(dead_time=dead_time)
         tracemalloc.start()
         try:
@@ -470,15 +470,53 @@ def reference_suppress_dead(raw, window, warmup):
 
 
 def test_suppress_dead_matches_prefix_sum_form():
+    # random codes of a block from pulse lo, with each detector's attempts
+    # in the window before it drawn too: the block's codes cleared in place
+    # against the prefix-sum form, and each detector's last attempt through
+    # the block (the one before it where the block has none)
     rng = np.random.default_rng(41)
+    lo = 1_000
     for window in range(1, 10):
         for rate in (0.02, 0.3, 0.9):
-            raw = rng.random(5_000) < rate
-            warmup = rng.random(window) < rate
-            got = ds._suppress_dead(raw, window, warmup.copy())
-            assert got.dtype == bool
-            assert np.array_equal(got, reference_suppress_dead(raw, window, warmup))
-    assert np.array_equal(ds._suppress_dead(raw, 0, warmup[:0]), raw)
+            clicks = rng.random((2, 5_000)) < rate
+            warmup = rng.random((2, window)) < rate
+            codes = rng.integers(0, 2, 5_000).astype(np.uint8)
+            codes |= (clicks[0] << 1 | clicks[1] << 2).astype(np.uint8)
+            want = codes & 1
+            last, through = [], []
+            for k, bit in enumerate((2, 4)):
+                live = reference_suppress_dead(clicks[k], window, warmup[k])
+                want |= bit * live.astype(np.uint8)
+                before = np.flatnonzero(warmup[k])
+                last.append(lo - window + before[-1] if len(before) else -1)
+                at = np.flatnonzero(clicks[k])
+                through.append(lo + at[-1] if len(at) else last[-1])
+            got = codes.copy()
+            assert ds._suppress_dead(got, lo, window, last) == through
+            assert np.array_equal(got, want)
+
+
+def test_dead_time_matches_prefix_sum_form_on_raw_clicks():
+    # each detector's clicks under dead time against the prefix-sum form
+    # on the raw clicks of the whole run, at windows within a chunk and
+    # past it (mean photon numbers set so that attempts come about a
+    # window apart), for the run and for ranges starting past pulse 0
+    n, seed = 300_000, 47
+    cfg = ss.MeasurementConfig(prob_X=0.1)
+    for lam, window in ((0.5, 2), (0.01, 2_000), (0.0, 70_000), (0.0, 200_000)):
+        src = SourceParams(mean_photons_lambda=lam)
+        free = ss.DetectorParams(dead_time=0.0)
+        raw = ds.run_simulation(src, free, cfg, n, seed=seed)
+        want = raw & 1
+        for bit in (2, 4):
+            live = reference_suppress_dead((raw & bit) > 0, window, np.zeros(window))
+            want |= bit * live.astype(np.uint8)
+        assert np.count_nonzero(want >> 1) < np.count_nonzero(raw >> 1)
+        det = ss.DetectorParams(dead_time=(window + 0.5) / src.pulse_rate_G)
+        assert np.array_equal(ds.run_simulation(src, det, cfg, n, seed=seed), want)
+        for start, count in ((1, 5), (65_537, 100_000), (250_000, 50_000)):
+            part = ds.simulate_range(src, det, cfg, seed, start, count)
+            assert np.array_equal(part, want[start : start + count]), (window, start)
 
 
 def test_determinism_across_runs():
@@ -490,28 +528,26 @@ def test_determinism_across_runs():
     assert not np.array_equal(a, c)
 
 
-def test_domains_of_one_seed_draw_different_streams():
-    # with basis_seed == seed, the basis and detection streams share
-    # entropy and differ only in the domain tag; pulse i's uniform is the
-    # i-th double of its domain's stream, drawn here from the start
-    seed, start, n = 7, 3 * ds.CHUNK + 5, ds.CHUNK
-
-    def per_pulse(domain):
-        seq = np.random.SeedSequence(entropy=seed, spawn_key=(domain,))
-        gen = np.random.Generator(np.random.PCG64DXSM(seq))
-        return gen.random(start + n)[start:]
-
-    basis_u, det_u = per_pulse(ds.DOMAIN_BASIS), per_pulse(ds.DOMAIN_DETECTION)
-    assert basis_u[0] != det_u[0]
-    # and each pulse's basis and outcome come from its own domain's uniform
+def test_one_uniform_decides_basis_and_outcome():
+    # pulse i's uniform u is the i-th double of the seed's stream, drawn
+    # here from the start: the basis is X when u < p_X, and the outcome
+    # places u among its basis's law moved into [0, p_X) for X and
+    # [p_X, 1) for Z
+    seed, start, n, p = 7, 3 * ds.CHUNK + 5, ds.CHUNK, 0.3
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(ds.DOMAIN_DETECTION,))
+    u = np.random.Generator(np.random.PCG64DXSM(seq)).random(start + n)[start:]
     src, det = sunlight(), ss.DetectorParams(dead_time=0.0)
-    cfg = ss.MeasurementConfig(prob_X=0.5, basis_seed=seed)
+    cfg = ss.MeasurementConfig(prob_X=p)
     stream = ds.simulate_range(src, det, cfg, seed, start, n)
     basis = ec.basis(stream)
-    assert np.array_equal(basis, basis_u < 0.5)
+    assert np.array_equal(basis, u < p)
     for b in (ss.BASIS_Z, ss.BASIS_X):
         law = ss.outcome_law(src, det, ss.effective_projection_probs(PLUS, b, cfg))
-        want = np.searchsorted(law, det_u, side="right")
+        if b == ss.BASIS_X:
+            moved = [t * p for t in law]
+        else:
+            moved = [p + t * (1 - p) for t in law]
+        want = np.searchsorted(moved, u, side="right")
         assert np.array_equal(ec.outcome(stream)[basis == b], want[basis == b])
 
 
